@@ -7,6 +7,13 @@ Python objects.  Matrices are tiny (manifold dimension <= 3, orbit rank
 <= 2), so linear algebra is hand-rolled Gauss elimination / Cholesky: a
 LAPACK round trip costs more than the whole solve at these sizes.
 
+The closed-form deformed metric, its vertical rescaling and their limit
+are one rank update G - W Y(P) W^T of the base metric (W = G A,
+P = A^T G A), so their value and their exact first derivatives come from
+the same pieces; the reparametrisation route (CHEEGER) stays independent
+and keeps finite-difference derivatives, which also serve as the oracle
+for the analytic ones.
+
 Failures inside kernels are signalled by NaN poisoning (metric routines)
 or explicit status codes (frame construction, geodesic integration); the
 Python layer turns those into typed exceptions.
@@ -339,73 +346,148 @@ def adapted_frame(G, A):
 
 
 @njit(cache=True)
+def _rank_update(scen, par, tag, l, x, sigma_tol):
+    """Shared pieces of the rank update G_v = G - W Y(P) W^T at x.
+
+    W = G A and P = A^T G A come from the orbit data; Y(P) is
+    (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1} for
+    RESCALED and P^{-1} - P^{-2} for LIMIT.  Returns
+    (G, A, mb, W, Y, Pi, Mi, ok) with Pi = P^{-1} and Mi = (l^2 + P)^{-1}
+    (Mi = Pi for LIMIT).  ok is False when the algebra split is
+    degenerate or P fails the Cholesky positivity gate.
+    """
+    G, K, mb, iso, A, P, status = orbit_data(scen, par, x, sigma_tol)
+    W = G @ A
+    if status != OK or np.isnan(chol_lower(P)[0, 0]):
+        return G, A, mb, W, P, P, P, False
+    Pi = inv_mat(P)
+    if tag == LIMIT:
+        Mi = Pi
+        Y = Pi - Pi @ Pi
+    else:
+        Mi = inv_mat(P + (l * l) * np.eye(P.shape[0]))
+        if tag == CHEEGER_CLOSED:
+            Y = Mi
+        else:
+            Y = Pi - Mi @ Pi
+    return G, A, mb, W, Y, Pi, Mi, True
+
+
+@njit(cache=True)
+def killing_dx(scen, par, x):
+    """Analytic first chart derivatives dK[m, i, k] = d_m K_ik of the
+    Killing operator.  Only the rotation action on the sphere has
+    non-constant action fields; the circle actions give zero."""
+    d = manifold_dim(scen)
+    dK = np.zeros((d, d, group_dim(scen)))
+    if scen == SU2_S2:
+        ct = np.cos(x[0])
+        st = np.sin(x[0])
+        cot = np.cos(x[1]) / np.sin(x[1])
+        csc2 = 1.0 / (np.sin(x[1]) * np.sin(x[1]))
+        dK[0, 0, 0] = st * cot
+        dK[0, 1, 0] = -ct
+        dK[0, 0, 1] = -ct * cot
+        dK[0, 1, 1] = -st
+        dK[1, 0, 0] = ct * csc2
+        dK[1, 0, 1] = st * csc2
+    return dK
+
+
+@njit(cache=True)
 def variant_metric(scen, par, tag, l, x, sigma_tol):
     """Chart components of the selected metric variant at x.
 
     ORIGINAL is the base metric.  CHEEGER goes through the deformation
     reparametrisation (inverse of the Cheeger map applied to the product
-    metric).  CHEEGER_CLOSED, RESCALED and LIMIT share an independent
-    blockwise route through the orbit-adapted frame; the vertical block is
-    l^2 P (l^2 + P)^{-1}, P (l^2 + P)^{-1} and the identity respectively,
-    expressed on the Cholesky-orthonormalised vertical basis.
+    metric).  CHEEGER_CLOSED, RESCALED and LIMIT share the independent
+    closed rank update G_v = G - W Y(P) W^T of _rank_update.
 
-    Failures (degenerate orbit rank, singular frames, blown-up
-    conditioning) poison the result with NaN.
+    Failures (degenerate orbit rank, an orbit tensor that fails the
+    Cholesky gate, blown-up conditioning) poison the result with NaN.
     """
     d = manifold_dim(scen)
     if tag == ORIGINAL:
         return gm_metric(scen, par, x)
+    if tag != CHEEGER:
+        G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l, x, sigma_tol)
+        if not ok:
+            return np.full((d, d), np.nan)
+        return sym2(G - W @ (Y @ W.T))
     G, K, mb, iso, A, P, status = orbit_data(scen, par, x, sigma_tol)
     if status != OK:
         return np.full((d, d), np.nan)
-    r = A.shape[1]
-    if tag == CHEEGER:
-        kap = A.T @ G
-        C = (A @ kap) / (l * l) + np.eye(d)
-        Ci = inv_mat(C)
-        nc = 0.0
-        ni = 0.0
-        for i in range(d):
-            for j in range(d):
-                nc += C[i, j] * C[i, j]
-                ni += Ci[i, j] * Ci[i, j]
-        if not (np.sqrt(nc * ni) < 1e12):
-            return np.full((d, d), np.nan)
-        inner = (kap.T @ kap) / (l * l) + G
-        return sym2(Ci.T @ (inner @ Ci))
-    F, L, fstatus = adapted_frame(G, A)
-    if fstatus != OK:
+    kap = A.T @ G
+    C = (A @ kap) / (l * l) + np.eye(d)
+    Ci = inv_mat(C)
+    nc = 0.0
+    ni = 0.0
+    for i in range(d):
+        for j in range(d):
+            nc += C[i, j] * C[i, j]
+            ni += Ci[i, j] * Ci[i, j]
+    if not (np.sqrt(nc * ni) < 1e12):
         return np.full((d, d), np.nan)
-    if tag == LIMIT:
-        S = np.eye(r)
-    else:
-        M = P + (l * l) * np.eye(r)
-        S = sym2(solve_lin(M, P))
-        if tag == CHEEGER_CLOSED:
-            S = (l * l) * S
-    T1 = solve_lin(L, S)
-    Bv = solve_lin(L, T1.T).T
-    B = np.zeros((d, d))
-    for a in range(r):
-        for b in range(r):
-            B[a, b] = Bv[a, b]
-    for j in range(r, d):
-        B[j, j] = 1.0
-    Fi = inv_mat(F)
-    return sym2(Fi.T @ (B @ Fi))
+    inner = (kap.T @ kap) / (l * l) + G
+    return sym2(Ci.T @ (inner @ Ci))
+
+
+@njit(cache=True)
+def _rank_update_dx(scen, par, tag, l, x, sigma_tol):
+    """Exact first chart derivatives of the rank update by the product
+    rule, with dP^{-1} = -P^{-1} dP P^{-1} and likewise for (l^2 + P)^{-1}.
+
+    d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
+    orthogonal projector Q onto the isotropy complement, so the basis
+    Q(y) mb(x) gives A(y) = K(y) mb(x); that basis is orthonormal at x
+    and stays so to first order, because n^T mb = 0 for the isotropy
+    directions n.  The sign-fixed SVD basis of m_basis is therefore
+    never differentiated.
+    """
+    d = manifold_dim(scen)
+    G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l, x, sigma_tol)
+    if not ok:
+        return np.full((d, d, d), np.nan)
+    dG = gm_metric_dx(scen, par, x)
+    dK = killing_dx(scen, par, x)
+    out = np.zeros((d, d, d))
+    for m in range(d):
+        if not (np.any(dG[m]) or np.any(dK[m])):
+            # W, and with it every term, is constant along this axis
+            continue
+        dA = dK[m] @ mb
+        dW = dG[m] @ A + G @ dA
+        dP = sym2(A.T @ dW + dA.T @ W)
+        dPi = -(Pi @ (dP @ Pi))
+        if tag == LIMIT:
+            dY = dPi - dPi @ Pi - Pi @ dPi
+        else:
+            dMi = -(Mi @ (dP @ Mi))
+            if tag == CHEEGER_CLOSED:
+                dY = dMi
+            else:
+                dY = dPi - dMi @ Pi - Mi @ dPi
+        B = dW @ (Y @ W.T)
+        out[m] = sym2(dG[m] - B - B.T - W @ (dY @ W.T))
+    return out
 
 
 @njit(cache=True)
 def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
-    """First chart derivatives of a metric variant.
+    """First chart derivatives dG[m, i, j] = d_m g_ij of a metric variant.
 
-    Uses the catalogued analytic derivative for the base metric when
-    allowed, otherwise fourth-order central differences with one level of
-    Richardson extrapolation (effective order six).
+    With analytic set, ORIGINAL uses the catalogued derivative and the
+    rank-update tags (CHEEGER_CLOSED, RESCALED, LIMIT) the exact product
+    rule of _rank_update_dx.  CHEEGER, and every tag when analytic is
+    unset, uses fourth-order central differences with one level of
+    Richardson extrapolation (effective order six); that path is the
+    oracle for the analytic one.
     """
     d = manifold_dim(scen)
-    if tag == ORIGINAL and analytic:
+    if analytic and tag == ORIGINAL:
         return gm_metric_dx(scen, par, x)
+    if analytic and tag != CHEEGER:
+        return _rank_update_dx(scen, par, tag, l, x, sigma_tol)
     dG = np.zeros((d, d, d))
     xt = x.copy()
     for m in range(d):
@@ -438,29 +520,19 @@ def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol):
     G = variant_metric(scen, par, tag, l, x, sigma_tol)
     dG = variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol)
     Gi = inv_mat(G)
-    Gam = np.zeros((d, d, d))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                s = 0.0
-                for n in range(d):
-                    s += Gi[k, n] * (dG[i, n, j] + dG[j, n, i] - dG[n, i, j])
-                Gam[k, i, j] = 0.5 * s
-    return Gam
+    # first-kind symbols T[n, i, j] = d_i g_nj + d_j g_ni - d_n g_ij,
+    # then one matrix product raises the index
+    T = np.zeros((d, d, d))
+    for n in range(d):
+        T[n] = dG[:, n, :] + dG[:, n, :].T - dG[n]
+    return 0.5 * (Gi @ T.reshape(d, d * d)).reshape(d, d, d)
 
 
 @njit(cache=True)
 def _geodesic_acc(scen, par, tag, l, x, v, h, analytic, sigma_tol):
     d = x.shape[0]
     Gam = christoffel(scen, par, tag, l, x, h, analytic, sigma_tol)
-    a = np.zeros(d)
-    for k in range(d):
-        s = 0.0
-        for i in range(d):
-            for j in range(d):
-                s += Gam[k, i, j] * v[i] * v[j]
-        a[k] = -s
-    return a
+    return -((Gam.reshape(d * d, d) @ v).reshape(d, d) @ v)
 
 
 @njit(cache=True)
@@ -586,12 +658,13 @@ def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol):
 @njit(cache=True)
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol):
     """Derivative part of the C1 distance: sup over plan points, chart
-    coordinates and components of d_m (g_a - g_b)_ij, Richardson FD."""
+    coordinates and components of d_m (g_a - g_b)_ij, with the analytic
+    derivatives of variant_metric_dx (Richardson FD for CHEEGER)."""
     d = manifold_dim(scen)
     best = 0.0
     for n in range(pts.shape[0]):
-        dA = variant_metric_dx(scen, par, tag_a, l_a, pts[n], h, False, sigma_tol)
-        dB = variant_metric_dx(scen, par, tag_b, l_b, pts[n], h, False, sigma_tol)
+        dA = variant_metric_dx(scen, par, tag_a, l_a, pts[n], h, True, sigma_tol)
+        dB = variant_metric_dx(scen, par, tag_b, l_b, pts[n], h, True, sigma_tol)
         for m in range(d):
             for i in range(d):
                 for j in range(d):

@@ -67,10 +67,6 @@ class InvariantMetricField:
     matrix: Callable[[np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray], np.ndarray] | None = None
 
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return self.derivatives is not None
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -1,11 +1,14 @@
 """Differential operators on metric variants.
 
-Derivatives of pipeline-computed metrics use fourth-order central
-differences with one Richardson extrapolation level (step h_fd); the
-catalogued analytic derivative is used for the original metric where
-available.  Geodesics are integrated with classical fourth-order
-Runge-Kutta.  Tensor norms and C^p distances are suprema over explicit
-sample plans, measured against the base metric.
+Metric derivatives are exact for every variant but the deformed metric
+of the reparametrisation route: the catalogued derivative for the base
+metric, the product rule of the closed rank update for the closed-form,
+rescaled and limit variants.  The reparametrisation route, the T-tensor
+frame field and the test oracle use fourth-order central differences
+with one Richardson extrapolation level (step h_fd).  Geodesics are
+integrated with classical fourth-order Runge-Kutta.  Tensor norms and
+C^p distances are suprema over explicit sample plans, measured against
+the base metric.
 """
 
 from __future__ import annotations
@@ -44,7 +47,10 @@ class UnsupportedOrderError(ValueError):
 
 
 def _use_analytic(v: MetricVariant) -> bool:
-    return v.tag == "original" and v.scenario.metric.has_analytic_derivatives
+    """Every tag but cheeger has exact derivatives: the catalogued one
+    for the base metric, the product rule of the rank update for the
+    rest.  The reparametrisation route stays on finite differences."""
+    return v.tag != "cheeger"
 
 
 def metric_derivatives(v: MetricVariant, x: np.ndarray,
