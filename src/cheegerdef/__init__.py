@@ -7,12 +7,13 @@ configurable numerical scale.
 """
 
 from . import cheeger, gmanifold, lie_core, scenarios, tensor_calc, verify
-from ._jit import HAVE_NUMBA, JIT_ENABLED
+
+# the kernels are plain numpy; kept for callers that record the compute mode
+JIT_ENABLED = False
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_NUMBA",
     "JIT_ENABLED",
     "__version__",
     "cheeger",

@@ -66,8 +66,10 @@ class DeformationParams:
 def kappa(kd: KillingData, G: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Algebra coefficients of the metric dual of v along the orbit:
     the unique kappa(v) in the isotropy complement with
-    <kappa(v), k> = g_M(v, K k) for all algebra vectors k."""
-    return kd.m_basis @ (kd.A.T @ (G @ np.asarray(v, dtype=float)))
+    <kappa(v), k> = g_M(v, K k) for all algebra vectors k.  Orbit data,
+    G and v may also be stacks over points (v of shape (..., dim))."""
+    Gv = G @ np.asarray(v, dtype=float)[..., None]
+    return (kd.m_basis @ (kd.A.mT @ Gv))[..., 0]
 
 
 def vertical_space_basis(kd: KillingData) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -208,7 +210,7 @@ class MetricVariant:
 
     def reference_matrix(self, x: np.ndarray) -> np.ndarray:
         """Same metric through the plain-numpy operator layer (used to
-        cross-validate the compiled route)."""
+        cross-validate the kernel route)."""
         G = self.scenario.metric_matrix(x)
         if self.tag == "original":
             return G

@@ -4,7 +4,7 @@ The functions here take a scenario object (see scenarios) and expose the
 pointwise orbit machinery: the Killing operator of the action, the
 isotropy split of the algebra, the orbit tensor, and pullbacks of metric
 fields along group transformations.  Heavy lifting is delegated to the
-compiled kernels; this layer adds validation and typed failures.
+numpy kernels; this layer adds validation and typed failures.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ class Chart:
 
 @dataclass(frozen=True)
 class KillingData:
-    """Pointwise orbit data of the action.
+    """Pointwise orbit data of the action; the arrays may also be stacks
+    over points, with the point axes first.
 
     K maps algebra coefficients to tangent vectors (columns are action
     fields of the basis).  m_basis spans the complement of the isotropy
@@ -116,7 +117,7 @@ class KillingData:
 
     @property
     def rank(self) -> int:
-        return self.m_basis.shape[1]
+        return self.m_basis.shape[-1]
 
 
 def killing_operator(scenario, x: np.ndarray, mode: str = "analytic",

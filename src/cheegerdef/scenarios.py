@@ -90,9 +90,11 @@ class Scenario:
     expect_base_drift: bool
 
     def act(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
+        """Image of a chart point, or of a stack (..., dim) of them, under g."""
         return self.action.act(g, x)
 
     def action_jacobian(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
+        """Chart Jacobian of g at a point, or (..., dim, dim) at a stack."""
         return self.action.jacobian(g, x)
 
     def metric_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -123,29 +125,29 @@ def _quat_to_rotation(q: np.ndarray) -> np.ndarray:
 
 
 def _sphere_embed(x: np.ndarray) -> np.ndarray:
-    th, ph = x
+    th, ph = x[..., 0], x[..., 1]
     sp = np.sin(ph)
-    return np.array([sp * np.cos(th), sp * np.sin(th), np.cos(ph)])
+    return np.stack([sp * np.cos(th), sp * np.sin(th), np.cos(ph)], axis=-1)
 
 
 def _sphere_coord_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Embedded coordinate fields (d_theta p, d_phi p) at a chart point."""
-    th, ph = x
+    """Embedded coordinate fields (d_theta p, d_phi p) at chart points."""
+    th, ph = x[..., 0], x[..., 1]
     sp = np.sin(ph)
     cp = np.cos(ph)
-    d_th = np.array([-sp * np.sin(th), sp * np.cos(th), 0.0])
-    d_ph = np.array([cp * np.cos(th), cp * np.sin(th), -sp])
+    d_th = np.stack([-sp * np.sin(th), sp * np.cos(th), np.zeros_like(th)], axis=-1)
+    d_ph = np.stack([cp * np.cos(th), cp * np.sin(th), -sp], axis=-1)
     return d_th, d_ph
 
 
 def _su2_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
     R = _quat_to_rotation(g.matrix[:, 0])
-    p = R @ _sphere_embed(x)
-    ph = float(np.arccos(np.clip(p[2], -1.0, 1.0)))
-    th = float(np.arctan2(p[1], p[0]))
+    p = _sphere_embed(x) @ R.T
+    ph = np.arccos(np.clip(p[..., 2], -1.0, 1.0))
+    th = np.arctan2(p[..., 1], p[..., 0])
     # keep the angle on the branch nearest the input for continuity
-    th += 2 * np.pi * np.round((x[0] - th) / (2 * np.pi))
-    return np.array([th, ph])
+    th = th + 2 * np.pi * np.round((x[..., 0] - th) / (2 * np.pi))
+    return np.stack([th, ph], axis=-1)
 
 
 def _su2_jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
@@ -153,13 +155,17 @@ def _su2_jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
     y = _su2_act(g, x)
     d_th_x, d_ph_x = _sphere_coord_fields(x)
     d_th_y, d_ph_y = _sphere_coord_fields(y)
-    w_th = R @ d_th_x
-    w_ph = R @ d_ph_x
-    s2 = np.sin(y[1]) ** 2
-    return np.array([
-        [d_th_y @ w_th / s2, d_th_y @ w_ph / s2],
-        [d_ph_y @ w_th, d_ph_y @ w_ph],
-    ])
+    w_th = d_th_x @ R.T
+    w_ph = d_ph_x @ R.T
+    s2 = np.sin(y[..., 1]) ** 2
+
+    def dot(a, b):
+        return (a * b).sum(axis=-1)
+
+    return np.stack([
+        np.stack([dot(d_th_y, w_th) / s2, dot(d_th_y, w_ph) / s2], axis=-1),
+        np.stack([dot(d_ph_y, w_th), dot(d_ph_y, w_ph)], axis=-1),
+    ], axis=-2)
 
 
 def _shift_action(group: LieGroupModel, shifted: tuple[int, ...], dim: int) -> ActionModel:
@@ -169,11 +175,11 @@ def _shift_action(group: LieGroupModel, shifted: tuple[int, ...], dim: int) -> A
         a = _so2_angle(g.matrix)
         y = np.array(x, dtype=float)
         for m in shifted:
-            y[m] = y[m] + a
+            y[..., m] = y[..., m] + a
         return y
 
     def jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
-        return np.eye(dim)
+        return np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)).copy()
 
     return ActionModel(group=group, act=act, jacobian=jacobian)
 

@@ -239,7 +239,7 @@ def cp_norm(va: MetricVariant, vb: MetricVariant, plan: SamplePlan,
 
 def cp_norm_callable(delta_fn, plan: SamplePlan, p: int, h: float = H_FD) -> float:
     """C^p distance for an arbitrary difference evaluator (plain numpy
-    reference path; the compiled path above must agree with it).
+    reference path; the kernel blocks above must agree with it).
 
     delta_fn maps a chart point to the component difference matrix.
     """

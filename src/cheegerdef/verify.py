@@ -16,7 +16,7 @@ plain dicts ready for serialization.  The measured quantities:
 - isometry invariance of every family member under sampled group
   elements, the static horizontal block, and the duality identity of
   the orbit projection;
-- agreement of the two deformation routes, compiled and reference;
+- agreement of the two deformation routes, kernel and reference;
 - the large-l return of the deformed metric to the base metric
   (expected order -2).
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .cheeger import MetricVariant, kappa, variant
-from .gmanifold import NumericalFailure, killing_data
+from .gmanifold import KillingData, NumericalFailure, killing_data
 from .scenarios import Scenario, invariance_elements, oracle_samples
 from .tensor_calc import (SamplePlan, geodesic_integrate, orbit_invariant_drift,
                           speed_drift, t_tensor)
@@ -101,6 +101,9 @@ class SweepConfig:
         unknown = set(self.enabled) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests in 'enabled': {sorted(unknown)}")
+        for name in ("invariance_points", "invariance_elements"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.cp_order not in (0, 1):
             raise ValueError(
                 f"unsupported C^p order {self.cp_order}: p must be 0 or 1")
@@ -145,26 +148,48 @@ def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
                             seed=cfg.seed, margin=cfg.margin)
 
 
+def _block_failure(what: str, scenario: Scenario, l: float, block,
+                   points: np.ndarray) -> NumericalFailure:
+    """Failure naming l and the first plan point on which block(rows)
+    alone is NaN.  The blocks evaluate a whole plan and turn NaN when any
+    point fails; rows are independent, so rerunning the block one point
+    at a time finds the point."""
+    i = next(i for i in range(len(points)) if np.isnan(block(slice(i, i + 1))))
+    return NumericalFailure(
+        f"{what} failed at l={l} at plan point {i} {points[i].tolist()} "
+        f"on {scenario.scenario_id}")
+
+
 def convergence_series(scenario: Scenario, cfg: SweepConfig,
                        plan: SamplePlan) -> dict:
     """C^0/C^1 distances of the rescaled family to the limit and the
     pullback gap, per l, with rate fits."""
     code, par = scenario.code, scenario.params
+    pts, dirs = plan.points, plan.dirs
     c0s, c1s, gaps = [], [], []
     for l in cfg.l_grid:
-        c0 = float(_k.c0_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                               plan.points, plan.dirs, 1e-8))
-        gap = float(_k.gap_block(code, par, l, plan.points, 1e-8))
-        if np.isnan(c0) or np.isnan(gap):
-            raise NumericalFailure(
-                f"convergence series failed at l={l} on {scenario.scenario_id}")
+        def c0_rows(rows, l=l):
+            return _k.c0_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                               pts[rows], dirs[rows], 1e-8)
+
+        def gap_rows(rows, l=l):
+            return _k.gap_block(code, par, l, pts[rows], 1e-8)
+
+        c0 = float(c0_rows(slice(None)))
+        if np.isnan(c0):
+            raise _block_failure("convergence series (C^0)", scenario, l, c0_rows, pts)
+        gap = float(gap_rows(slice(None)))
+        if np.isnan(gap):
+            raise _block_failure("convergence series (gap)", scenario, l, gap_rows, pts)
         c0s.append(c0)
         if cfg.cp_order >= 1:
-            c1d = float(_k.c1_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                                    plan.points, cfg.h_fd, 1e-8))
+            def c1_rows(rows, l=l):
+                return _k.c1_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                                   pts[rows], cfg.h_fd, 1e-8)
+
+            c1d = float(c1_rows(slice(None)))
             if np.isnan(c1d):
-                raise NumericalFailure(
-                    f"C^1 series failed at l={l} on {scenario.scenario_id}")
+                raise _block_failure("C^1 series", scenario, l, c1_rows, pts)
             c1s.append(max(c0, c1d))
         else:
             c1s.append(float("nan"))
@@ -255,16 +280,6 @@ def geodesic_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     return {"vacuous": False, "starts": starts}
 
 
-def _metric_fn(scenario: Scenario, tag_code: int, l: float):
-    code, par = scenario.code, scenario.params
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return np.asarray(_k.variant_metric(code, par, tag_code, l,
-                                            np.asarray(x, dtype=float), 1e-8))
-
-    return fn
-
-
 def invariance_results(scenario: Scenario, cfg: SweepConfig,
                        plan: SamplePlan) -> dict:
     """Isometry-invariance residuals for the whole family, plus the
@@ -273,22 +288,24 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     The invariance residual of a variant is the sup over sampled group
     elements and plan points of the max-abs difference between the
     pulled-back and local metric components (analytic action Jacobians).
+    Each variant is evaluated once on the invariance points and once on
+    the stack of their images under all sampled elements.
     """
-    stride = max(1, len(plan.points) // max(1, cfg.invariance_points))
+    stride = max(1, len(plan.points) // cfg.invariance_points)
     pts = plan.points[::stride]
     elements = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
     code, par = scenario.code, scenario.params
+    moved = np.stack([scenario.act(g, pts) for g in elements])
+    jac = np.stack([scenario.action_jacobian(g, pts) for g in elements])
+
+    local = {}
 
     def residual(tag_code: int, l: float) -> float:
-        fn = _metric_fn(scenario, tag_code, l)
-        worst = 0.0
-        for g in elements:
-            for x in pts:
-                y = scenario.act(g, x)
-                J = scenario.action_jacobian(g, x)
-                pulled = J.T @ fn(y) @ J
-                worst = max(worst, float(np.max(np.abs(pulled - fn(x)))))
-        return worst
+        here = _k.variant_metric(code, par, tag_code, l, pts, 1e-8)
+        local[tag_code, l] = here
+        there = _k.variant_metric(code, par, tag_code, l, moved, 1e-8)
+        pulled = jac.mT @ there @ jac
+        return float(np.max(np.abs(pulled - here)))
 
     static = {
         "original": residual(_k.ORIGINAL, 0.0),
@@ -303,35 +320,26 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
         })
 
     # horizontal block of the deformed family versus the base metric
+    G, K, mb, iso, A, P, status = _k.orbit_data(code, par, pts, 1e-8)
+    F, L, fstatus = _k.adapted_frame(G, A)
+    failed = np.flatnonzero((status != _k.OK) | (fstatus != _k.OK))
+    if failed.size:
+        return {"error": f"frame failed at {pts[failed[0]].tolist()}"}
+    H = F[..., :, A.shape[-1]:]
     horiz_worst = 0.0
-    kappa_worst = 0.0
+    if H.size:
+        for (tag, l), Gv in local.items():
+            if tag != _k.ORIGINAL:
+                horiz_worst = max(horiz_worst, float(np.max(np.abs((Gv - G).mT @ H))))
+    # duality identity of the orbit projection against the raw pairing
+    kd = KillingData(x=pts, K=K, m_basis=mb, isotropy_basis=iso, orbit_tensor=P)
+    v = plan.dirs[np.minimum(np.arange(len(pts)) * stride, len(plan.dirs) - 1), 0, 0]
+    raw = (K.mT @ (G @ v[..., None]))[..., 0]
+    kappa_worst = float(np.max(np.abs(kappa(kd, G, v) - raw)))
+    # the solved vector must carry no isotropy component
     kappa_iso_worst = 0.0
-    for n, x in enumerate(pts):
-        G, K, mb, iso, A, P, status = _k.orbit_data(code, par, x, 1e-8)
-        F, L, fstatus = _k.adapted_frame(np.asarray(G), np.asarray(A))
-        if status != _k.OK or fstatus != _k.OK:
-            return {"error": f"frame failed at {x.tolist()}"}
-        r = A.shape[1]
-        H = np.asarray(F)[:, r:]
-        for l in cfg.l_grid:
-            for tag in (_k.CHEEGER, _k.RESCALED):
-                Gv = _metric_fn(scenario, tag, l)(x)
-                horiz_worst = max(horiz_worst,
-                                  float(np.max(np.abs((Gv - G).T @ H))) if H.size else 0.0)
-        Glim = _metric_fn(scenario, _k.LIMIT, 0.0)(x)
-        if H.size:
-            horiz_worst = max(horiz_worst, float(np.max(np.abs((Glim - G).T @ H))))
-        # duality identity of the orbit projection against the raw pairing
-        kd = killing_data(scenario, x)
-        v = plan.dirs[min(n * stride, len(plan.dirs) - 1), 0, 0]
-        kv = kappa(kd, np.asarray(G), v)
-        raw = np.asarray(K).T @ (np.asarray(G) @ v)
-        kappa_worst = max(kappa_worst, float(np.max(np.abs(kv - raw))))
-        # the solved vector must carry no isotropy component
-        if kd.isotropy_basis.size:
-            kappa_iso_worst = max(
-                kappa_iso_worst,
-                float(np.max(np.abs(kd.isotropy_basis.T @ raw))))
+    if iso.size:
+        kappa_iso_worst = float(np.max(np.abs((iso.mT @ raw[..., None])[..., 0])))
 
     overall = max(max(static.values()),
                   max(max(row["cheeger"], row["rescaled"]) for row in by_l))
@@ -352,13 +360,16 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
     """C^0 distance of the deformed metric to the base metric for large
     l, with the rate fit of the decay."""
     code, par = scenario.code, scenario.params
+    pts, dirs = plan.points, plan.dirs
     c0s = []
     for l in cfg.large_l_grid:
-        c0 = float(_k.c0_block(code, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
-                               plan.points, plan.dirs, 1e-8))
+        def c0_rows(rows, l=l):
+            return _k.c0_block(code, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
+                               pts[rows], dirs[rows], 1e-8)
+
+        c0 = float(c0_rows(slice(None)))
         if np.isnan(c0):
-            raise NumericalFailure(
-                f"large-l series failed at l={l} on {scenario.scenario_id}")
+            raise _block_failure("large-l series", scenario, l, c0_rows, pts)
         c0s.append(c0)
     return {
         "l_grid": list(cfg.large_l_grid),
@@ -370,9 +381,9 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
 def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     """Agreement of the deformation routes on seeded samples.
 
-    kernel_max_diff compares the two compiled routes across all samples;
+    kernel_max_diff compares the two kernel routes across all samples;
     reference_max_diff compares the two plain-numpy operator routes on a
-    subsample; cross_max_diff compares compiled against reference.
+    subsample; cross_max_diff compares kernel against reference.
     """
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed)
     code, par = scenario.code, scenario.params

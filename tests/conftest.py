@@ -1,41 +1,8 @@
-"""Shared fixtures.
+"""Shared fixtures."""
 
-The compiled kernels cache to disk, but a fresh interpreter still pays
-a dispatch-compilation cost on first call.  The session-scoped warmup
-fixture pays that once, up front, so timed tests measure the workload
-rather than compilation.
-"""
-
-import numpy as np
 import pytest
 
-from cheegerdef import _kernels as _k
-from cheegerdef.scenarios import direction_pairs, get_scenario, sample_grid
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Touch every hot kernel once before any test runs."""
-    scenario = get_scenario("s2_band")
-    code, par = scenario.code, scenario.params
-    pts = sample_grid(scenario, 4)
-    dirs = direction_pairs(scenario, len(pts), 2, 0)
-    _k.c0_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0, pts, dirs, 1e-8)
-    _k.c1_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0, pts, 1e-4, 1e-8)
-    _k.gap_block(code, par, 0.1, pts, 1e-8)
-    _k.oracle_block(code, par, pts, np.full(len(pts), 0.5), 1e-8)
-    _k.t_pair_block(code, par, _k.RESCALED, 0.1, pts, 1e-4, 1e-8)
-    x0 = np.array([0.3, 0.9])
-    v0 = np.array([0.0, 1.0])
-    _k.geodesic_rk4(code, par, _k.LIMIT, 0.0, x0, v0, 5, 1e-3, 1e-4, False,
-                    scenario.chart.lo, scenario.chart.hi,
-                    scenario.chart.periodic.astype(np.int64), 1e-8)
-    hopf = get_scenario("s3_hopf")
-    hp = sample_grid(hopf, 4)
-    _k.oracle_block(hopf.code, hopf.params, hp, np.full(len(hp), 0.5), 1e-8)
-    su2 = get_scenario("su2_s2")
-    sp = sample_grid(su2, 4)
-    _k.oracle_block(su2.code, su2.params, sp, np.full(len(sp), 0.5), 1e-8)
+from cheegerdef.scenarios import get_scenario
 
 
 @pytest.fixture(scope="session")

@@ -147,7 +147,7 @@ def test_su2_deformation_is_global_rescale(su2_s2):
 def test_deformation_routes_agree_four_ways(sid, all_scenarios):
     """The reparametrisation route and the rank-update route must stay
     independent implementations; this checks they agree, in both the
-    reference and the compiled evaluation paths."""
+    reference and the kernel evaluation paths."""
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     pts = sample_grid(scenario, 9)
     for l in (0.15, 0.9, 4.0):

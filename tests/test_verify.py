@@ -65,6 +65,19 @@ def test_sweep_config_validation():
     assert cfg.cp_order == 0
 
 
+def test_sweep_config_rejects_zero_invariance_elements():
+    # zero elements would run no invariance check and still report a
+    # residual of 0 and a pass
+    with pytest.raises(ValueError, match="invariance_elements"):
+        SweepConfig(invariance_elements=0)
+
+
+def test_sweep_config_rejects_zero_invariance_points():
+    # zero points used to fall back silently to one point
+    with pytest.raises(ValueError, match="invariance_points"):
+        SweepConfig(invariance_points=0)
+
+
 def test_convergence_series_shape(s2_band):
     cfg = SweepConfig(**SMALL)
     plan = build_plan(s2_band, cfg)
