@@ -7,8 +7,9 @@ metric).  Scenario geometry and metric-variant selection are small
 integer codes.  Matrices are tiny (manifold dimension <= 3, orbit rank
 <= 2), so inverses and the Cholesky gate are closed forms for sizes 1, 2
 and 3 written over the stack: a LAPACK call per evaluation costs more
-than the whole algebra, and the closed forms keep the single-point path
-(Christoffel symbols, RK4 steps) as cheap as a stack is per point.
+than the whole algebra.  Geodesics are stacked too: RK4 advances a
+stack of starts as one state, so a step makes four stacked Christoffel
+calls however many starts it carries.
 
 The closed-form deformed metric, its vertical rescaling and their limit
 are one rank update G - W Y(P) W^T of the base metric (W = G A,
@@ -22,7 +23,7 @@ fails the Cholesky gate or a blown-up conditioning turns that point's
 row into NaN and leaves the other rows alone.  The blocks reduce with
 NaN-propagating maxima, so one bad point makes the block NaN; the
 Python layer turns that into a typed exception.  Frame construction and
-geodesic integration also return explicit status codes.
+geodesic integration also return explicit per-row status codes.
 """
 
 import numpy as np
@@ -534,65 +535,73 @@ def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol):
     return 0.5 * (Gi @ T.reshape(lead + (d, d * d))).reshape(lead + (d, d, d))
 
 
-def _geodesic_acc(scen, par, tag, l, x, v, h, analytic, sigma_tol):
-    d = x.shape[0]
+def _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol):
+    """Right-hand side (v, -Gamma(v, v)) of the geodesic equation on a
+    stack (n, 2 d) of states (x, v)."""
+    n, d = y.shape[0], y.shape[1] // 2
+    x, v = y[:, :d], y[:, d:]
     Gam = christoffel(scen, par, tag, l, x, h, analytic, sigma_tol)
-    return -((Gam.reshape(d * d, d) @ v).reshape(d, d) @ v)
-
-
-def _inside_box(x, lo, hi, periodic, margin):
-    for m in range(x.shape[0]):
-        if periodic[m] == 0:
-            if x[m] < lo[m] + margin or x[m] > hi[m] - margin:
-                return False
-    return True
+    w = v[:, :, None]
+    acc = -((Gam.reshape(n, d * d, d) @ w).reshape(n, d, d) @ w)[:, :, 0]
+    return np.concatenate([v, acc], axis=-1)
 
 
 def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
                  lo, hi, periodic, sigma_tol):
-    """Integrate the geodesic equation with classical RK4.
+    """Integrate the geodesic equation with classical RK4 from a stack of
+    starts x0, v0 of shape (..., d); one start is the zero-batch case.
 
-    Trajectory rows are (position, velocity).  Integration stops early
-    with status LEFT_DOMAIN when the position leaves the chart box (with
-    an FD-stencil safety margin) and NUMERIC_FAIL on NaN.  Returns
-    (trajectory, status, steps_completed).
+    All running starts advance as one stacked state.  Trajectory rows are
+    (position, velocity); a start that stops early keeps zero rows after
+    its last state.  A start stops alone, with status LEFT_DOMAIN when its
+    position leaves the chart box (with an FD-stencil safety margin) and
+    NUMERIC_FAIL on NaN; the other starts carry on.  Returns
+    (trajectory (..., n_steps + 1, 2 d), status (...), stacked steps,
+    steps completed (...)), where the stacked steps are the number of
+    steps completed by at least one start (an int; for one start, its
+    completed steps).
     """
-    d = x0.shape[0]
-    traj = np.zeros((n_steps + 1, 2 * d))
-    traj[0, :d] = x0
-    traj[0, d:] = v0
-    x = x0.copy()
-    v = v0.copy()
-    margin = 3.0 * h
-    status = OK
-    done = n_steps
+    lead = x0.shape[:-1]
+    d = x0.shape[-1]
+    y = np.concatenate([x0.reshape(-1, d), v0.reshape(-1, d)], axis=-1)
+    n = y.shape[0]
+    traj = np.zeros((n, n_steps + 1, 2 * d))
+    traj[:, 0] = y
+    status = np.full(n, OK)
+    done = np.full(n, n_steps)
+    # original index of each running row
+    rows = np.arange(n)
+    # chart box shrunk by the stencil margin; periodic axes are unbounded
+    closed = periodic == 0
+    lo_in = np.where(closed, lo + 3.0 * h, -np.inf)
+    hi_in = np.where(closed, hi - 3.0 * h, np.inf)
+
+    def rhs(y):
+        return _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol)
+
     for step in range(n_steps):
-        if not _inside_box(x, lo, hi, periodic, margin):
-            status = LEFT_DOMAIN
-            done = step
-            break
-        k1x = v
-        k1v = _geodesic_acc(scen, par, tag, l, x, v, h, analytic, sigma_tol)
-        x2 = x + 0.5 * dt * k1x
-        v2 = v + 0.5 * dt * k1v
-        k2v = _geodesic_acc(scen, par, tag, l, x2, v2, h, analytic, sigma_tol)
-        x3 = x + 0.5 * dt * v2
-        v3 = v + 0.5 * dt * k2v
-        k3v = _geodesic_acc(scen, par, tag, l, x3, v3, h, analytic, sigma_tol)
-        x4 = x + dt * v3
-        v4 = v + dt * k3v
-        k4v = _geodesic_acc(scen, par, tag, l, x4, v4, h, analytic, sigma_tol)
-        nx = x + (dt / 6.0) * (k1x + 2.0 * v2 + 2.0 * v3 + v4)
-        nv = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if np.isnan(nx).any() or np.isnan(nv).any():
-            status = NUMERIC_FAIL
-            done = step
-            break
-        x = nx
-        v = nv
-        traj[step + 1, :d] = x
-        traj[step + 1, d:] = v
-    return traj, status, done
+        out = ((y[:, :d] < lo_in) | (y[:, :d] > hi_in)).any(axis=-1)
+        if out.any():
+            status[rows[out]] = LEFT_DOMAIN
+            done[rows[out]] = step
+            rows, y = rows[~out], y[~out]
+            if rows.size == 0:
+                break
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        bad = np.isnan(y).any(axis=-1)
+        if bad.any():
+            status[rows[bad]] = NUMERIC_FAIL
+            done[rows[bad]] = step
+            rows, y = rows[~bad], y[~bad]
+            if rows.size == 0:
+                break
+        traj[rows, step + 1] = y
+    traj = traj.reshape(lead + (n_steps + 1, 2 * d))
+    return traj, status.reshape(lead), int(done.max()), done.reshape(lead)
 
 
 def _pair_sup(G, F, Delta, dirs):

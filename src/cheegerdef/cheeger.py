@@ -197,15 +197,17 @@ class MetricVariant:
         return f"{self.tag}(l={self.l:g})"
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Chart components at x; raises NumericalFailure on pipeline
+        """Chart components at x, a point or a stack (..., dim) of points;
+        raises NumericalFailure naming the first failing point on pipeline
         breakdown (degenerate rank, singular frame, conditioning)."""
         x = np.asarray(x, dtype=float)
         out = np.asarray(_k.variant_metric(
             self.scenario.code, self.scenario.params, self.tag_code,
             float(self.l), x, 1e-8))
         if np.any(np.isnan(out)):
+            bad = np.isnan(out).any(axis=(-2, -1))
             raise NumericalFailure(
-                f"metric variant {self.label} failed at {x.tolist()}")
+                f"metric variant {self.label} failed at {x[bad][0].tolist()}")
         return out
 
     def reference_matrix(self, x: np.ndarray) -> np.ndarray:

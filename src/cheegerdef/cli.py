@@ -211,11 +211,6 @@ def build_run_config(raw: dict[str, str],
                              ("oracle.samples", 1, "oracle_count")):
         if name in kw and kw[name] < bound:
             raise ConfigError(f"{key} must be at least {bound}")
-    for name in ("h_fd", "geodesic_step", "geodesic_length"):
-        if name in kw and kw[name] <= 0:
-            raise ConfigError(f"{name} must be positive")
-    if "margin" in kw and kw["margin"] < 0:
-        raise ConfigError("samples.margin must be nonnegative")
 
     try:
         sweep = SweepConfig(**kw)

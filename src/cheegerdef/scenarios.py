@@ -82,6 +82,7 @@ class Scenario:
     sample_margin: float
     geodesic_transverse: tuple[float, ...]
     start_from_transverse: Callable[[float], np.ndarray]
+    # invariants (..., k) of a point or of a stack (..., dim) of points
     orbit_invariants: Callable[[np.ndarray], np.ndarray]
     element_scale: float | None
     transitive: bool
@@ -216,7 +217,7 @@ def _build_s2_like(scenario_id: str, code: int, params: np.ndarray,
         sample_margin=sample_margin,
         geodesic_transverse=(0.6, 0.9, 1.2),
         start_from_transverse=lambda c: np.array([0.3, float(c)]),
-        orbit_invariants=lambda x: np.array([x[1]]),
+        orbit_invariants=lambda x: x[..., 1:2],
         element_scale=None,
         transitive=False,
         expect_base_drift=True,
@@ -243,7 +244,8 @@ def _build_s3_hopf(sample_margin: float) -> Scenario:
         sample_margin=sample_margin,
         geodesic_transverse=(0.5, 0.8, 1.1),
         start_from_transverse=lambda c: np.array([0.5, 1.7, float(c)]),
-        orbit_invariants=lambda x: np.array([x[0] - x[1], x[2]]),
+        orbit_invariants=lambda x: np.stack([x[..., 0] - x[..., 1], x[..., 2]],
+                                            axis=-1),
         element_scale=None,
         transitive=False,
         expect_base_drift=False,
@@ -269,7 +271,7 @@ def _build_su2_s2(sample_margin: float) -> Scenario:
         sample_margin=sample_margin,
         geodesic_transverse=(1.2, 1.6, 2.0),
         start_from_transverse=lambda c: np.array([0.3, float(c)]),
-        orbit_invariants=lambda x: np.zeros(0),
+        orbit_invariants=lambda x: np.zeros(np.shape(x)[:-1] + (0,)),
         # bounded rotations keep transformed sample points inside the chart
         element_scale=0.6,
         transitive=True,
@@ -296,7 +298,7 @@ def _build_t2_flat(orbit_length: float, sample_margin: float) -> Scenario:
         sample_margin=sample_margin,
         geodesic_transverse=(1.0, 3.0, 5.0),
         start_from_transverse=lambda c: np.array([0.7, float(c)]),
-        orbit_invariants=lambda x: np.array([x[1]]),
+        orbit_invariants=lambda x: x[..., 1:2],
         element_scale=None,
         transitive=False,
         expect_base_drift=False,

@@ -6,9 +6,10 @@ metric, the product rule of the closed rank update for the closed-form,
 rescaled and limit variants.  The reparametrisation route, the T-tensor
 frame field and the test oracle use fourth-order central differences
 with one Richardson extrapolation level (step h_fd).  Geodesics are
-integrated with classical fourth-order Runge-Kutta.  Tensor norms and
-C^p distances are suprema over explicit sample plans, measured against
-the base metric.
+integrated with classical fourth-order Runge-Kutta, all starts of a
+variant as one stacked state; each start keeps its own status and step
+count.  Tensor norms and C^p distances are suprema over explicit sample
+plans, measured against the base metric.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "cp_norm",
     "cp_norm_callable",
     "geodesic_integrate",
+    "integrate_geodesics",
     "metric_derivatives",
     "orbit_invariant_drift",
     "speed_drift",
@@ -105,37 +107,53 @@ class GeodesicResult:
 _GEO_STATUS = {_k.OK: "ok", _k.LEFT_DOMAIN: "left_domain", _k.NUMERIC_FAIL: "numerical"}
 
 
-def geodesic_integrate(v: MetricVariant, x0: np.ndarray, v0: np.ndarray,
-                       length: float = 3.0, step: float = 1e-3,
-                       unit_speed: bool = True, h: float = H_FD) -> GeodesicResult:
-    """Integrate the geodesic equation of the variant from (x0, v0).
+def integrate_geodesics(v: MetricVariant, x0s: np.ndarray, v0s: np.ndarray,
+                        length: float = 3.0, step: float = 1e-3,
+                        unit_speed: bool = True,
+                        h: float = H_FD) -> list[GeodesicResult]:
+    """Integrate the geodesic equation of the variant from each start
+    (x0s[s], v0s[s]) as one stacked RK4 state; one result per start.
 
-    v0 is normalised to unit variant speed unless unit_speed is False.
-    Integration stops early at the chart boundary (status left_domain)
-    or on numerical breakdown (status numerical).
+    Each v0 is normalised to unit variant speed unless unit_speed is
+    False.  A start stops alone at the chart boundary (status
+    left_domain); numerical breakdown of any start raises
+    NumericalFailure naming that start and the step.
     """
     scenario = v.scenario
-    x0 = scenario.chart.require_inside(np.asarray(x0, dtype=float))
-    v0 = np.asarray(v0, dtype=float)
+    x0s = np.stack([scenario.chart.require_inside(x)
+                    for x in np.asarray(x0s, dtype=float)])
+    v0s = np.asarray(v0s, dtype=float)
     if step <= 0 or length <= 0:
         raise ValueError("geodesic step and length must be positive")
     if unit_speed:
-        G = v.matrix(x0)
-        speed = float(np.sqrt(v0 @ G @ v0))
-        if speed <= 0:
+        G = v.matrix(x0s)
+        speed = np.sqrt((v0s[:, None, :] @ G @ v0s[:, :, None])[:, 0, 0])
+        if np.any(speed <= 0):
             raise ValueError("initial velocity must be nonzero")
-        v0 = v0 / speed
+        v0s = v0s / speed[:, None]
     n_steps = int(round(length / step))
-    traj, status, steps = _k.geodesic_rk4(
-        scenario.code, scenario.params, v.tag_code, float(v.l), x0, v0,
+    traj, status, _, done = _k.geodesic_rk4(
+        scenario.code, scenario.params, v.tag_code, float(v.l), x0s, v0s,
         n_steps, float(step), h, _use_analytic(v),
         scenario.chart.lo, scenario.chart.hi,
         scenario.chart.periodic.astype(np.int64), 1e-8)
-    if status == _k.NUMERIC_FAIL:
+    failed = np.flatnonzero(status == _k.NUMERIC_FAIL)
+    if failed.size:
+        s = failed[0]
         raise NumericalFailure(
-            f"geodesic integration of {v.label} broke down at step {steps}")
-    return GeodesicResult(variant=v, states=np.asarray(traj), dt=float(step),
-                          status=_GEO_STATUS[int(status)], steps=int(steps))
+            f"geodesic integration of {v.label} from start {s} at "
+            f"{x0s[s].tolist()} broke down at step {done[s]}")
+    return [GeodesicResult(variant=v, states=traj[s], dt=float(step),
+                           status=_GEO_STATUS[int(status[s])], steps=int(done[s]))
+            for s in range(len(x0s))]
+
+
+def geodesic_integrate(v: MetricVariant, x0: np.ndarray, v0: np.ndarray,
+                       length: float = 3.0, step: float = 1e-3,
+                       unit_speed: bool = True, h: float = H_FD) -> GeodesicResult:
+    """Integrate the geodesic equation of the variant from one start
+    (x0, v0); see integrate_geodesics."""
+    return integrate_geodesics(v, [x0], [v0], length, step, unit_speed, h)[0]
 
 
 def speed_drift(res: GeodesicResult, stride: int = 50) -> float:
@@ -143,22 +161,18 @@ def speed_drift(res: GeodesicResult, stride: int = 50) -> float:
     the trajectory, sampled every stride steps."""
     pos = res.positions[::stride]
     vel = res.velocities[::stride]
-    speeds = np.empty(len(pos))
-    for i, (x, w) in enumerate(zip(pos, vel)):
-        G = res.variant.matrix(x)
-        speeds[i] = w @ G @ w
+    G = res.variant.matrix(pos)
+    speeds = (vel[:, None, :] @ G @ vel[:, :, None])[:, 0, 0]
     return float(np.max(np.abs(speeds - speeds[0])))
 
 
 def orbit_invariant_drift(res: GeodesicResult) -> float:
     """Max drift of the scenario's orbit invariants along the
     trajectory; 0 for transitive actions (no invariants)."""
-    inv = res.variant.scenario.orbit_invariants
-    ref = inv(res.positions[0])
-    if ref.size == 0:
+    vals = res.variant.scenario.orbit_invariants(res.positions)
+    if vals.shape[-1] == 0:
         return 0.0
-    vals = np.array([inv(x) for x in res.positions])
-    return float(np.max(np.abs(vals - ref)))
+    return float(np.max(np.abs(vals - vals[0])))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from . import _kernels as _k
 from .cheeger import MetricVariant, kappa, variant
 from .gmanifold import KillingData, NumericalFailure, killing_data
 from .scenarios import Scenario, invariance_elements, oracle_samples
-from .tensor_calc import (SamplePlan, geodesic_integrate, orbit_invariant_drift,
+from .tensor_calc import (SamplePlan, integrate_geodesics, orbit_invariant_drift,
                           speed_drift, t_tensor)
 
 __all__ = [
@@ -104,6 +104,11 @@ class SweepConfig:
         for name in ("invariance_points", "invariance_elements"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in ("h_fd", "geodesic_step", "geodesic_length"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.margin is not None and not self.margin >= 0:
+            raise ValueError("margin must be nonnegative")
         if self.cp_order not in (0, 1):
             raise ValueError(
                 f"unsupported C^p order {self.cp_order}: p must be 0 or 1")
@@ -257,17 +262,15 @@ def geodesic_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     if scenario.transitive:
         return {"vacuous": True, "starts": []}
     transverse = cfg.geodesic_transverse or scenario.geodesic_transverse
-    limit = variant(scenario, "limit")
-    base = variant(scenario, "original")
+    x0s = np.stack([scenario.start_from_transverse(c) for c in transverse])
+    v0s = np.stack([killing_data(scenario, x0).A[:, 0] for x0 in x0s])
+    # one stack per metric: a stack mixing both would need a per-row tag
+    lims, bases = (integrate_geodesics(variant(scenario, tag), x0s, v0s,
+                                       length=cfg.geodesic_length,
+                                       step=cfg.geodesic_step, h=cfg.h_fd)
+                   for tag in ("limit", "original"))
     starts = []
-    for c in transverse:
-        x0 = scenario.start_from_transverse(c)
-        kd = killing_data(scenario, x0)
-        v0 = kd.A[:, 0]
-        res_lim = geodesic_integrate(limit, x0, v0, length=cfg.geodesic_length,
-                                     step=cfg.geodesic_step, h=cfg.h_fd)
-        res_base = geodesic_integrate(base, x0, v0, length=cfg.geodesic_length,
-                                      step=cfg.geodesic_step, h=cfg.h_fd)
+    for c, res_lim, res_base in zip(transverse, lims, bases):
         starts.append({
             "transverse": float(c),
             "limit_drift": orbit_invariant_drift(res_lim),

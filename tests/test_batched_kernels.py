@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cheegerdef import _kernels as _k
+from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import NumericalFailure
 from cheegerdef.scenarios import invariance_elements, oracle_samples
 from cheegerdef.tensor_calc import SamplePlan, cp_norm_callable
@@ -258,3 +259,12 @@ def test_failures_name_l_and_first_failing_point(s2_band):
     with pytest.raises(NumericalFailure,
                        match=rf"l=10.0 at plan point {POLE} \[0.5, 0.0\] on s2_band"):
         large_l_series(s2_band, cfg, bad)
+
+
+def test_metric_variant_failure_names_the_failing_point(s2_band):
+    v = variant(s2_band, "limit")
+    with pytest.raises(NumericalFailure, match=r"limit failed at \[0\.3, 0\.0\]$"):
+        v.matrix(np.array([0.3, 0.0]))
+    stack = np.array([[0.3, 0.9], [0.3, 1.0], [0.5, 0.0], [0.3, 0.0]])
+    with pytest.raises(NumericalFailure, match=r"limit failed at \[0\.5, 0\.0\]$"):
+        v.matrix(stack)

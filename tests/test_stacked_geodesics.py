@@ -1,0 +1,187 @@
+"""Stacked geodesic integration: a stack of starts advances as one RK4
+state, each start keeps its own status and step count, and every row
+equals the same start integrated alone."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from cheegerdef import _kernels as _k
+from cheegerdef.cheeger import variant
+from cheegerdef.gmanifold import Chart, NumericalFailure, killing_data
+from cheegerdef.tensor_calc import (GeodesicResult, geodesic_integrate,
+                                    integrate_geodesics, orbit_invariant_drift,
+                                    speed_drift)
+
+NON_TRANSITIVE = ("s2_band", "warped_s2", "s3_hopf", "t2_flat")
+TOL = 1e-8
+H = 1e-4
+
+
+def _starts(scenario):
+    x0s = np.stack(scenario.geodesic_starts())
+    v0s = np.stack([killing_data(scenario, x0).A[:, 0] for x0 in x0s])
+    return x0s, v0s
+
+
+def _rk4(scenario, tag, x0, v0, n_steps, dt, chart=None):
+    chart = chart or scenario.chart
+    return _k.geodesic_rk4(scenario.code, scenario.params, tag, 0.0, x0, v0,
+                           n_steps, dt, H, True, chart.lo, chart.hi,
+                           chart.periodic.astype(np.int64), TOL)
+
+
+def _assert_same(stacked, single):
+    assert stacked.status == single.status
+    assert stacked.steps == single.steps
+    np.testing.assert_array_equal(stacked.states, single.states)
+
+
+@pytest.mark.parametrize("tag", ("limit", "original"))
+@pytest.mark.parametrize("sid", NON_TRANSITIVE)
+def test_stacked_geodesics_equal_single_starts(sid, tag, request):
+    scenario = request.getfixturevalue(sid)
+    v = variant(scenario, tag)
+    x0s, v0s = _starts(scenario)
+    stacked = integrate_geodesics(v, x0s, v0s, length=3.0, step=1e-2)
+    assert len(stacked) == len(x0s)
+    for res, x0, v0 in zip(stacked, x0s, v0s):
+        _assert_same(res, geodesic_integrate(v, x0, v0, length=3.0, step=1e-2))
+        assert res.status == "ok"
+        assert res.steps == 300
+
+
+def test_meridian_rows_leave_chart_alone(s2_band):
+    # the meridian starts run into the phi boundaries of the chart after
+    # about two units of arc length; the latitude starts run to the end.
+    # Meridians are straight in the chart, and these starts put one state
+    # between the chart edge and the box shrunk by the stencil margin 3 h
+    v = variant(s2_band, "original")
+    x0s, v0s = _starts(s2_band)
+    x0s = np.vstack([x0s[:1], [[0.3, 0.9015]], x0s[1:], [[0.3, 2.20015]]])
+    v0s = np.vstack([v0s[:1], [[0.0, 1.0]], v0s[1:], [[0.0, -1.0]]])
+    results = integrate_geodesics(v, x0s, v0s, length=3.0, step=1e-2)
+    assert [r.status for r in results] == ["ok", "left_domain", "ok", "ok", "left_domain"]
+    assert [results[s].steps for s in (0, 2, 3)] == [300, 300, 300]
+    lo, hi = s2_band.chart.lo[1], s2_band.chart.hi[1]
+    up, down = results[1], results[4]
+    assert up.steps == 204 and down.steps == 200
+    assert hi - 3.0 * H < up.positions[-1, 1] < hi
+    assert lo < down.positions[-1, 1] < lo + 3.0 * H
+    for res in (up, down):
+        np.testing.assert_array_equal(res.states[res.steps + 1:], 0.0)
+    for res, x0, v0 in zip(results, x0s, v0s):
+        _assert_same(res, geodesic_integrate(v, x0, v0, length=3.0, step=1e-2))
+
+
+def test_degenerate_row_fails_alone(s2_band):
+    # with the chart box opened past the pole, the pole start reaches the
+    # kernel and its Christoffel symbols are NaN at the first step
+    wide = Chart(labels=s2_band.chart.labels, lo=np.array([0.0, -1.0]),
+                 hi=np.array([2 * np.pi, np.pi + 1.0]),
+                 periodic=s2_band.chart.periodic)
+    x0s, v0s = _starts(s2_band)
+    x0s = np.vstack([x0s[:2], [[0.3, 0.0]], x0s[2:]])
+    v0s = np.vstack([v0s[:2], [[1.0, 0.0]], v0s[2:]])
+    for tag in (_k.LIMIT, _k.ORIGINAL):
+        traj, status, steps, done = _rk4(s2_band, tag, x0s, v0s, 50, 1e-2, wide)
+        np.testing.assert_array_equal(status, [_k.OK, _k.OK, _k.NUMERIC_FAIL, _k.OK])
+        np.testing.assert_array_equal(done, [50, 50, 0, 50])
+        assert steps == 50
+        np.testing.assert_array_equal(traj[2, 1:], 0.0)
+        for s in (0, 1, 3):
+            one = _rk4(s2_band, tag, x0s[s], v0s[s], 50, 1e-2, wide)
+            np.testing.assert_array_equal(traj[s], one[0])
+
+
+def test_failure_names_variant_start_and_step(s2_band):
+    wide = Chart(labels=s2_band.chart.labels, lo=np.array([0.0, -1.0]),
+                 hi=np.array([2 * np.pi, np.pi + 1.0]),
+                 periodic=s2_band.chart.periodic)
+    scenario = dataclasses.replace(s2_band, chart=wide)
+    v = variant(scenario, "limit")
+    x0s = np.array([[0.3, 0.9], [0.3, 0.0]])
+    v0s = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(NumericalFailure,
+                       match=r"of limit from start 1 at \[0\.3, 0\.0\] "
+                             r"broke down at step 0"):
+        integrate_geodesics(v, x0s, v0s, length=0.5, step=1e-2, unit_speed=False)
+
+
+def test_kernel_keeps_the_single_start_shapes(s2_band):
+    # a (d,) start is the zero-batch case: one trajectory, int-able status
+    # and step count; the third value counts stacked steps as an int
+    x0s, v0s = _starts(s2_band)
+    traj, status, steps, done = _rk4(s2_band, _k.LIMIT, x0s[0], v0s[0], 20, 1e-2)
+    assert traj.shape == (21, 4)
+    assert int(status) == _k.OK
+    assert steps == int(done) == 20
+    stacked = _rk4(s2_band, _k.LIMIT, x0s, v0s, 20, 1e-2)
+    assert stacked[0].shape == (3, 21, 4)
+    assert isinstance(stacked[2], int) and stacked[2] == 20
+    np.testing.assert_array_equal(stacked[0][0], traj)
+
+
+def test_stacked_steps_count_the_longest_row(s2_band):
+    x0s = np.array([[0.3, 0.9], [0.3, 2.9]])
+    v0s = np.array([[1.0, 0.0], [0.0, 1.0]])
+    traj, status, steps, done = _rk4(s2_band, _k.ORIGINAL, x0s, v0s, 40, 1e-2)
+    np.testing.assert_array_equal(status, [_k.OK, _k.LEFT_DOMAIN])
+    assert done[1] < 40
+    assert steps == 40
+
+
+def test_geodesic_integrate_returns_one_result(s2_band):
+    res = geodesic_integrate(variant(s2_band, "limit"), np.array([0.3, 0.9]),
+                             np.array([1.0, 0.0]), length=0.5, step=1e-2)
+    assert isinstance(res, GeodesicResult)
+    assert res.states.shape == (51, 4)
+
+
+def test_rk4_is_fourth_order_on_great_circles(s2_band):
+    # a latitude launch from (theta0, phi0) follows the great circle
+    # cos(t) p0 + sin(t) e_theta; halving the step divides the endpoint
+    # error by about 2^4
+    th0, phi0, T = 0.3, 0.9, 3.0
+    p0 = np.array([np.sin(phi0) * np.cos(th0), np.sin(phi0) * np.sin(th0),
+                   np.cos(phi0)])
+    e_th = np.array([-np.sin(th0), np.cos(th0), 0.0])
+    p = np.cos(T) * p0 + np.sin(T) * e_th
+    exact = np.array([np.arctan2(p[1], p[0]) % (2 * np.pi), np.arccos(p[2])])
+    v = variant(s2_band, "original")
+    errs = []
+    for dt in (0.025, 0.0125, 0.00625):
+        res = geodesic_integrate(v, np.array([th0, phi0]), np.array([1.0, 0.0]),
+                                 length=T, step=dt)
+        assert res.status == "ok"
+        errs.append(np.max(np.abs(res.positions[-1] - exact)))
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all((ratios > 15.0) & (ratios < 17.0)), ratios
+
+
+@pytest.mark.parametrize("sid, expected", (
+    ("s2_band", [[0.6], [0.9], [1.2]]),
+    ("s3_hopf", [[-1.2, 0.5], [-1.2, 0.8], [-1.2, 1.1]]),
+    ("su2_s2", np.zeros((3, 0))),
+    ("t2_flat", [[1.0], [3.0], [5.0]]),
+))
+def test_orbit_invariants_on_stacks(sid, expected, request):
+    scenario = request.getfixturevalue(sid)
+    x0s = np.stack(scenario.geodesic_starts())
+    stacked = scenario.orbit_invariants(x0s)
+    np.testing.assert_allclose(stacked, expected, rtol=0.0, atol=1e-15)
+    for x, row in zip(x0s, stacked):
+        np.testing.assert_array_equal(scenario.orbit_invariants(x), row)
+
+
+@pytest.mark.parametrize("tag", ("limit", "original"))
+def test_drifts_match_pointwise_loops(warped_s2, tag):
+    x0s, v0s = _starts(warped_s2)
+    res = geodesic_integrate(variant(warped_s2, tag), x0s[0], v0s[0],
+                             length=1.0, step=1e-2)
+    speeds = [w @ res.variant.matrix(x) @ w
+              for x, w in zip(res.positions[::5], res.velocities[::5])]
+    assert speed_drift(res, stride=5) == np.max(np.abs(np.array(speeds) - speeds[0]))
+    inv = [warped_s2.orbit_invariants(x) for x in res.positions]
+    assert orbit_invariant_drift(res) == np.max(np.abs(np.array(inv) - inv[0]))

@@ -78,6 +78,19 @@ def test_sweep_config_rejects_zero_invariance_points():
         SweepConfig(invariance_points=0)
 
 
+@pytest.mark.parametrize("field", ("h_fd", "geodesic_step", "geodesic_length"))
+@pytest.mark.parametrize("value", (0.0, -1.0, float("nan")))
+def test_sweep_config_rejects_nonpositive_steps(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        SweepConfig(**{field: value})
+
+
+def test_sweep_config_rejects_negative_margin():
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        SweepConfig(margin=-0.5)
+    assert SweepConfig(margin=0.0).margin == 0.0
+
+
 def test_convergence_series_shape(s2_band):
     cfg = SweepConfig(**SMALL)
     plan = build_plan(s2_band, cfg)
