@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .gmanifold import KillingData, NumericalFailure, killing_data
+from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
 from .scenarios import Scenario
 
 __all__ = [
@@ -203,7 +203,7 @@ class MetricVariant:
         x = np.asarray(x, dtype=float)
         out = np.asarray(_k.variant_metric(
             self.scenario.code, self.scenario.params, self.tag_code,
-            float(self.l), x, 1e-8))
+            float(self.l), x, SIGMA_TOL))
         if np.any(np.isnan(out)):
             bad = np.isnan(out).any(axis=(-2, -1))
             raise NumericalFailure(

@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .config import echo, knob, table_keys, values_from
 from .gmanifold import DegeneratePointError, DomainError, NumericalFailure
-from .scenarios import Scenario, get_scenario, list_scenarios
+from .scenarios import (DEFAULT_ORBIT_LENGTH, DEFAULT_WARP_AMPLITUDE, Scenario,
+                        get_scenario, list_scenarios)
 from .verify import ALL_TESTS, SweepConfig, run_suite
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run_from_config"]
@@ -28,62 +30,31 @@ __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run_from_config"
 CSV_HEADER = "l,c0_diff,c1_diff,t_ratio_max,gap_residual,invariance_residual"
 SCHEMA_VERSION = 1
 
-# smallest deformation parameter the double-precision pipeline supports
-MIN_L = 1e-3
-
 
 class ConfigError(ValueError):
     """Invalid configuration file or option combination."""
 
 
+def _parse_scenario(raw: str) -> str:
+    if raw not in list_scenarios():
+        raise ValueError(
+            f"unknown scenario '{raw}'; catalogued: {', '.join(list_scenarios())}")
+    return raw
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated effective run configuration."""
+    """Validated effective run configuration: the scenario and output
+    knobs of the config table, plus the sweep."""
 
-    scenario_id: str
-    warp_amplitude: float
-    orbit_length: float
+    scenario_id: str = knob(MISSING, "scenario", parse=_parse_scenario)
     sweep: SweepConfig
-    out_csv: str | None
-    out_report: str | None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse '{raw}' as a number")
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse '{raw}' as an integer")
-
-
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"key '{key}': empty list")
-    return tuple(_parse_float(key, p) for p in parts)
-
-
-_KNOWN_KEYS = {
-    "scenario", "seed", "l_grid", "large_l_grid", "only",
-    "samples.points", "samples.directions", "samples.margin",
-    "fd.step", "cp.order",
-    "geodesic.step", "geodesic.length", "geodesic.starts",
-    "invariance.points", "invariance.elements", "oracle.samples",
-    "scenario.warp_amplitude", "scenario.orbit_length",
-    "out.csv", "out.report",
-    "tol.c0_slope_lo", "tol.c0_slope_hi", "tol.c1_slope_lo", "tol.c1_slope_hi",
-    "tol.t_slope_lo", "tol.t_slope_hi",
-    "tol.large_l_slope_lo", "tol.large_l_slope_hi",
-    "tol.gap_ratio", "tol.geo_limit_drift", "tol.geo_base_drift",
-    "tol.speed_drift", "tol.invariance", "tol.horizontal", "tol.kappa",
-    "tol.oracle",
-}
+    warp_amplitude: float = knob(DEFAULT_WARP_AMPLITUDE, "scenario.warp_amplitude",
+                                 echo="warp_amplitude", only_for="warped_s2")
+    orbit_length: float = knob(DEFAULT_ORBIT_LENGTH, "scenario.orbit_length",
+                               echo="orbit_length", only_for="t2_flat")
+    out_csv: str | None = knob(None, "out.csv", parse=str)
+    out_report: str | None = knob(None, "out.report", parse=str)
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -92,6 +63,7 @@ def parse_config(text: str) -> dict[str, str]:
     Unknown or repeated keys and malformed lines raise ConfigError with
     the offending line number.
     """
+    known = table_keys(RunConfig, SweepConfig)
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -104,7 +76,7 @@ def parse_config(text: str) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in '{line.strip()}'")
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
@@ -112,145 +84,32 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _validate_only(raw: str) -> tuple[str, ...]:
-    names = tuple(p for p in raw.replace(",", " ").split() if p)
-    unknown = set(names) - set(ALL_TESTS)
-    if unknown:
-        raise ConfigError(
-            f"unknown test selection {sorted(unknown)}; "
-            f"choices: {', '.join(ALL_TESTS)}")
-    if not names:
-        raise ConfigError("empty test selection")
-    # preserve canonical order, drop repeats
-    return tuple(t for t in ALL_TESTS if t in names)
-
-
-def build_run_config(raw: dict[str, str],
-                     scenario_override: str | None = None,
-                     seed_override: int | None = None,
-                     only_override: str | None = None,
-                     out_csv_override: str | None = None,
-                     out_report_override: str | None = None) -> RunConfig:
-    """Validate raw key/value strings plus CLI overrides."""
-    scenario_id = scenario_override or raw.get("scenario")
-    if not scenario_id:
+def build_run_config(raw: dict[str, str]) -> RunConfig:
+    """Parse and validate raw key/value strings."""
+    if "scenario" not in raw:
         raise ConfigError("no scenario named (config key 'scenario' or --scenario)")
-    if scenario_id not in list_scenarios():
-        raise ConfigError(
-            f"unknown scenario '{scenario_id}'; catalogued: {', '.join(list_scenarios())}")
-
-    kw: dict = {}
-    if "seed" in raw:
-        kw["seed"] = _parse_int("seed", raw["seed"])
-    if seed_override is not None:
-        kw["seed"] = seed_override
-    if not 0 <= kw.get("seed", 42) < 2**64:
-        raise ConfigError("seed must fit an unsigned 64-bit integer")
-
-    if "l_grid" in raw:
-        kw["l_grid"] = _parse_float_list("l_grid", raw["l_grid"])
-    if "large_l_grid" in raw:
-        kw["large_l_grid"] = _parse_float_list("large_l_grid", raw["large_l_grid"])
-    for grid_key in ("l_grid", "large_l_grid"):
-        for l in kw.get(grid_key, ()):
-            if l < MIN_L:
-                raise ConfigError(
-                    f"{grid_key} value {l} below the supported minimum {MIN_L}")
-
-    int_keys = {"samples.points": "n_points", "samples.directions": "n_dirs",
-                "invariance.points": "invariance_points",
-                "invariance.elements": "invariance_elements",
-                "oracle.samples": "oracle_count", "cp.order": "cp_order"}
-    for key, fieldname in int_keys.items():
-        if key in raw:
-            kw[fieldname] = _parse_int(key, raw[key])
-    float_keys = {"samples.margin": "margin", "fd.step": "h_fd",
-                  "geodesic.step": "geodesic_step",
-                  "geodesic.length": "geodesic_length"}
-    for key, fieldname in float_keys.items():
-        if key in raw:
-            kw[fieldname] = _parse_float(key, raw[key])
-    if "geodesic.starts" in raw:
-        kw["geodesic_transverse"] = _parse_float_list("geodesic.starts",
-                                                      raw["geodesic.starts"])
-
-    window_pairs = {
-        ("tol.c0_slope_lo", "tol.c0_slope_hi"): ("c0_slope_window", (1.9, 2.1)),
-        ("tol.c1_slope_lo", "tol.c1_slope_hi"): ("c1_slope_window", (1.8, 2.2)),
-        ("tol.t_slope_lo", "tol.t_slope_hi"): ("t_slope_window", (1.8, 2.2)),
-        ("tol.large_l_slope_lo", "tol.large_l_slope_hi"):
-            ("large_l_slope_window", (-2.2, -1.8)),
-    }
-    for (klo, khi), (fieldname, default) in window_pairs.items():
-        if klo in raw or khi in raw:
-            lo = _parse_float(klo, raw[klo]) if klo in raw else default[0]
-            hi = _parse_float(khi, raw[khi]) if khi in raw else default[1]
-            if lo >= hi:
-                raise ConfigError(f"{fieldname}: lower bound {lo} >= upper bound {hi}")
-            kw[fieldname] = (lo, hi)
-    scalar_tols = {"tol.gap_ratio": "gap_ratio_max",
-                   "tol.geo_limit_drift": "geo_limit_drift_max",
-                   "tol.geo_base_drift": "geo_base_drift_min",
-                   "tol.speed_drift": "speed_drift_max",
-                   "tol.invariance": "invariance_max",
-                   "tol.horizontal": "horizontal_max",
-                   "tol.kappa": "kappa_max",
-                   "tol.oracle": "oracle_max"}
-    for key, fieldname in scalar_tols.items():
-        if key in raw:
-            kw[fieldname] = _parse_float(key, raw[key])
-
-    only_raw = only_override or raw.get("only")
-    if only_raw:
-        kw["enabled"] = _validate_only(only_raw)
-
-    for key, bound, name in (("samples.points", 4, "n_points"),
-                             ("samples.directions", 1, "n_dirs"),
-                             ("invariance.points", 1, "invariance_points"),
-                             ("invariance.elements", 1, "invariance_elements"),
-                             ("oracle.samples", 1, "oracle_count")):
-        if name in kw and kw[name] < bound:
-            raise ConfigError(f"{key} must be at least {bound}")
-
     try:
-        sweep = SweepConfig(**kw)
+        rc = RunConfig(sweep=SweepConfig(**values_from(SweepConfig, raw)),
+                       **values_from(RunConfig, raw))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    warp = _parse_float("scenario.warp_amplitude", raw["scenario.warp_amplitude"]) \
-        if "scenario.warp_amplitude" in raw else 0.3
-    length = _parse_float("scenario.orbit_length", raw["scenario.orbit_length"]) \
-        if "scenario.orbit_length" in raw else 1.0
-    if "scenario.warp_amplitude" in raw and scenario_id != "warped_s2":
-        raise ConfigError("scenario.warp_amplitude applies to warped_s2 only")
-    if "scenario.orbit_length" in raw and scenario_id != "t2_flat":
-        raise ConfigError("scenario.orbit_length applies to t2_flat only")
-
-    return RunConfig(
-        scenario_id=scenario_id,
-        warp_amplitude=warp,
-        orbit_length=length,
-        sweep=sweep,
-        out_csv=out_csv_override or raw.get("out.csv"),
-        out_report=out_report_override or raw.get("out.report"),
-    )
+    for f in fields(RunConfig):
+        only_for = f.metadata.get("only_for")
+        if only_for and f.metadata["keys"][0] in raw and rc.scenario_id != only_for:
+            raise ConfigError(f"{f.metadata['keys'][0]} applies to {only_for} only")
+    return rc
 
 
 def _build_scenario(rc: RunConfig) -> Scenario:
     try:
         scenario = get_scenario(rc.scenario_id, warp_amplitude=rc.warp_amplitude,
-                                orbit_length=rc.orbit_length,
-                                sample_margin=rc.sweep.margin
-                                if rc.sweep.margin is not None else 0.1)
-    except (ValueError, KeyError) as exc:
+                                orbit_length=rc.orbit_length)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    transverse = rc.sweep.geodesic_transverse
-    if transverse:
-        for c in transverse:
-            x0 = scenario.start_from_transverse(c)
-            if not scenario.chart.contains(x0):
-                raise ConfigError(
-                    f"geodesic start {c} leaves the chart of {rc.scenario_id}")
+    for c in rc.sweep.geodesic_transverse or ():
+        if not scenario.chart.contains(scenario.start_from_transverse(c)):
+            raise ConfigError(
+                f"geodesic start {c} leaves the chart of {rc.scenario_id}")
     return scenario
 
 
@@ -284,49 +143,12 @@ def _jsonable(obj):
     return obj
 
 
-def render_report(rc: RunConfig, results: dict,
-                  effective_starts: tuple[float, ...] | None = None) -> str:
-    cfg = rc.sweep
-    starts = cfg.geodesic_transverse or effective_starts
-    echo = {
-        "scenario": rc.scenario_id,
-        "seed": cfg.seed,
-        "l_grid": list(cfg.l_grid),
-        "large_l_grid": list(cfg.large_l_grid),
-        "samples_points": cfg.n_points,
-        "samples_directions": cfg.n_dirs,
-        "samples_margin": cfg.margin if cfg.margin is not None else 0.1,
-        "fd_step": cfg.h_fd,
-        "cp_order": cfg.cp_order,
-        "geodesic_step": cfg.geodesic_step,
-        "geodesic_length": cfg.geodesic_length,
-        "geodesic_starts": list(starts) if starts else None,
-        "invariance_points": cfg.invariance_points,
-        "invariance_elements": cfg.invariance_elements,
-        "oracle_samples": cfg.oracle_count,
-        "enabled": list(cfg.enabled),
-        "warp_amplitude": rc.warp_amplitude,
-        "orbit_length": rc.orbit_length,
-        "out_csv": rc.out_csv,
-        "out_report": rc.out_report,
-        "thresholds": {
-            "c0_slope_window": list(cfg.c0_slope_window),
-            "c1_slope_window": list(cfg.c1_slope_window),
-            "t_slope_window": list(cfg.t_slope_window),
-            "large_l_slope_window": list(cfg.large_l_slope_window),
-            "gap_ratio_max": cfg.gap_ratio_max,
-            "geo_limit_drift_max": cfg.geo_limit_drift_max,
-            "geo_base_drift_min": cfg.geo_base_drift_min,
-            "speed_drift_max": cfg.speed_drift_max,
-            "invariance_max": cfg.invariance_max,
-            "horizontal_max": cfg.horizontal_max,
-            "kappa_max": cfg.kappa_max,
-            "oracle_max": cfg.oracle_max,
-            "t_floor": cfg.t_floor,
-        },
-    }
+def render_report(rc: RunConfig, results: dict, scenario: Scenario) -> str:
+    """JSON report: the effective config echo (values left to the
+    scenario resolved against it) and the results without private keys."""
+    config = {**echo(rc, scenario), **echo(rc.sweep, scenario)}
     body = {k: v for k, v in results.items() if not k.startswith("_")}
-    payload = {"schema_version": SCHEMA_VERSION, "config": echo, "report": body}
+    payload = {"schema_version": SCHEMA_VERSION, "config": config, "report": body}
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
 
@@ -335,9 +157,7 @@ def run_from_config(rc: RunConfig) -> tuple[dict, str, str]:
     """Execute the suite; returns (results, csv_text, report_text)."""
     scenario = _build_scenario(rc)
     results = run_suite(scenario, rc.sweep)
-    report = render_report(rc, results,
-                           effective_starts=scenario.geodesic_transverse)
-    return results, render_csv(results["rows"]), report
+    return results, render_csv(results["rows"]), render_report(rc, results, scenario)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -382,12 +202,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
         return 2
 
+    flags = {"scenario": args.scenario, "seed": args.seed, "only": args.only,
+             "out.csv": args.out_csv, "out.report": args.out_report}
     try:
         raw = parse_config(text)
-        rc = build_run_config(raw, scenario_override=args.scenario,
-                              seed_override=args.seed, only_override=args.only,
-                              out_csv_override=args.out_csv,
-                              out_report_override=args.out_report)
+        raw.update({k: str(v) for k, v in flags.items() if v not in (None, "")})
+        rc = build_run_config(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,6 @@ __all__ = [
     "LieGroupModel",
     "ad_invariance_residual",
     "antisymmetry_residual",
-    "bracket",
-    "exp_map",
     "get_group",
     "jacobi_residual",
     "list_groups",
@@ -214,14 +212,6 @@ class LieGroupModel:
     def random_element(self, rng: np.random.Generator,
                        angle_scale: float | None = None) -> GroupElement:
         return self.exp(self.random_algebra_vector(rng, angle_scale))
-
-
-def exp_map(group: LieGroupModel, coeffs: np.ndarray, t: float = 1.0) -> GroupElement:
-    return group.exp(coeffs, t)
-
-
-def bracket(group: LieGroupModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return group.bracket(a, b)
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])

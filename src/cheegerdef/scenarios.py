@@ -39,6 +39,10 @@ __all__ = [
     "sample_grid",
 ]
 
+# catalogued scenario parameters
+DEFAULT_WARP_AMPLITUDE = 0.3
+DEFAULT_ORBIT_LENGTH = 1.0
+
 # sub-streams of the run seed for the counter-based generator
 _STREAM_DIRECTIONS = 1
 _STREAM_ELEMENTS = 2
@@ -61,11 +65,9 @@ class ActionModel:
 
 @dataclass(frozen=True)
 class InvariantMetricField:
-    """Metric components in chart coordinates with optional analytic
-    first derivatives."""
+    """Metric components in chart coordinates."""
 
     matrix: Callable[[np.ndarray], np.ndarray]
-    derivatives: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,6 @@ class Scenario:
 
     def metric_matrix(self, x: np.ndarray) -> np.ndarray:
         return self.metric.matrix(x)
-
-    def metric_derivatives(self, x: np.ndarray) -> np.ndarray:
-        return self.metric.derivatives(x)
 
     @property
     def dim(self) -> int:
@@ -189,10 +188,7 @@ def _kernel_metric(code: int, params: np.ndarray) -> InvariantMetricField:
     def matrix(x: np.ndarray) -> np.ndarray:
         return np.asarray(_k.gm_metric(code, params, np.asarray(x, dtype=float)))
 
-    def derivatives(x: np.ndarray) -> np.ndarray:
-        return np.asarray(_k.gm_metric_dx(code, params, np.asarray(x, dtype=float)))
-
-    return InvariantMetricField(matrix=matrix, derivatives=derivatives)
+    return InvariantMetricField(matrix=matrix)
 
 
 _TWO_PI = 2 * np.pi
@@ -312,8 +308,8 @@ def list_scenarios() -> tuple[str, ...]:
     return _SCENARIO_IDS
 
 
-def get_scenario(scenario_id: str, warp_amplitude: float = 0.3,
-                 orbit_length: float = 1.0,
+def get_scenario(scenario_id: str, warp_amplitude: float = DEFAULT_WARP_AMPLITUDE,
+                 orbit_length: float = DEFAULT_ORBIT_LENGTH,
                  sample_margin: float = 0.1) -> Scenario:
     """Build a catalogued scenario.
 
@@ -335,8 +331,8 @@ def get_scenario(scenario_id: str, warp_amplitude: float = 0.3,
     if scenario_id == "su2_s2":
         return _build_su2_s2(sample_margin)
     if scenario_id == "t2_flat":
-        if orbit_length <= 0:
-            raise ValueError("orbit_length must be positive")
+        if not 0 < orbit_length < np.inf:
+            raise ValueError("orbit_length must be positive and finite")
         return _build_t2_flat(orbit_length, sample_margin)
     raise KeyError(f"unknown scenario '{scenario_id}'")
 
@@ -392,8 +388,13 @@ def invariance_elements(scenario: Scenario, count: int,
 
 
 def oracle_samples(scenario: Scenario, count: int, seed: int,
+                   margin: float | None = None,
                    l_range: tuple[float, float] = (0.05, 5.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded (points, deformation parameters) for route-agreement checks."""
+    """Seeded (points, deformation parameters) for route-agreement checks,
+    drawn from the sampling region shrunk by the margin (default: the
+    scenario's) on non-periodic axes."""
+    if margin is None:
+        margin = scenario.sample_margin
     rng = rng_for(seed, _STREAM_ORACLE)
     d = scenario.dim
     pts = np.zeros((count, d))
@@ -401,7 +402,7 @@ def oracle_samples(scenario: Scenario, count: int, seed: int,
         lo = scenario.region_lo[m]
         hi = scenario.region_hi[m]
         if not scenario.chart.periodic[m]:
-            lo, hi = lo + scenario.sample_margin, hi - scenario.sample_margin
+            lo, hi = lo + margin, hi - margin
         pts[:, m] = rng.uniform(lo, hi, size=count)
     ls = np.exp(rng.uniform(np.log(l_range[0]), np.log(l_range[1]), size=count))
     return np.ascontiguousarray(pts), ls

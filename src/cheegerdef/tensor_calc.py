@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .cheeger import MetricVariant
-from .gmanifold import DomainError, NumericalFailure
+from .gmanifold import SIGMA_TOL, DomainError, NumericalFailure
 from .scenarios import Scenario, direction_pairs, sample_grid
 
 __all__ = [
@@ -61,7 +61,7 @@ def metric_derivatives(v: MetricVariant, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     out = np.asarray(_k.variant_metric_dx(
         v.scenario.code, v.scenario.params, v.tag_code, float(v.l), x, h,
-        _use_analytic(v), 1e-8))
+        _use_analytic(v), SIGMA_TOL))
     if np.any(np.isnan(out)):
         raise NumericalFailure(f"metric derivatives of {v.label} failed at {x.tolist()}")
     return out
@@ -72,7 +72,7 @@ def christoffel(v: MetricVariant, x: np.ndarray, h: float = H_FD) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.asarray(_k.christoffel(
         v.scenario.code, v.scenario.params, v.tag_code, float(v.l), x, h,
-        _use_analytic(v), 1e-8))
+        _use_analytic(v), SIGMA_TOL))
     if np.any(np.isnan(out)):
         raise NumericalFailure(f"christoffel of {v.label} failed at {x.tolist()}")
     return out
@@ -136,7 +136,7 @@ def integrate_geodesics(v: MetricVariant, x0s: np.ndarray, v0s: np.ndarray,
         scenario.code, scenario.params, v.tag_code, float(v.l), x0s, v0s,
         n_steps, float(step), h, _use_analytic(v),
         scenario.chart.lo, scenario.chart.hi,
-        scenario.chart.periodic.astype(np.int64), 1e-8)
+        scenario.chart.periodic.astype(np.int64), SIGMA_TOL)
     failed = np.flatnonzero(status == _k.NUMERIC_FAIL)
     if failed.size:
         s = failed[0]
@@ -193,7 +193,7 @@ def t_tensor(v: MetricVariant, x: np.ndarray, h: float = H_FD) -> TTensorSample:
     x = np.asarray(x, dtype=float)
     scenario = v.scenario
     val = float(_k.t_tensor_norm(
-        scenario.code, scenario.params, v.tag_code, float(v.l), x, h, 1e-8))
+        scenario.code, scenario.params, v.tag_code, float(v.l), x, h, SIGMA_TOL))
     if np.isnan(val):
         raise NumericalFailure(f"T-tensor of {v.label} failed at {x.tolist()}")
     vacuous = scenario.transitive
@@ -238,14 +238,14 @@ def cp_norm(va: MetricVariant, vb: MetricVariant, plan: SamplePlan,
         raise ValueError("variants must live on the same scenario")
     c0 = float(_k.c0_block(
         scenario.code, scenario.params, va.tag_code, float(va.l),
-        vb.tag_code, float(vb.l), plan.points, plan.dirs, 1e-8))
+        vb.tag_code, float(vb.l), plan.points, plan.dirs, SIGMA_TOL))
     if np.isnan(c0):
         raise NumericalFailure(f"C^0 norm of {va.label} - {vb.label} failed")
     if p == 0:
         return c0
     c1 = float(_k.c1_block(
         scenario.code, scenario.params, va.tag_code, float(va.l),
-        vb.tag_code, float(vb.l), plan.points, h, 1e-8))
+        vb.tag_code, float(vb.l), plan.points, h, SIGMA_TOL))
     if np.isnan(c1):
         raise NumericalFailure(f"C^1 norm of {va.label} - {vb.label} failed")
     return max(c0, c1)
@@ -267,7 +267,7 @@ def cp_norm_callable(delta_fn, plan: SamplePlan, p: int, h: float = H_FD) -> flo
         delta = delta_fn(x)
         G = scenario.metric_matrix(x)
         _G, _K, _mb, _iso, A, _P, status = _k.orbit_data(
-            scenario.code, scenario.params, x, 1e-8)
+            scenario.code, scenario.params, x, SIGMA_TOL)
         F, _L, fstatus = _k.adapted_frame(np.asarray(G), np.asarray(A))
         if status != _k.OK or fstatus != _k.OK:
             raise NumericalFailure(f"adapted frame failed at {x.tolist()}")

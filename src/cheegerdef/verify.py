@@ -23,20 +23,24 @@ plain dicts ready for serialization.  The measured quantities:
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _kernels as _k
 from .cheeger import MetricVariant, kappa, variant
-from .gmanifold import KillingData, NumericalFailure, killing_data
+from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
+                     parse_int, positive, validate)
+from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
 from .scenarios import Scenario, invariance_elements, oracle_samples
-from .tensor_calc import (SamplePlan, integrate_geodesics, orbit_invariant_drift,
-                          speed_drift, t_tensor)
+from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
+                          orbit_invariant_drift, speed_drift, t_tensor)
 
 __all__ = [
     "ALL_TESTS",
+    "MIN_L",
     "RateFit",
     "SweepConfig",
     "convergence_series",
@@ -54,64 +58,97 @@ ALL_TESTS = ("convergence", "t_scaling", "geodesic", "invariance",
              "large_l", "oracle")
 
 DEFAULT_L_GRID = (0.2, 0.1, 0.05, 0.025)
-DEFAULT_LARGE_L_GRID = (10.0, 30.0, 100.0)
+
+# smallest deformation parameter the double-precision pipeline supports
+MIN_L = 1e-3
+
+
+def _grid(min_len: int, decreasing: bool):
+    def check(ls) -> str | None:
+        if len(ls) < min_len:
+            return f"needs at least {min_len} values"
+        if not all(MIN_L <= l < math.inf for l in ls):
+            return f"needs finite values of at least MIN_L = {MIN_L}"
+        if decreasing and any(a <= b for a, b in zip(ls, ls[1:])):
+            return "must be strictly decreasing"
+        return None
+    return check
+
+
+_window = bound(lambda w: w[0] < w[1], "needs its lower bound below its upper bound")
+
+
+def _parse_tests(raw: str) -> tuple[str, ...]:
+    """Test names in canonical order without repeats; unknown names are
+    kept for the check to refuse."""
+    names = raw.replace(",", " ").split()
+    return (tuple(t for t in ALL_TESTS if t in names)
+            + tuple(sorted(set(names) - set(ALL_TESTS))))
+
+
+def _tests(enabled) -> str | None:
+    unknown = sorted(set(enabled) - set(ALL_TESTS))
+    if unknown:
+        return f"names unknown tests {unknown} (choices: {', '.join(ALL_TESTS)})"
+    return None if enabled else "is an empty test selection"
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Knobs of the verification suite with catalogued defaults."""
+    """Knobs of the verification suite: the single table of their
+    config keys, parsers, catalogued defaults and bounds."""
 
-    l_grid: tuple[float, ...] = DEFAULT_L_GRID
-    large_l_grid: tuple[float, ...] = DEFAULT_LARGE_L_GRID
-    n_points: int = 200
-    n_dirs: int = 50
-    margin: float | None = None
-    seed: int = 42
-    h_fd: float = 1e-4
-    geodesic_step: float = 1e-3
-    geodesic_length: float = 3.0
-    geodesic_transverse: tuple[float, ...] | None = None
-    invariance_points: int = 30
-    invariance_elements: int = 20
-    oracle_count: int = 120
-    cp_order: int = 1
-    enabled: tuple[str, ...] = ALL_TESTS
+    l_grid: tuple[float, ...] = knob(DEFAULT_L_GRID, "l_grid", parse=parse_float_list,
+                                     check=_grid(2, True))
+    large_l_grid: tuple[float, ...] = knob((10.0, 30.0, 100.0), "large_l_grid",
+                                           parse=parse_float_list, check=_grid(1, False))
+    n_points: int = knob(200, "samples.points", parse=parse_int, check=at_least(4))
+    n_dirs: int = knob(50, "samples.directions", parse=parse_int, check=at_least(1))
+    # None: the scenario's catalogued margin
+    margin: float | None = knob(None, "samples.margin", fallback="sample_margin",
+                                check=bound(lambda m: m is None or m >= 0,
+                                            "must be nonnegative"))
+    seed: int = knob(42, "seed", parse=parse_int,
+                     check=bound(lambda s: 0 <= s < 2**64,
+                                 "must fit an unsigned 64-bit integer"))
+    h_fd: float = knob(H_FD, "fd.step", check=positive)
+    geodesic_step: float = knob(1e-3, "geodesic.step", check=positive)
+    geodesic_length: float = knob(3.0, "geodesic.length", check=positive)
+    # None: the scenario's catalogued starts
+    geodesic_transverse: tuple[float, ...] | None = knob(
+        None, "geodesic.starts", parse=parse_float_list, fallback="geodesic_transverse",
+        check=bound(lambda c: c is None or len(c) > 0, "needs at least one start"))
+    invariance_points: int = knob(30, "invariance.points", parse=parse_int,
+                                  check=at_least(1))
+    invariance_elements: int = knob(20, "invariance.elements", parse=parse_int,
+                                    check=at_least(1))
+    oracle_count: int = knob(120, "oracle.samples", parse=parse_int, check=at_least(1))
+    cp_order: int = knob(1, "cp.order", parse=parse_int,
+                         check=bound(lambda p: p in (0, 1),
+                                     "names an unsupported C^p order (p must be 0 or 1)"))
+    enabled: tuple[str, ...] = knob(ALL_TESTS, "only", parse=_parse_tests,
+                                    check=_tests, echo="enabled")
     # verdict thresholds
-    c0_slope_window: tuple[float, float] = (1.9, 2.1)
-    c1_slope_window: tuple[float, float] = (1.8, 2.2)
-    t_slope_window: tuple[float, float] = (1.8, 2.2)
-    large_l_slope_window: tuple[float, float] = (-2.2, -1.8)
-    gap_ratio_max: float = 3.0
-    geo_limit_drift_max: float = 1e-6
-    geo_base_drift_min: float = 1e-3
-    speed_drift_max: float = 1e-8
-    invariance_max: float = 1e-8
-    horizontal_max: float = 1e-10
-    kappa_max: float = 1e-10
-    oracle_max: float = 1e-10
-    t_floor: float = 1e-8
+    c0_slope_window: tuple[float, float] = knob(
+        (1.9, 2.1), "tol.c0_slope_lo", "tol.c0_slope_hi", check=_window)
+    c1_slope_window: tuple[float, float] = knob(
+        (1.8, 2.2), "tol.c1_slope_lo", "tol.c1_slope_hi", check=_window)
+    t_slope_window: tuple[float, float] = knob(
+        (1.8, 2.2), "tol.t_slope_lo", "tol.t_slope_hi", check=_window)
+    large_l_slope_window: tuple[float, float] = knob(
+        (-2.2, -1.8), "tol.large_l_slope_lo", "tol.large_l_slope_hi", check=_window)
+    gap_ratio_max: float = knob(3.0, "tol.gap_ratio")
+    geo_limit_drift_max: float = knob(1e-6, "tol.geo_limit_drift")
+    geo_base_drift_min: float = knob(1e-3, "tol.geo_base_drift")
+    speed_drift_max: float = knob(1e-8, "tol.speed_drift")
+    invariance_max: float = knob(1e-8, "tol.invariance")
+    horizontal_max: float = knob(1e-10, "tol.horizontal")
+    kappa_max: float = knob(1e-10, "tol.kappa")
+    oracle_max: float = knob(1e-10, "tol.oracle")
+    t_floor: float = knob(1e-8, echo=THRESHOLDS)
 
     def __post_init__(self) -> None:
-        if len(self.l_grid) < 2:
-            raise ValueError("l_grid needs at least two values")
-        if any(l <= 0 for l in self.l_grid + self.large_l_grid):
-            raise ValueError("deformation parameters must be positive")
-        if list(self.l_grid) != sorted(self.l_grid, reverse=True):
-            raise ValueError("l_grid must be strictly decreasing")
-        unknown = set(self.enabled) - set(ALL_TESTS)
-        if unknown:
-            raise ValueError(f"unknown tests in 'enabled': {sorted(unknown)}")
-        for name in ("invariance_points", "invariance_elements"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("h_fd", "geodesic_step", "geodesic_length"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.margin is not None and not self.margin >= 0:
-            raise ValueError("margin must be nonnegative")
-        if self.cp_order not in (0, 1):
-            raise ValueError(
-                f"unsupported C^p order {self.cp_order}: p must be 0 or 1")
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -175,10 +212,10 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
     for l in cfg.l_grid:
         def c0_rows(rows, l=l):
             return _k.c0_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                               pts[rows], dirs[rows], 1e-8)
+                               pts[rows], dirs[rows], SIGMA_TOL)
 
         def gap_rows(rows, l=l):
-            return _k.gap_block(code, par, l, pts[rows], 1e-8)
+            return _k.gap_block(code, par, l, pts[rows], SIGMA_TOL)
 
         c0 = float(c0_rows(slice(None)))
         if np.isnan(c0):
@@ -190,7 +227,7 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
         if cfg.cp_order >= 1:
             def c1_rows(rows, l=l):
                 return _k.c1_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                                   pts[rows], cfg.h_fd, 1e-8)
+                                   pts[rows], cfg.h_fd, SIGMA_TOL)
 
             c1d = float(c1_rows(slice(None)))
             if np.isnan(c1d):
@@ -228,7 +265,7 @@ def t_scaling_series(scenario: Scenario, cfg: SweepConfig,
     vacuous = scenario.transitive
     for l in cfg.l_grid:
         vals_var, vals_orig = _k.t_pair_block(code, par, _k.RESCALED, l,
-                                              plan.points, cfg.h_fd, 1e-8)
+                                              plan.points, cfg.h_fd, SIGMA_TOL)
         vals_var = np.asarray(vals_var)
         vals_orig = np.asarray(vals_orig)
         keep = vals_orig > cfg.t_floor
@@ -304,9 +341,9 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     local = {}
 
     def residual(tag_code: int, l: float) -> float:
-        here = _k.variant_metric(code, par, tag_code, l, pts, 1e-8)
+        here = _k.variant_metric(code, par, tag_code, l, pts, SIGMA_TOL)
         local[tag_code, l] = here
-        there = _k.variant_metric(code, par, tag_code, l, moved, 1e-8)
+        there = _k.variant_metric(code, par, tag_code, l, moved, SIGMA_TOL)
         pulled = jac.mT @ there @ jac
         return float(np.max(np.abs(pulled - here)))
 
@@ -323,7 +360,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
         })
 
     # horizontal block of the deformed family versus the base metric
-    G, K, mb, iso, A, P, status = _k.orbit_data(code, par, pts, 1e-8)
+    G, K, mb, iso, A, P, status = _k.orbit_data(code, par, pts, SIGMA_TOL)
     F, L, fstatus = _k.adapted_frame(G, A)
     failed = np.flatnonzero((status != _k.OK) | (fstatus != _k.OK))
     if failed.size:
@@ -368,7 +405,7 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
     for l in cfg.large_l_grid:
         def c0_rows(rows, l=l):
             return _k.c0_block(code, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
-                               pts[rows], dirs[rows], 1e-8)
+                               pts[rows], dirs[rows], SIGMA_TOL)
 
         c0 = float(c0_rows(slice(None)))
         if np.isnan(c0):
@@ -388,9 +425,9 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     reference_max_diff compares the two plain-numpy operator routes on a
     subsample; cross_max_diff compares kernel against reference.
     """
-    pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed)
+    pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed, cfg.margin)
     code, par = scenario.code, scenario.params
-    kernel_max = float(_k.oracle_block(code, par, pts, ls, 1e-8))
+    kernel_max = float(_k.oracle_block(code, par, pts, ls, SIGMA_TOL))
     ref_max = 0.0
     cross_max = 0.0
     stride = max(1, len(pts) // 25)
@@ -439,39 +476,22 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
         "plan_dirs": int(cfg.n_dirs),
     }
     timings: dict[str, float] = {}
-    enabled = cfg.enabled
-
-    conv = tsc = geo = inv = lrg = orc = None
-    if "convergence" in enabled:
-        t0 = time.perf_counter()
-        conv = convergence_series(scenario, cfg, plan)
-        timings["convergence"] = time.perf_counter() - t0
-        results["convergence"] = conv
-    if "t_scaling" in enabled:
-        t0 = time.perf_counter()
-        tsc = t_scaling_series(scenario, cfg, plan)
-        timings["t_scaling"] = time.perf_counter() - t0
-        results["t_scaling"] = tsc
-    if "geodesic" in enabled:
-        t0 = time.perf_counter()
-        geo = geodesic_results(scenario, cfg)
-        timings["geodesic"] = time.perf_counter() - t0
-        results["geodesic"] = geo
-    if "invariance" in enabled:
-        t0 = time.perf_counter()
-        inv = invariance_results(scenario, cfg, plan)
-        timings["invariance"] = time.perf_counter() - t0
-        results["invariance"] = inv
-    if "large_l" in enabled:
-        t0 = time.perf_counter()
-        lrg = large_l_series(scenario, cfg, plan)
-        timings["large_l"] = time.perf_counter() - t0
-        results["large_l"] = lrg
-    if "oracle" in enabled:
-        t0 = time.perf_counter()
-        orc = oracle_results(scenario, cfg)
-        timings["oracle"] = time.perf_counter() - t0
-        results["oracle"] = orc
+    # built per call, so the stage functions are looked up as module
+    # globals when the suite runs
+    stages = {
+        "convergence": lambda: convergence_series(scenario, cfg, plan),
+        "t_scaling": lambda: t_scaling_series(scenario, cfg, plan),
+        "geodesic": lambda: geodesic_results(scenario, cfg),
+        "invariance": lambda: invariance_results(scenario, cfg, plan),
+        "large_l": lambda: large_l_series(scenario, cfg, plan),
+        "oracle": lambda: oracle_results(scenario, cfg),
+    }
+    for name, stage in stages.items():
+        if name in cfg.enabled:
+            t0 = time.perf_counter()
+            results[name] = stage()
+            timings[name] = time.perf_counter() - t0
+    conv, tsc, geo, inv, lrg, orc = (results.get(name) for name in stages)
 
     # per-l rows in the fixed CSV column order
     nan = float("nan")

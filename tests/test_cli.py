@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from cheegerdef import cli
+from cheegerdef.config import table_keys
 from cheegerdef.gmanifold import NumericalFailure
+from cheegerdef.scenarios import get_scenario
+from cheegerdef.verify import SweepConfig
 
 TINY = """
 scenario = s2_band
@@ -94,6 +97,109 @@ def test_too_small_l_rejected(tmp_path, capsys):
 def test_non_decreasing_l_grid_rejected(tmp_path, capsys):
     p = _write(tmp_path, "scenario = s2_band\nl_grid = 0.05 0.1\n")
     assert cli.main(["run", str(p)]) == 2
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("s2_band", "l_grid", "inf 0.1 0.05"),
+    ("s2_band", "l_grid", "nan 0.1 0.05"),
+    ("t2_flat", "scenario.orbit_length", "nan"),
+    ("t2_flat", "scenario.orbit_length", "inf"),
+    ("s2_band", "fd.step", "inf"),
+])
+def test_non_finite_number_rejected(tmp_path, capsys, scenario, key, value):
+    p = _write(tmp_path, f"scenario = {scenario}\n{key} = {value}\n"
+                         f"out.csv = {tmp_path}/sweep.csv\n"
+                         f"out.report = {tmp_path}/report.json\n")
+    assert cli.main(["run", str(p)]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
+# key: (raw value, run-config attribute, report echo entry, parsed value);
+# the two configs set every key to a non-default value between them
+_EVERY_KEY_WARPED = {
+    "scenario": ("warped_s2", "scenario_id", "scenario", "warped_s2"),
+    "seed": ("7", "sweep.seed", "seed", 7),
+    "l_grid": ("0.16 0.08 0.04 0.02", "sweep.l_grid", "l_grid",
+               (0.16, 0.08, 0.04, 0.02)),
+    "large_l_grid": ("12 36 120", "sweep.large_l_grid", "large_l_grid",
+                     (12.0, 36.0, 120.0)),
+    "only": ("oracle, convergence", "sweep.enabled", "enabled",
+             ("convergence", "oracle")),
+    "samples.points": ("64", "sweep.n_points", "samples_points", 64),
+    "samples.directions": ("10", "sweep.n_dirs", "samples_directions", 10),
+    "samples.margin": ("0.15", "sweep.margin", "samples_margin", 0.15),
+    "fd.step": ("2e-4", "sweep.h_fd", "fd_step", 2e-4),
+    "cp.order": ("0", "sweep.cp_order", "cp_order", 0),
+    "geodesic.step": ("2e-3", "sweep.geodesic_step", "geodesic_step", 2e-3),
+    "geodesic.length": ("0.5", "sweep.geodesic_length", "geodesic_length", 0.5),
+    "geodesic.starts": ("0.7 1.0", "sweep.geodesic_transverse", "geodesic_starts",
+                        (0.7, 1.0)),
+    "invariance.points": ("8", "sweep.invariance_points", "invariance_points", 8),
+    "invariance.elements": ("5", "sweep.invariance_elements",
+                            "invariance_elements", 5),
+    "oracle.samples": ("40", "sweep.oracle_count", "oracle_samples", 40),
+    "scenario.warp_amplitude": ("0.2", "warp_amplitude", "warp_amplitude", 0.2),
+    "out.csv": ("keys.csv", "out_csv", "out_csv", "keys.csv"),
+    "out.report": ("keys.json", "out_report", "out_report", "keys.json"),
+    "tol.c0_slope_lo": ("1.85", "sweep.c0_slope_window",
+                        "thresholds.c0_slope_window", (1.85, 2.15)),
+    "tol.c0_slope_hi": ("2.15", "sweep.c0_slope_window",
+                        "thresholds.c0_slope_window", (1.85, 2.15)),
+    "tol.c1_slope_lo": ("1.7", "sweep.c1_slope_window",
+                        "thresholds.c1_slope_window", (1.7, 2.3)),
+    "tol.c1_slope_hi": ("2.3", "sweep.c1_slope_window",
+                        "thresholds.c1_slope_window", (1.7, 2.3)),
+    "tol.t_slope_lo": ("1.75", "sweep.t_slope_window",
+                       "thresholds.t_slope_window", (1.75, 2.25)),
+    "tol.t_slope_hi": ("2.25", "sweep.t_slope_window",
+                       "thresholds.t_slope_window", (1.75, 2.25)),
+    "tol.large_l_slope_lo": ("-2.3", "sweep.large_l_slope_window",
+                             "thresholds.large_l_slope_window", (-2.3, -1.7)),
+    "tol.large_l_slope_hi": ("-1.7", "sweep.large_l_slope_window",
+                             "thresholds.large_l_slope_window", (-2.3, -1.7)),
+    "tol.gap_ratio": ("3.5", "sweep.gap_ratio_max", "thresholds.gap_ratio_max", 3.5),
+    "tol.geo_limit_drift": ("2e-6", "sweep.geo_limit_drift_max",
+                            "thresholds.geo_limit_drift_max", 2e-6),
+    "tol.geo_base_drift": ("5e-4", "sweep.geo_base_drift_min",
+                           "thresholds.geo_base_drift_min", 5e-4),
+    "tol.speed_drift": ("2e-8", "sweep.speed_drift_max",
+                        "thresholds.speed_drift_max", 2e-8),
+    "tol.invariance": ("2e-8", "sweep.invariance_max",
+                       "thresholds.invariance_max", 2e-8),
+    "tol.horizontal": ("2e-10", "sweep.horizontal_max",
+                       "thresholds.horizontal_max", 2e-10),
+    "tol.kappa": ("2e-10", "sweep.kappa_max", "thresholds.kappa_max", 2e-10),
+    "tol.oracle": ("2e-10", "sweep.oracle_max", "thresholds.oracle_max", 2e-10),
+}
+_EVERY_KEY_T2 = {
+    "scenario": ("t2_flat", "scenario_id", "scenario", "t2_flat"),
+    "scenario.orbit_length": ("1.5", "orbit_length", "orbit_length", 1.5),
+}
+
+
+def _at(obj, path):
+    for part in path.split("."):
+        obj = obj[part] if isinstance(obj, dict) else getattr(obj, part)
+    return obj
+
+
+def test_every_key_reaches_its_field_and_echo():
+    default = cli.build_run_config({"scenario": "s2_band"})
+    for table in (_EVERY_KEY_WARPED, _EVERY_KEY_T2):
+        raw = cli.parse_config("".join(f"{k} = {v[0]}\n" for k, v in table.items()))
+        rc = cli.build_run_config(raw)
+        report = cli.render_report(rc, {}, get_scenario(rc.scenario_id))
+        echo = json.loads(report)["config"]
+        for key, (_, attr, entry, value) in table.items():
+            assert _at(rc, attr) == value != _at(default, attr), key
+            expected = list(value) if isinstance(value, tuple) else value
+            assert _at(echo, entry) == expected, key
+    keys = set(_EVERY_KEY_WARPED) | set(_EVERY_KEY_T2)
+    assert len(keys) == 36
+    assert keys == table_keys(cli.RunConfig, SweepConfig)
+    for other in ("tol.t_floor", "samples_points", "margin", "enabled", "sweep"):
+        with pytest.raises(cli.ConfigError, match="unknown key"):
+            cli.parse_config(f"scenario = s2_band\n{other} = 1\n")
 
 
 def test_warp_amplitude_scenario_mismatch(tmp_path, capsys):

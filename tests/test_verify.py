@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cheegerdef.scenarios import oracle_samples
 from cheegerdef.verify import (
     ALL_TESTS,
     SweepConfig,
@@ -89,6 +90,46 @@ def test_sweep_config_rejects_negative_margin():
     with pytest.raises(ValueError, match="margin must be nonnegative"):
         SweepConfig(margin=-0.5)
     assert SweepConfig(margin=0.0).margin == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_points", 3),  # used to run silently on a 4-point plan
+    ("n_dirs", 0),
+    ("oracle_count", 0),
+    ("c0_slope_window", (2.1, 1.9)),
+    ("l_grid", (0.1, 0.0005)),
+    ("seed", -1),
+    ("seed", 2**64),
+])
+def test_sweep_config_refuses_out_of_bound_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SweepConfig(**{field: value})
+
+
+def test_run_suite_and_cli_draw_the_same_oracle_samples(s2_band, tmp_path,
+                                                        monkeypatch):
+    from cheegerdef import cli, verify
+
+    drawn = []
+
+    def recording(*args):
+        pts, ls = oracle_samples(*args)
+        drawn.append(pts)
+        return pts, ls
+
+    monkeypatch.setattr(verify, "oracle_samples", recording)
+    small = dict(n_points=9, n_dirs=2, oracle_count=10)
+    run_suite(s2_band, SweepConfig(margin=0.3, enabled=("oracle",), **small))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = s2_band\nsamples.margin = 0.3\nonly = oracle\n"
+                   "samples.points = 9\nsamples.directions = 2\noracle.samples = 10\n"
+                   f"out.csv = {tmp_path}/sweep.csv\nout.report = {tmp_path}/report.json\n",
+                   encoding="utf-8")
+    assert cli.main(["run", str(cfg)]) == 0
+    np.testing.assert_array_equal(drawn[0], drawn[1])
+    # the polar coordinate stays inside the region shrunk by the margin
+    assert np.all(drawn[0][:, 1] >= s2_band.region_lo[1] + 0.3)
+    assert np.all(drawn[0][:, 1] <= s2_band.region_hi[1] - 0.3)
 
 
 def test_convergence_series_shape(s2_band):
