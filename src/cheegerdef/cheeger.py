@@ -1,14 +1,17 @@
 """Cheeger deformation of an invariant metric and its rescaled limits.
 
-Two independent constructions of the deformed metric are kept side by
-side on purpose.  cheeger_metric solves the deformation reparametrisation
-directly: the quotient construction on the product of the group and the
-manifold assigns to every tangent vector v the horizontal representative
-of (kappa(v)/l^2, v), and the deformed metric is the product metric on
-those representatives.  cheeger_metric_closed_form is the rank-one-orbit
-style closed formula g_l = g_M - g_M A (l^2 + P)^{-1} A^T g_M obtained by
-eliminating the algebra variable.  Their agreement on random samples is
-part of the verification suite; do not merge them.
+The kernels build the deformed metric by two routes kept side by side
+on purpose.  Tag cheeger solves the deformation reparametrisation: the
+quotient construction on the product of the group and the manifold
+assigns to every tangent vector v the horizontal representative of
+(kappa(v)/l^2, v), and the deformed metric is the product metric on
+those representatives.  Tag cheeger_closed_form is the closed rank
+update g_l = g_M - g_M A (l^2 + P)^{-1} A^T g_M obtained by eliminating
+the algebra variable.  definition_metric is a third route, from
+Cheeger's definition of g_l as a submersion metric; it shares with the
+kernels only the base metric and the Killing operator, and is the
+oracle of both.  Their agreement on seeded samples is part of the
+verification suite; do not merge them.
 
 The vertical rescaling divides the deformed metric by l^2 on the orbit
 directions while keeping it on the horizontal complement; its l -> 0
@@ -23,22 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
+from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure
 from .scenarios import Scenario
 
 __all__ = [
     "DeformationParams",
     "MetricVariant",
     "VARIANT_TAGS",
-    "cheeger_metric",
-    "cheeger_metric_closed_form",
-    "cheeger_reparam",
+    "definition_metric",
     "kappa",
-    "limit_metric",
-    "normal_homogeneous_pullback",
-    "rescaled_metric",
     "variant",
-    "vertical_space_basis",
 ]
 
 VARIANT_TAGS = ("original", "cheeger", "rescaled", "limit")
@@ -72,99 +69,37 @@ def kappa(kd: KillingData, G: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (kd.m_basis @ (kd.A.mT @ Gv))[..., 0]
 
 
-def vertical_space_basis(kd: KillingData) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Basis of the vertical (orbit-tangent) space at the point.
+def definition_metric(scenario: Scenario, tag: str, l, x: np.ndarray) -> np.ndarray:
+    """Chart components of a metric variant at x, a point or a stack
+    (..., dim) of points, from Cheeger's definition.
 
-    Pairs (algebra coefficients, tangent vector), one per column of the
-    isotropy complement.
+    g_l is the submersion metric of (M x G, g_M + l^2 Q) -> M, so
+    g_l(v, v) = min over X of |v - K X|^2_{g_M} + l^2 |X|^2 with the full
+    Killing operator K.  With g_M = L L^T and the SVD L^T K = U S V^T the
+    minimum is |L^T v|^2 - sum_i s_i^2 / (s_i^2 + l^2) (u_i . L^T v)^2,
+    so every tag is L (I + U diag(w) U^T) L^T: w = -s^2 / (s^2 + l^2)
+    for the deformed metric (either route), 1 / (s^2 + l^2) - 1 once the
+    orbit directions are divided by l^2 (rescaled) and 1 / s^2 - 1 at
+    l -> 0 (limit).  Neither the isotropy split nor an inverse of the
+    orbit tensor or of the reparametrisation enters.  l is one value or
+    one value per point.
     """
-    out = []
-    for c in range(kd.rank):
-        a = kd.m_basis[:, c]
-        out.append((a, kd.K @ a))
-    return out
-
-
-def cheeger_reparam(kd: KillingData, G: np.ndarray, l: float,
-                    v: np.ndarray) -> np.ndarray:
-    """Image of v under the deformation reparametrisation
-    Ch_l(v) = K(kappa(v)) / l^2 + v."""
-    DeformationParams(l)
-    v = np.asarray(v, dtype=float)
-    return kd.K @ kappa(kd, G, v) / (l * l) + v
-
-
-def cheeger_metric(kd: KillingData, G: np.ndarray, l: float) -> np.ndarray:
-    """Deformed metric by inverting the reparametrisation.
-
-    For u with Ch_l(u) = e_i the metric is
-    g_l(v, w) = <kappa(u_v), kappa(u_w)> / l^2 + g_M(u_v, u_w)
-    evaluated on those preimages, assembled over the chart basis.
-    """
-    DeformationParams(l)
-    d = G.shape[0]
-    A = kd.A
-    kap = A.T @ G
-    C = (A @ kap) / (l * l) + np.eye(d)
-    U = np.linalg.solve(C, np.eye(d))
-    inner = (kap.T @ kap) / (l * l) + G
-    out = U.T @ inner @ U
-    return 0.5 * (out + out.T)
-
-
-def cheeger_metric_closed_form(kd: KillingData, G: np.ndarray, l: float) -> np.ndarray:
-    """Deformed metric by the closed rank-update formula
-    g_l = g_M - g_M A (l^2 + P)^{-1} A^T g_M."""
-    DeformationParams(l)
-    A = kd.A
-    P = kd.orbit_tensor
-    r = P.shape[0]
-    GA = G @ A
-    Y = np.linalg.solve(P + l * l * np.eye(r), GA.T)
-    out = G - GA @ Y
-    return 0.5 * (out + out.T)
-
-
-def rescaled_metric(kd: KillingData, G: np.ndarray, l: float) -> np.ndarray:
-    """Deformed metric with the orbit directions rescaled by 1/l^2.
-
-    Closed form g_M - g_M A Y A^T g_M with
-    Y = P^{-1} - (l^2 + P)^{-1} P^{-1}, whose vertical block is
-    P (l^2 + P)^{-1} while the horizontal block stays g_M.
-    """
-    DeformationParams(l)
-    A = kd.A
-    P = kd.orbit_tensor
-    r = P.shape[0]
-    Pi = np.linalg.solve(P, np.eye(r))
-    Y = Pi - np.linalg.solve(P + l * l * np.eye(r), Pi)
-    GA = G @ A
-    out = G - GA @ Y @ GA.T
-    return 0.5 * (out + out.T)
-
-
-def limit_metric(kd: KillingData, G: np.ndarray) -> np.ndarray:
-    """Limit of the rescaled family as l -> 0: the orbit directions carry
-    the bi-invariant inner product through the Killing operator, the
-    horizontal complement keeps g_M.  Closed form with
-    Y = P^{-1} - P^{-2}."""
-    A = kd.A
-    P = kd.orbit_tensor
-    r = P.shape[0]
-    Pi = np.linalg.solve(P, np.eye(r))
-    Y = Pi - Pi @ Pi
-    GA = G @ A
-    out = G - GA @ Y @ GA.T
-    return 0.5 * (out + out.T)
-
-
-def normal_homogeneous_pullback(kd: KillingData, metric_matrix: np.ndarray,
-                                a: np.ndarray, b: np.ndarray) -> float:
-    """Pullback of a metric along the orbit map at the point, evaluated
-    on algebra coefficient vectors a, b of the isotropy complement."""
-    va = kd.A @ np.asarray(a, dtype=float)
-    vb = kd.A @ np.asarray(b, dtype=float)
-    return float(va @ metric_matrix @ vb)
+    x = np.asarray(x, dtype=float)
+    G = _k.gm_metric(scenario.code, scenario.params, x)
+    if tag == "original":
+        return G
+    L = np.linalg.cholesky(G)
+    U, s, _ = np.linalg.svd(L.mT @ _k.killing(scenario.code, scenario.params, x),
+                            full_matrices=False)
+    s2 = s * s
+    l2 = np.square(np.asarray(l, dtype=float))[..., None]
+    if tag == "limit":
+        w = 1.0 / s2 - 1.0
+    elif tag == "rescaled":
+        w = 1.0 / (s2 + l2) - 1.0
+    else:
+        w = -s2 / (s2 + l2)
+    return L @ (np.eye(G.shape[-1]) + (U * w[..., None, :]) @ U.mT) @ L.mT
 
 
 @dataclass(frozen=True)
@@ -211,19 +146,9 @@ class MetricVariant:
         return out
 
     def reference_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Same metric through the plain-numpy operator layer (used to
-        cross-validate the kernel route)."""
-        G = self.scenario.metric_matrix(x)
-        if self.tag == "original":
-            return G
-        kd = killing_data(self.scenario, x)
-        if self.tag == "cheeger":
-            return cheeger_metric(kd, G, self.l)
-        if self.tag == "cheeger_closed_form":
-            return cheeger_metric_closed_form(kd, G, self.l)
-        if self.tag == "rescaled":
-            return rescaled_metric(kd, G, self.l)
-        return limit_metric(kd, G)
+        """Same metric from Cheeger's definition (definition_metric), the
+        oracle of the kernel routes."""
+        return definition_metric(self.scenario, self.tag, self.l, x)
 
 
 def variant(scenario: Scenario, tag: str, l: float = 0.0) -> MetricVariant:

@@ -22,13 +22,13 @@ import numpy as np
 from .config import echo, knob, table_keys, values_from
 from .gmanifold import DegeneratePointError, DomainError, NumericalFailure
 from .scenarios import (DEFAULT_ORBIT_LENGTH, DEFAULT_WARP_AMPLITUDE, Scenario,
-                        get_scenario, list_scenarios)
+                        get_scenario, list_scenarios, sampling_box)
 from .verify import ALL_TESTS, SweepConfig, run_suite
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run_from_config"]
 
 CSV_HEADER = "l,c0_diff,c1_diff,t_ratio_max,gap_residual,invariance_residual"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -106,6 +106,10 @@ def _build_scenario(rc: RunConfig) -> Scenario:
                                 orbit_length=rc.orbit_length)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        sampling_box(scenario, rc.sweep.margin)
+    except ValueError as exc:
+        raise ConfigError(f"key 'samples.margin': {exc}") from exc
     for c in rc.sweep.geodesic_transverse or ():
         if not scenario.chart.contains(scenario.start_from_transverse(c)):
             raise ConfigError(

@@ -1,10 +1,10 @@
 """Charts, group actions and orbit data on the catalogued manifolds.
 
 The functions here take a scenario object (see scenarios) and expose the
-pointwise orbit machinery: the Killing operator of the action, the
-isotropy split of the algebra, the orbit tensor, and pullbacks of metric
-fields along group transformations.  Heavy lifting is delegated to the
-numpy kernels; this layer adds validation and typed failures.
+pointwise orbit machinery: the Killing operator of the action, the orbit
+data (isotropy split of the algebra and orbit tensor), and pullbacks of
+metric fields along group transformations.  Heavy lifting is delegated
+to the numpy kernels; this layer adds validation and typed failures.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ __all__ = [
     "SIGMA_TOL",
     "action_pullback_metric",
     "fd_action_jacobian",
-    "isotropy_split",
     "killing_data",
     "killing_operator",
-    "orbit_tensor",
 ]
 
 # relative singular-value cutoff for isotropy detection
@@ -143,30 +141,6 @@ def killing_operator(scenario, x: np.ndarray, mode: str = "analytic",
         K[:, k] = (f(-2 * h_act) - 8 * f(-h_act) + 8 * f(h_act)
                    - f(2 * h_act)) / (12 * h_act)
     return K
-
-
-def isotropy_split(scenario, x: np.ndarray,
-                   sigma_tol: float = SIGMA_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(m_basis, isotropy_basis) of the algebra at x.
-
-    Raises DegeneratePointError when the orbit rank is numerically
-    ambiguous (a singular value within a factor 10 of the cutoff) or the
-    Killing operator vanishes.
-    """
-    K = killing_operator(scenario, x)
-    mb, iso, status = _k.m_basis(scenario.code, K, sigma_tol)
-    if status != _k.OK:
-        raise DegeneratePointError(
-            f"ambiguous or zero orbit rank at {np.asarray(x).tolist()}")
-    return np.asarray(mb), np.asarray(iso)
-
-
-def orbit_tensor(K: np.ndarray, G: np.ndarray, m_basis: np.ndarray) -> np.ndarray:
-    """Metric induced on the algebra complement: P with
-    g_M(K a, K b) = <P a, b> in m-basis coefficients."""
-    A = K @ m_basis
-    P = A.T @ G @ A
-    return 0.5 * (P + P.T)
 
 
 def killing_data(scenario, x: np.ndarray,

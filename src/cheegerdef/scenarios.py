@@ -37,6 +37,7 @@ __all__ = [
     "oracle_samples",
     "rng_for",
     "sample_grid",
+    "sampling_box",
 ]
 
 # catalogued scenario parameters
@@ -337,6 +338,23 @@ def get_scenario(scenario_id: str, warp_amplitude: float = DEFAULT_WARP_AMPLITUD
     raise KeyError(f"unknown scenario '{scenario_id}'")
 
 
+def sampling_box(scenario: Scenario,
+                 margin: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of the sampling region with the non-periodic axes
+    shrunk by the margin (default: the scenario's).  Raises ValueError
+    naming the first coordinate whose interval the margin empties."""
+    if margin is None:
+        margin = scenario.sample_margin
+    shrink = np.where(scenario.chart.periodic, 0.0, margin)
+    lo, hi = scenario.region_lo + shrink, scenario.region_hi - shrink
+    empty = np.flatnonzero(lo >= hi)
+    if empty.size:
+        raise ValueError(
+            f"margin {margin} empties the sampling interval of "
+            f"coordinate {scenario.chart.labels[empty[0]]}")
+    return lo, hi
+
+
 def sample_grid(scenario: Scenario, n_points: int,
                 margin: float | None = None) -> np.ndarray:
     """Deterministic product grid over the sampling region.
@@ -346,23 +364,10 @@ def sample_grid(scenario: Scenario, n_points: int,
     attained exactly.  The realized count is the nearest per-axis power
     at or around n_points and is echoed in run reports.
     """
-    if margin is None:
-        margin = scenario.sample_margin
-    d = scenario.dim
-    per_axis = max(2, int(round(n_points ** (1.0 / d))))
-    axes = []
-    for m in range(d):
-        lo = scenario.region_lo[m]
-        hi = scenario.region_hi[m]
-        if scenario.chart.periodic[m]:
-            axes.append(np.linspace(lo, hi, per_axis, endpoint=False))
-        else:
-            lo2, hi2 = lo + margin, hi - margin
-            if lo2 >= hi2:
-                raise ValueError(
-                    f"margin {margin} empties the sampling interval of "
-                    f"coordinate {scenario.chart.labels[m]}")
-            axes.append(np.linspace(lo2, hi2, per_axis))
+    lo, hi = sampling_box(scenario, margin)
+    per_axis = max(2, int(round(n_points ** (1.0 / scenario.dim))))
+    axes = [np.linspace(a, b, per_axis, endpoint=not periodic)
+            for a, b, periodic in zip(lo, hi, scenario.chart.periodic)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
     return np.ascontiguousarray(pts)
@@ -393,16 +398,9 @@ def oracle_samples(scenario: Scenario, count: int, seed: int,
     """Seeded (points, deformation parameters) for route-agreement checks,
     drawn from the sampling region shrunk by the margin (default: the
     scenario's) on non-periodic axes."""
-    if margin is None:
-        margin = scenario.sample_margin
+    lo, hi = sampling_box(scenario, margin)
     rng = rng_for(seed, _STREAM_ORACLE)
-    d = scenario.dim
-    pts = np.zeros((count, d))
-    for m in range(d):
-        lo = scenario.region_lo[m]
-        hi = scenario.region_hi[m]
-        if not scenario.chart.periodic[m]:
-            lo, hi = lo + margin, hi - margin
-        pts[:, m] = rng.uniform(lo, hi, size=count)
+    # drawn axis by axis; the draw order fixes which samples a seed gives
+    pts = rng.uniform(lo[:, None], hi[:, None], size=(scenario.dim, count)).T
     ls = np.exp(rng.uniform(np.log(l_range[0]), np.log(l_range[1]), size=count))
     return np.ascontiguousarray(pts), ls

@@ -16,7 +16,8 @@ plain dicts ready for serialization.  The measured quantities:
 - isometry invariance of every family member under sampled group
   elements, the static horizontal block, and the duality identity of
   the orbit projection;
-- agreement of the two deformation routes, kernel and reference;
+- agreement of the three deformation routes: reparametrisation and
+  rank update in the kernels, and Cheeger's definition;
 - the large-l return of the deformed metric to the base metric
   (expected order -2).
 """
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .cheeger import MetricVariant, kappa, variant
+from .cheeger import definition_metric, kappa, variant
 from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
                      parse_int, positive, validate)
 from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
@@ -101,7 +102,7 @@ class SweepConfig:
     l_grid: tuple[float, ...] = knob(DEFAULT_L_GRID, "l_grid", parse=parse_float_list,
                                      check=_grid(2, True))
     large_l_grid: tuple[float, ...] = knob((10.0, 30.0, 100.0), "large_l_grid",
-                                           parse=parse_float_list, check=_grid(1, False))
+                                           parse=parse_float_list, check=_grid(2, False))
     n_points: int = knob(200, "samples.points", parse=parse_int, check=at_least(4))
     n_dirs: int = knob(50, "samples.directions", parse=parse_int, check=at_least(1))
     # None: the scenario's catalogued margin
@@ -183,6 +184,12 @@ def rate_fit(ls, values, floor: float = 1e-15) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept),
                    max_log_residual=resid, n_used=int(np.count_nonzero(keep)),
                    status="ok")
+
+
+def _worst(values) -> float:
+    """Largest of values, NaN when any is NaN (Python's max drops a NaN
+    that is not its first argument)."""
+    return float(np.max(values))
 
 
 def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
@@ -368,9 +375,8 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     H = F[..., :, A.shape[-1]:]
     horiz_worst = 0.0
     if H.size:
-        for (tag, l), Gv in local.items():
-            if tag != _k.ORIGINAL:
-                horiz_worst = max(horiz_worst, float(np.max(np.abs((Gv - G).mT @ H))))
+        horiz_worst = _worst([np.max(np.abs((Gv - G).mT @ H))
+                              for (tag, l), Gv in local.items() if tag != _k.ORIGINAL])
     # duality identity of the orbit projection against the raw pairing
     kd = KillingData(x=pts, K=K, m_basis=mb, isotropy_basis=iso, orbit_tensor=P)
     v = plan.dirs[np.minimum(np.arange(len(pts)) * stride, len(plan.dirs) - 1), 0, 0]
@@ -381,8 +387,8 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     if iso.size:
         kappa_iso_worst = float(np.max(np.abs((iso.mT @ raw[..., None])[..., 0])))
 
-    overall = max(max(static.values()),
-                  max(max(row["cheeger"], row["rescaled"]) for row in by_l))
+    overall = _worst([*static.values(),
+                      *(row[tag] for row in by_l for tag in ("cheeger", "rescaled"))])
     return {
         "static": static,
         "by_l": by_l,
@@ -419,29 +425,23 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
 
 
 def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
-    """Agreement of the deformation routes on seeded samples.
+    """Agreement of the three deformation routes on seeded samples.
 
-    kernel_max_diff compares the two kernel routes across all samples;
-    reference_max_diff compares the two plain-numpy operator routes on a
-    subsample; cross_max_diff compares kernel against reference.
+    kernel_max_diff compares the reparametrisation and rank-update
+    kernel routes; definition_max_diff compares both against Cheeger's
+    definition (definition_metric), all on one stack of samples.
     """
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed, cfg.margin)
     code, par = scenario.code, scenario.params
     kernel_max = float(_k.oracle_block(code, par, pts, ls, SIGMA_TOL))
-    ref_max = 0.0
-    cross_max = 0.0
-    stride = max(1, len(pts) // 25)
-    for x, l in zip(pts[::stride], ls[::stride]):
-        va = variant(scenario, "cheeger", float(l))
-        ref1 = va.reference_matrix(x)
-        ref2 = MetricVariant(scenario, "cheeger_closed_form", float(l)).reference_matrix(x)
-        ref_max = max(ref_max, float(np.max(np.abs(ref1 - ref2))))
-        cross_max = max(cross_max, float(np.max(np.abs(va.matrix(x) - ref1))))
+    ref = definition_metric(scenario, "cheeger", ls, pts)
+    definition_max = _worst([
+        np.abs(_k.variant_metric(code, par, tag, ls, pts, SIGMA_TOL) - ref)
+        for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED)])
     return {
         "n_samples": int(len(pts)),
         "kernel_max_diff": kernel_max,
-        "reference_max_diff": ref_max,
-        "cross_max_diff": cross_max,
+        "definition_max_diff": definition_max,
     }
 
 
@@ -496,9 +496,9 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
     # per-l rows in the fixed CSV column order
     nan = float("nan")
     rows = []
-    inv_by_l = {row["l"]: max(row["cheeger"], row["rescaled"])
+    inv_by_l = {row["l"]: _worst([row["cheeger"], row["rescaled"]])
                 for row in inv["by_l"]} if inv and "by_l" in inv else {}
-    inv_static = max(inv["static"].values()) if inv and "static" in inv else nan
+    inv_static = _worst(list(inv["static"].values())) if inv and "static" in inv else nan
     for i, l in enumerate(cfg.l_grid):
         rows.append({
             "l": float(l),
@@ -506,7 +506,7 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
             "c1_diff": conv["c1"][i] if conv else nan,
             "t_ratio_max": tsc["t_ratio_max"][i] if tsc else nan,
             "gap_residual": conv["gap"][i] if conv else nan,
-            "invariance_residual": max(inv_by_l[l], inv_static) if inv_by_l else nan,
+            "invariance_residual": _worst([inv_by_l[l], inv_static]) if inv_by_l else nan,
         })
     results["rows"] = rows
 
@@ -529,9 +529,9 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
             verdicts.append(_verdict("geodesic_limit_drift", True, None,
                                      cfg.geo_limit_drift_max, note="vacuous"))
         else:
-            worst_drift = max(s["limit_drift"] for s in geo["starts"])
-            worst_speed = max(max(s["limit_speed_drift"], s["base_speed_drift"])
-                              for s in geo["starts"])
+            worst_drift = _worst([s["limit_drift"] for s in geo["starts"]])
+            worst_speed = _worst([[s["limit_speed_drift"], s["base_speed_drift"]]
+                                  for s in geo["starts"]])
             statuses_ok = all(s["limit_status"] == "ok" for s in geo["starts"])
             verdicts.append(_verdict(
                 "geodesic_limit_drift",
@@ -542,7 +542,7 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
                 worst_speed < cfg.speed_drift_max,
                 worst_speed, cfg.speed_drift_max))
             if scenario.expect_base_drift:
-                min_base = min(s["base_drift"] for s in geo["starts"])
+                min_base = float(np.min([s["base_drift"] for s in geo["starts"]]))
                 verdicts.append(_verdict(
                     "geodesic_base_drift_discriminates",
                     min_base > cfg.geo_base_drift_min,
@@ -568,8 +568,7 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
         verdicts.append(_window_verdict("large_l_rate_window", lrg["fit"],
                                         cfg.large_l_slope_window))
     if orc:
-        worst = max(orc["kernel_max_diff"], orc["reference_max_diff"],
-                    orc["cross_max_diff"])
+        worst = _worst([orc["kernel_max_diff"], orc["definition_max_diff"]])
         verdicts.append(_verdict("oracle_equivalence", worst < cfg.oracle_max,
                                  worst, cfg.oracle_max))
 

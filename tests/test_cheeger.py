@@ -1,24 +1,49 @@
-"""Deformation layer: kappa, reparametrisation, the metric family."""
+"""Deformation layer: kappa, the metric family and its three routes."""
 
 import numpy as np
 import pytest
 
+from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import (
     DeformationParams,
     MetricVariant,
     VARIANT_TAGS,
-    cheeger_metric,
-    cheeger_metric_closed_form,
-    cheeger_reparam,
+    definition_metric,
     kappa,
-    limit_metric,
-    normal_homogeneous_pullback,
-    rescaled_metric,
     variant,
-    vertical_space_basis,
 )
-from cheegerdef.gmanifold import NumericalFailure, killing_data
-from cheegerdef.scenarios import rng_for, sample_grid
+from cheegerdef.gmanifold import SIGMA_TOL, NumericalFailure, killing_data
+from cheegerdef.scenarios import list_scenarios, oracle_samples, rng_for, sample_grid
+from cheegerdef.verify import SweepConfig, build_plan
+
+
+def _routes(scenario, tag, l=0.0):
+    """The metric at a point by every route that builds the tag: the
+    kernel routes (both deformation routes for the deformed metric) and
+    Cheeger's definition."""
+    tags = ("cheeger", "cheeger_closed_form") if tag == "cheeger" else (tag,)
+    kernels = [MetricVariant(scenario, t, l).matrix for t in tags]
+    return kernels + [lambda x: definition_metric(scenario, tag, l, x)]
+
+
+def _reparam(kd, G, l, v):
+    """Image of v under the deformation reparametrisation
+    Ch_l(v) = K(kappa(v)) / l^2 + v."""
+    return kd.K @ kappa(kd, G, v) / (l * l) + v
+
+
+def _check_reparam(scenario, x, l, v, image, atol):
+    """Ch_l(v) has the given image, and every route of the deformed
+    metric gives g_l(Ch_l(v), Ch_l(v)) = |kappa(v)|^2 / l^2 + g_M(v, v),
+    the product metric on the horizontal representative."""
+    kd = killing_data(scenario, x)
+    G = scenario.metric_matrix(x)
+    w = _reparam(kd, G, l, v)
+    np.testing.assert_allclose(w, image, atol=atol)
+    kv = kappa(kd, G, v)
+    expected = float(kv @ kv) / (l * l) + float(v @ G @ v)
+    for route in _routes(scenario, "cheeger", l):
+        assert w @ route(x) @ w == pytest.approx(expected, rel=1e-12)
 
 
 def test_deformation_params_validation():
@@ -57,28 +82,20 @@ def test_kappa_vanishes_on_horizontal(s2_band):
 
 
 def test_reparam_band_spot(s2_band):
-    x = np.array([0.7, np.pi / 4])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
-    out = cheeger_reparam(kd, G, 1.0, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(out, np.array([1.5, 0.0]), atol=1e-14)
+    # kappa(v) = 1/2 at phi = pi/4, so g_l(Ch(v), Ch(v)) = 1/4 + 1/2
+    _check_reparam(s2_band, np.array([0.7, np.pi / 4]), 1.0,
+                   np.array([1.0, 0.0]), np.array([1.5, 0.0]), 1e-14)
 
 
 def test_reparam_hopf_spot(s3_hopf):
     x = np.array([0.4, 1.9, 0.8])
-    kd = killing_data(s3_hopf, x)
-    G = s3_hopf.metric_matrix(x)
-    v = kd.K[:, 0]
-    out = cheeger_reparam(kd, G, 0.1, v)
-    np.testing.assert_allclose(out, 101.0 * v, atol=1e-9)
+    v = killing_data(s3_hopf, x).K[:, 0]
+    _check_reparam(s3_hopf, x, 0.1, v, 101.0 * v, 1e-9)
 
 
 def test_reparam_fixes_horizontal(s2_band):
-    x = np.array([0.7, 1.1])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
     v = np.array([0.0, 2.0])
-    np.testing.assert_allclose(cheeger_reparam(kd, G, 0.3, v), v, atol=1e-14)
+    _check_reparam(s2_band, np.array([0.7, 1.1]), 0.3, v, v, 1e-14)
 
 
 def test_vertical_lift_is_orthogonal_to_vertical_space(su2_s2):
@@ -91,78 +108,94 @@ def test_vertical_lift_is_orthogonal_to_vertical_space(su2_s2):
     for _ in range(5):
         v = rng.normal(size=2)
         kv = kappa(kd, G, v)
-        for a, Ka in vertical_space_basis(kd):
+        for a, Ka in zip(kd.m_basis.T, kd.A.T):
             resid = l * l * float((kv / (l * l)) @ (-a)) + float(v @ G @ Ka)
             assert abs(resid) < 1e-12
 
 
 def test_band_deformed_metric_spot(s2_band):
     x = np.array([0.7, np.pi / 4])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
-    gl = cheeger_metric(kd, G, 1.0)
-    assert gl[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert gl[1, 1] == pytest.approx(1.0, abs=1e-12)
-    assert gl[0, 1] == pytest.approx(0.0, abs=1e-13)
+    for route in _routes(s2_band, "cheeger", 1.0):
+        np.testing.assert_allclose(route(x), np.diag([1.0 / 3.0, 1.0]), atol=1e-12)
 
 
 def test_band_rescaled_metric_spot(s2_band):
     x = np.array([0.3, np.pi / 2])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
-    gr = rescaled_metric(kd, G, 0.1)
-    assert gr[0, 0] == pytest.approx(1.0 / 1.01, abs=1e-12)
+    for route in _routes(s2_band, "rescaled", 0.1):
+        assert route(x)[0, 0] == pytest.approx(1.0 / 1.01, abs=1e-12)
 
 
 def test_band_limit_metric_is_round_at_equator(s2_band):
     x = np.array([0.3, np.pi / 2])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
-    np.testing.assert_allclose(limit_metric(kd, G), np.eye(2), atol=1e-12)
+    for route in _routes(s2_band, "limit"):
+        np.testing.assert_allclose(route(x), np.eye(2), atol=1e-12)
 
 
 def test_hopf_rescaled_vertical_eigenvalue(s3_hopf):
     x = np.array([0.5, 1.7, 0.7])
-    kd = killing_data(s3_hopf, x)
+    v = killing_data(s3_hopf, x).K[:, 0]
     G = s3_hopf.metric_matrix(x)
     for l in (0.3, 0.1, 0.05):
-        gr = rescaled_metric(kd, G, l)
-        v = kd.K[:, 0]
-        assert v @ gr @ v == pytest.approx(1.0 / (1.0 + l * l), abs=1e-12)
-    np.testing.assert_allclose(limit_metric(kd, G), G, atol=1e-12)
+        for route in _routes(s3_hopf, "rescaled", l):
+            assert v @ route(x) @ v == pytest.approx(1.0 / (1.0 + l * l), abs=1e-12)
+    for route in _routes(s3_hopf, "limit"):
+        np.testing.assert_allclose(route(x), G, atol=1e-12)
 
 
 def test_su2_deformation_is_global_rescale(su2_s2):
     # transitive isometric action on the round sphere with P = identity:
     # the whole metric contracts by l^2/(1+l^2)
     x = np.array([0.8, 1.1])
-    kd = killing_data(su2_s2, x)
     G = su2_s2.metric_matrix(x)
     l = 0.7
-    gl = cheeger_metric(kd, G, l)
-    np.testing.assert_allclose(gl, (l * l / (1 + l * l)) * G, atol=1e-12)
+    for route in _routes(su2_s2, "cheeger", l):
+        np.testing.assert_allclose(route(x), (l * l / (1 + l * l)) * G, atol=1e-12)
 
 
 @pytest.mark.parametrize("sid", ["s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat"])
 def test_deformation_routes_agree_four_ways(sid, all_scenarios):
-    """The reparametrisation route and the rank-update route must stay
-    independent implementations; this checks they agree, in both the
-    reference and the kernel evaluation paths."""
+    """The reparametrisation and rank-update kernel routes and the
+    definition route, point by point and as one stack with one l per
+    point, agree; the kernel routes must stay independent
+    implementations."""
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     pts = sample_grid(scenario, 9)
-    for l in (0.15, 0.9, 4.0):
+    ls = (0.15, 0.9, 4.0)
+    stacked = definition_metric(scenario, "cheeger", np.repeat(ls, len(pts)),
+                                np.tile(pts, (len(ls), 1)))
+    n = 0
+    for l in ls:
         va = variant(scenario, "cheeger", l)
         vb = variant(scenario, "cheeger_closed_form", l)
         for x in pts:
-            kd = killing_data(scenario, x)
-            G = scenario.metric_matrix(x)
-            m_route1 = cheeger_metric(kd, G, l)
-            m_route2 = cheeger_metric_closed_form(kd, G, l)
             k_route1 = va.matrix(x)
-            k_route2 = vb.matrix(x)
-            np.testing.assert_allclose(m_route1, m_route2, atol=1e-12)
-            np.testing.assert_allclose(k_route1, k_route2, atol=1e-12)
-            np.testing.assert_allclose(k_route1, m_route1, atol=1e-12)
+            np.testing.assert_allclose(vb.matrix(x), k_route1, atol=1e-12)
+            np.testing.assert_allclose(va.reference_matrix(x), k_route1, atol=1e-12)
+            np.testing.assert_allclose(stacked[n], k_route1, atol=1e-12)
+            n += 1
+
+
+@pytest.mark.parametrize("sid", list_scenarios())
+def test_definition_route_matches_kernels(sid, all_scenarios):
+    """Definition route against the kernel routes: absolute on the
+    default oracle samples for the deformed metric, relative to the
+    largest component on the default plan at every default l for the
+    rescaled and limit metrics."""
+    scenario = {s.scenario_id: s for s in all_scenarios}[sid]
+    code, par = scenario.code, scenario.params
+    cfg = SweepConfig()
+    pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed)
+    ref = definition_metric(scenario, "cheeger", ls, pts)
+    for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED):
+        kern = _k.variant_metric(code, par, tag, ls, pts, SIGMA_TOL)
+        assert np.max(np.abs(kern - ref)) <= 1e-13
+    plan = build_plan(scenario, cfg).points
+    for tag, code_tag in (("rescaled", _k.RESCALED), ("limit", _k.LIMIT)):
+        for l in cfg.l_grid:
+            kern = _k.variant_metric(code, par, code_tag, l, plan, SIGMA_TOL)
+            ref = definition_metric(scenario, tag, l, plan)
+            scale = np.abs(kern).max(axis=(-2, -1))
+            assert np.max(np.abs(kern - ref).max(axis=(-2, -1)) / scale) <= 1e-13
 
 
 @pytest.mark.parametrize("tag", VARIANT_TAGS)
@@ -181,21 +214,21 @@ def test_horizontal_block_is_static(warped_s2):
     Gv = G @ kd.A
     h = np.array([0.0, 1.0])  # polar direction, orthogonal to the orbit
     assert abs(float(Gv[:, 0] @ h)) < 1e-15
-    for M in (cheeger_metric(kd, G, 0.2), rescaled_metric(kd, G, 0.2),
-              limit_metric(kd, G)):
-        np.testing.assert_allclose((M - G) @ h, 0.0, atol=1e-12)
+    for tag in ("cheeger", "rescaled", "limit"):
+        for route in _routes(warped_s2, tag, 0.2):
+            np.testing.assert_allclose((route(x) - G) @ h, 0.0, atol=1e-12)
 
 
 def test_pullback_identity_exact_value(s2_band):
     x = np.array([0.4, 0.5])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
+    A = killing_data(s2_band, x).A
     l = 0.2
-    gr = rescaled_metric(kd, G, l)
-    val = normal_homogeneous_pullback(kd, gr, np.array([1.0]), np.array([1.0]))
     lam = np.sin(0.5) ** 2
-    assert val == pytest.approx(lam / (l * l + lam), abs=1e-12)
-    gap = abs(val - 1.0)
+    for route in _routes(s2_band, "rescaled", l):
+        val = float(A[:, 0] @ route(x) @ A[:, 0])
+        assert val == pytest.approx(lam / (l * l + lam), abs=1e-12)
+    # the C^0 gap block measures |val - 1| on the orbit
+    gap = _k.gap_block(s2_band.code, s2_band.params, l, x[None], SIGMA_TOL)
     assert gap == pytest.approx(l * l / (l * l + lam), abs=1e-12)
 
 
@@ -216,8 +249,8 @@ def test_variant_raises_at_degenerate_point(s2_band):
 
 def test_large_l_returns_to_base(t2_flat):
     x = np.array([1.0, 2.0])
-    kd = killing_data(t2_flat, x)
     G = t2_flat.metric_matrix(x)
-    gl = cheeger_metric(kd, G, 1000.0)
-    np.testing.assert_allclose(gl, G, atol=1e-5)
-    assert np.max(np.abs(gl - G)) > 1e-8
+    for route in _routes(t2_flat, "cheeger", 1000.0):
+        gl = route(x)
+        np.testing.assert_allclose(gl, G, atol=1e-5)
+        assert np.max(np.abs(gl - G)) > 1e-8

@@ -99,6 +99,23 @@ def test_non_decreasing_l_grid_rejected(tmp_path, capsys):
     assert cli.main(["run", str(p)]) == 2
 
 
+def test_one_value_large_l_grid_rejected(tmp_path, capsys):
+    p = _tiny_config(tmp_path, "large_l_grid = 10\nonly = large_l\n")
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "large_l_grid" in err and "at least 2 values" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_margin_that_empties_the_region_rejected(tmp_path, capsys):
+    p = _tiny_config(tmp_path, "samples.margin = 2.0\n")
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "samples.margin" in err and "coordinate phi" in err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("scenario, key, value", [
     ("s2_band", "l_grid", "inf 0.1 0.05"),
     ("s2_band", "l_grid", "nan 0.1 0.05"),
@@ -238,7 +255,9 @@ def test_end_to_end_tiny_run(tmp_path, capsys):
     assert csv_text.endswith("\n")
 
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert set(report["report"]["oracle"]) == {"n_samples", "kernel_max_diff",
+                                               "definition_max_diff"}
     assert report["config"]["scenario"] == "s2_band"
     assert report["config"]["seed"] == 7
     assert report["config"]["samples_margin"] == 0.1

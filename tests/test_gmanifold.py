@@ -7,10 +7,8 @@ from cheegerdef.gmanifold import (
     DomainError,
     action_pullback_metric,
     fd_action_jacobian,
-    isotropy_split,
     killing_data,
     killing_operator,
-    orbit_tensor,
 )
 from cheegerdef.scenarios import rng_for, sample_grid
 
@@ -68,9 +66,9 @@ def test_orbit_tensor_is_spd(sid, all_scenarios):
 
 
 def test_s2_band_orbit_tensor_value(s2_band):
-    x = np.array([1.1, 0.8])
-    kd = killing_data(s2_band, x)
-    assert kd.orbit_tensor[0, 0] == pytest.approx(np.sin(0.8) ** 2, abs=1e-14)
+    for x in [np.array([1.1, 0.8]), np.array([0.5, 1.0]), *_interior_points(s2_band)]:
+        kd = killing_data(s2_band, x)
+        assert kd.orbit_tensor[0, 0] == pytest.approx(np.sin(x[1]) ** 2, abs=1e-14)
 
 
 def test_hopf_field_is_unit(s3_hopf):
@@ -82,12 +80,21 @@ def test_hopf_field_is_unit(s3_hopf):
 
 
 def test_su2_orbit_tensor_is_identity(su2_s2):
-    for x in _interior_points(su2_s2, 8):
+    for x in [np.array([1.2, 1.4]), *_interior_points(su2_s2, 8)]:
         kd = killing_data(su2_s2, x)
         assert kd.orbit_tensor.shape == (2, 2)
         np.testing.assert_allclose(kd.orbit_tensor, np.eye(2), atol=1e-12)
         assert kd.rank == 2
         assert kd.isotropy_basis.shape == (3, 1)
+        # the isotropy is the rotation about the point's own axis, and the
+        # complement its orthogonal plane
+        theta, phi = x
+        p = np.array([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
+                      np.cos(phi)])
+        np.testing.assert_allclose(kd.isotropy_basis @ kd.isotropy_basis.T,
+                                   np.outer(p, p), atol=1e-12)
+        np.testing.assert_allclose(kd.m_basis @ kd.m_basis.T,
+                                   np.eye(3) - np.outer(p, p), atol=1e-12)
 
 
 def test_t2_orbit_tensor_matches_scale():
@@ -96,14 +103,6 @@ def test_t2_orbit_tensor_matches_scale():
     x = np.array([2.0, 4.0])
     kd = killing_data(scenario, x)
     assert kd.orbit_tensor[0, 0] == pytest.approx(1.7 ** 2, abs=1e-12)
-
-
-def test_orbit_tensor_helper_agrees(s2_band):
-    x = np.array([0.5, 1.0])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
-    P = orbit_tensor(kd.K, G, kd.m_basis)
-    np.testing.assert_allclose(P, kd.orbit_tensor, atol=1e-14)
 
 
 def test_chart_rejects_outside_point(s2_band):
@@ -118,17 +117,6 @@ def test_chart_wrap_periodic(t2_flat):
     w = t2_flat.chart.wrap(x)
     assert w[0] == pytest.approx(0.3, abs=1e-12)
     assert w[1] == pytest.approx(2 * np.pi - 0.5, abs=1e-12)
-
-
-def test_isotropy_split_matches_killing_data(su2_s2):
-    x = np.array([1.2, 1.4])
-    mb, iso = isotropy_split(su2_s2, x)
-    kd = killing_data(su2_s2, x)
-    # spans agree: projectors onto the column spaces coincide
-    np.testing.assert_allclose(mb @ mb.T, kd.m_basis @ kd.m_basis.T, atol=1e-12)
-    np.testing.assert_allclose(iso @ iso.T,
-                               kd.isotropy_basis @ kd.isotropy_basis.T,
-                               atol=1e-12)
 
 
 @pytest.mark.parametrize("sid", ["s2_band", "s3_hopf", "su2_s2", "t2_flat"])

@@ -98,6 +98,7 @@ def test_sweep_config_rejects_negative_margin():
     ("oracle_count", 0),
     ("c0_slope_window", (2.1, 1.9)),
     ("l_grid", (0.1, 0.0005)),
+    ("large_l_grid", (10.0,)),  # used to end as a degenerate FAIL
     ("seed", -1),
     ("seed", 2**64),
 ])
@@ -225,9 +226,65 @@ def test_oracle_results_routes_agree(su2_s2):
     cfg = SweepConfig(**SMALL)
     orc = oracle_results(su2_s2, cfg)
     assert orc["n_samples"] >= 30
+    assert set(orc) == {"n_samples", "kernel_max_diff", "definition_max_diff"}
     assert orc["kernel_max_diff"] < 1e-10
-    assert orc["reference_max_diff"] < 1e-10
-    assert orc["cross_max_diff"] < 1e-10
+    assert orc["definition_max_diff"] < 1e-10
+
+
+def _l_for_l_squared(l):
+    """The slip l in place of l^2, shaped as _kernels._sq shapes l^2."""
+    return l[..., None, None] if isinstance(l, np.ndarray) else l
+
+
+@pytest.mark.parametrize("slip", ["kernels", "definition"])
+def test_oracle_fails_on_l_for_l_squared(slip, all_scenarios, monkeypatch):
+    """Negative controls: l in place of l^2 in both kernel routes (they
+    share _sq, so they still agree with each other) or in the definition
+    route makes the oracle verdict fail on every scenario."""
+    from cheegerdef import _kernels as _k
+    from cheegerdef import verify
+
+    if slip == "kernels":
+        monkeypatch.setattr(_k, "_sq", _l_for_l_squared)
+    else:
+        exact = verify.definition_metric
+        monkeypatch.setattr(verify, "definition_metric",
+                            lambda sc, tag, l, x: exact(sc, tag, np.sqrt(l), x))
+    cfg = SweepConfig(enabled=("oracle",))
+    for scenario in all_scenarios:
+        res = run_suite(scenario, cfg)
+        orc = res["oracle"]
+        assert orc["kernel_max_diff"] < 1e-13
+        assert orc["definition_max_diff"] > 0.05
+        (verdict,) = res["verdicts"]
+        assert verdict["criterion"] == "oracle_equivalence"
+        assert not verdict["passed"]
+
+
+def test_nan_residual_fails_the_invariance_verdicts(s2_band, monkeypatch):
+    """A NaN residual that is not the first one reduced still fails the
+    invariance and horizontal verdicts and reaches the CSV."""
+    from cheegerdef import _kernels as _k
+    from cheegerdef.cli import render_csv
+
+    exact = _k.variant_metric
+
+    def limit_is_nan(scen, par, tag, l, x, sigma_tol):
+        out = exact(scen, par, tag, l, x, sigma_tol)
+        return np.full_like(out, np.nan) if tag == _k.LIMIT else out
+
+    monkeypatch.setattr(_k, "variant_metric", limit_is_nan)
+    res = run_suite(s2_band, SweepConfig(**{**SMALL, "enabled": ("invariance",)}))
+    assert res["invariance"]["static"]["original"] == 0.0
+    assert math.isnan(res["invariance"]["static"]["limit"])
+    assert math.isnan(res["invariance"]["max_residual"])
+    assert math.isnan(res["invariance"]["horizontal_residual"])
+    verdicts = {v["criterion"]: v["passed"] for v in res["verdicts"]}
+    assert not verdicts["invariance_residual"]
+    assert not verdicts["horizontal_block_static"]
+    assert not res["passed"]
+    cells = [line.split(",")[-1] for line in render_csv(res["rows"]).splitlines()[1:]]
+    assert cells == ["nan"] * len(SweepConfig().l_grid)
 
 
 def test_run_suite_full_band(s2_band):
