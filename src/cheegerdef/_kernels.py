@@ -3,13 +3,14 @@
 Every pipeline function takes its points as an array x of shape (..., d):
 a single point is the zero-batch case x.shape == (d,), a sample plan is
 an (N, d) stack, and results keep the leading shape ((..., d, d) for a
-metric).  Scenario geometry and metric-variant selection are small
-integer codes.  Matrices are tiny (manifold dimension <= 3, orbit rank
-<= 2), so inverses and the Cholesky gate are closed forms for sizes 1, 2
-and 3 written over the stack: a LAPACK call per evaluation costs more
-than the whole algebra.  Geodesics are stacked too: RK4 advances a
-stack of starts as one state, so a step makes four stacked Christoffel
-calls however many starts it carries.
+metric).  The scenario argument scen is a scenarios.Scenario record,
+whose metric, Killing operator and their derivatives the kernels call;
+the metric variant is a small integer tag.  Matrices are tiny (manifold
+dimension <= 3, orbit rank <= 2), so inverses and the Cholesky gate are
+closed forms for sizes 1, 2 and 3 written over the stack: a LAPACK call
+per evaluation costs more than the whole algebra.  Geodesics are
+stacked too: RK4 advances a stack of starts as one state, so a step
+makes four stacked Christoffel calls however many starts it carries.
 
 The closed-form deformed metric, its vertical rescaling and their limit
 are one rank update G - W Y(P) W^T of the base metric (W = G A,
@@ -28,13 +29,6 @@ geodesic integration also return explicit per-row status codes.
 
 import numpy as np
 
-# scenario codes
-S2_BAND = 0
-WARPED_S2 = 1
-S3_HOPF = 2
-SU2_S2 = 3
-T2_FLAT = 4
-
 # metric-variant tags
 ORIGINAL = 0
 CHEEGER = 1
@@ -49,29 +43,9 @@ FRAME_FAIL = 2
 LEFT_DOMAIN = 1
 NUMERIC_FAIL = 2
 
-
-def manifold_dim(scen):
-    if scen == S3_HOPF:
-        return 3
-    return 2
-
-
-def group_dim(scen):
-    if scen == SU2_S2:
-        return 3
-    return 1
-
-
-def orbit_rank(scen):
-    """Rank of the orbits: the circle actions have one-dimensional orbits,
-    the rotation action on the sphere is transitive."""
-    if scen == SU2_S2:
-        return 2
-    return 1
-
-
-def _zeros(x, *shape):
-    return np.zeros(x.shape[:-1] + shape)
+# chart-box margin of geodesic integration, in finite-difference steps h:
+# the Richardson stencil of a point reaches 2 h past it
+GEODESIC_MARGIN = 3.0
 
 
 def _sq(l):
@@ -107,96 +81,9 @@ def _positive(P):
 
 
 def gm_metric(scen, par, x):
-    """Chart components of the invariant base metric g_M at x."""
-    if scen == S3_HOPF:
-        G = _zeros(x, 3, 3)
-        c = np.cos(x[..., 2])
-        s = np.sin(x[..., 2])
-        G[..., 0, 0] = c * c
-        G[..., 1, 1] = s * s
-        G[..., 2, 2] = 1.0
-        return G
-    G = _zeros(x, 2, 2)
-    if scen == T2_FLAT:
-        a = par[0]
-        G[..., 0, 0] = a * a
-    elif scen == WARPED_S2:
-        s = np.sin(x[..., 1])
-        G[..., 0, 0] = s * s * (1.0 + par[0] * s)
-    else:
-        # S2_BAND and SU2_S2 live on the round sphere
-        s = np.sin(x[..., 1])
-        G[..., 0, 0] = s * s
-    G[..., 1, 1] = 1.0
-    return G
-
-
-def gm_metric_dx(scen, par, x):
-    """Analytic first chart derivatives dG[..., m, i, j] = d_m g_ij."""
-    d = manifold_dim(scen)
-    dG = _zeros(x, d, d, d)
-    if scen == S3_HOPF:
-        dG[..., 2, 0, 0] = -np.sin(2.0 * x[..., 2])
-        dG[..., 2, 1, 1] = np.sin(2.0 * x[..., 2])
-    elif scen == T2_FLAT:
-        pass
-    elif scen == WARPED_S2:
-        s = np.sin(x[..., 1])
-        c = np.cos(x[..., 1])
-        amp = par[0]
-        dG[..., 1, 0, 0] = 2.0 * s * c * (1.0 + amp * s) + s * s * amp * c
-    else:
-        dG[..., 1, 0, 0] = np.sin(2.0 * x[..., 1])
-    return dG
-
-
-def killing(scen, par, x):
-    """Killing operator at x as a (dim M, dim g) matrix of chart components.
-
-    Column k is the action field of the k-th orthonormal algebra basis
-    element.  For the circle actions the single column is the coordinate
-    field of the orbit coordinate; for the rotation action on the sphere
-    the columns are the three rotation fields in polar coordinates.
-    """
-    if scen == SU2_S2:
-        K = _zeros(x, 2, 3)
-        ct = np.cos(x[..., 0])
-        st = np.sin(x[..., 0])
-        cot = np.cos(x[..., 1]) / np.sin(x[..., 1])
-        K[..., 0, 0] = -ct * cot
-        K[..., 1, 0] = -st
-        K[..., 0, 1] = -st * cot
-        K[..., 1, 1] = ct
-        K[..., 0, 2] = 1.0
-        return K
-    if scen == S3_HOPF:
-        K = _zeros(x, 3, 1)
-        K[..., 0, 0] = 1.0
-        K[..., 1, 0] = 1.0
-        return K
-    K = _zeros(x, 2, 1)
-    K[..., 0, 0] = 1.0
-    return K
-
-
-def killing_dx(scen, par, x):
-    """Analytic first chart derivatives dK[..., m, i, k] = d_m K_ik of the
-    Killing operator.  Only the rotation action on the sphere has
-    non-constant action fields; the circle actions give zero."""
-    d = manifold_dim(scen)
-    dK = _zeros(x, d, d, group_dim(scen))
-    if scen == SU2_S2:
-        ct = np.cos(x[..., 0])
-        st = np.sin(x[..., 0])
-        cot = np.cos(x[..., 1]) / np.sin(x[..., 1])
-        csc2 = 1.0 / (np.sin(x[..., 1]) * np.sin(x[..., 1]))
-        dK[..., 0, 0, 0] = st * cot
-        dK[..., 0, 1, 0] = -ct
-        dK[..., 0, 0, 1] = -ct * cot
-        dK[..., 0, 1, 1] = -st
-        dK[..., 1, 0, 0] = ct * csc2
-        dK[..., 1, 0, 1] = st * csc2
-    return dK
+    """Chart components of the invariant base metric g_M at x: the one
+    call of the scenario's metric that the pipeline makes."""
+    return scen.metric(par, x)
 
 
 # cyclic index shifts for the 3x3 cofactors
@@ -273,11 +160,11 @@ def m_basis(scen, K, sigma_tol):
     Returns (mb, iso, status): mb has orthonormal columns spanning the
     complement of the kernel of K (coefficient space), iso spans the
     kernel.  The circle actions have a constant, nonzero action field,
-    so their split is trivial.  On the SVD path the orbit rank is fixed
-    per scenario (orbit_rank); status is DEGENERATE, and the row of mb
-    and iso NaN, where K is not finite or vanishes, where a singular
-    value sits inside the ambiguity band [0.1, 10] * sigma_tol *
-    sigma_max, or where the numerical rank is below the scenario's.
+    so their split is trivial.  On the SVD path the orbit rank is the
+    record's rank; status is DEGENERATE, and the row of mb and iso NaN,
+    where K is not finite or vanishes, where a singular value sits
+    inside the ambiguity band [0.1, 10] * sigma_tol * sigma_max, or
+    where the numerical rank is below the scenario's.
     The NaN rows carry through A and P, so the Cholesky gate and the
     conditioning cap downstream reject them.
     """
@@ -285,7 +172,7 @@ def m_basis(scen, K, sigma_tol):
     lead = K.shape[:-2]
     if ng == 1:
         return np.ones(lead + (1, 1)), np.zeros(lead + (1, 0)), np.zeros(lead, np.int64)
-    r = orbit_rank(scen)
+    r = scen.rank
     if not np.isfinite(K).all():
         # a zeroed row fails the rank test below
         K = np.where(np.isfinite(K).all(axis=(-2, -1))[..., None, None], K, 0.0)
@@ -305,7 +192,7 @@ def m_basis(scen, K, sigma_tol):
 def orbit_data(scen, par, x, sigma_tol):
     """Metric, Killing operator, algebra split and orbit tensor at x."""
     G = gm_metric(scen, par, x)
-    K = killing(scen, par, x)
+    K = scen.killing(par, x)
     mb, iso, status = m_basis(scen, K, sigma_tol)
     A = K if K.shape[-1] == 1 else K @ mb
     P = sym2(A.mT @ (G @ A))
@@ -442,15 +329,16 @@ def _rank_update_dx(scen, par, tag, l, x, sigma_tol):
     """
     G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l, x, sigma_tol)
     Gv = _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
-    dG = gm_metric_dx(scen, par, x)
+    dG = scen.metric_dx(par, x)
     # one extra axis for the derivative direction m
     A, W, Y, Pi, Mi = (M[..., None, :, :] for M in (A, W, Y, Pi, Mi))
     dW = dG @ A
-    if group_dim(scen) == 1:
-        # the circle actions have constant action fields: dA = 0
+    if scen.group.algebra.dim == 1:
+        # every catalogued circle action shifts chart coordinates, so its
+        # action field is constant: dA = 0
         dP = sym2(A.mT @ dW)
     else:
-        dA = killing_dx(scen, par, x) @ mb[..., None, :, :]
+        dA = scen.killing_dx(par, x) @ mb[..., None, :, :]
         dW = dW + G[..., None, :, :] @ dA
         dP = sym2(A.mT @ dW + dA.mT @ W)
     dPi = -(Pi @ (dP @ Pi))
@@ -503,7 +391,7 @@ def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
     per stencil offset; that path is the oracle for the analytic one.
     """
     if analytic and tag == ORIGINAL:
-        return gm_metric_dx(scen, par, x)
+        return scen.metric_dx(par, x)
     if analytic and tag != CHEEGER:
         return _rank_update_dx(scen, par, tag, l, x, sigma_tol)[1]
     d = x.shape[-1]
@@ -554,7 +442,7 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     All running starts advance as one stacked state.  Trajectory rows are
     (position, velocity); a start that stops early keeps zero rows after
     its last state.  A start stops alone, with status LEFT_DOMAIN when its
-    position leaves the chart box (with an FD-stencil safety margin) and
+    position leaves the chart box shrunk by GEODESIC_MARGIN * h and
     NUMERIC_FAIL on NaN; the other starts carry on.  Returns
     (trajectory (..., n_steps + 1, 2 d), status (...), stacked steps,
     steps completed (...)), where the stacked steps are the number of
@@ -571,10 +459,10 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     done = np.full(n, n_steps)
     # original index of each running row
     rows = np.arange(n)
-    # chart box shrunk by the stencil margin; periodic axes are unbounded
+    # periodic axes are unbounded
     closed = periodic == 0
-    lo_in = np.where(closed, lo + 3.0 * h, -np.inf)
-    hi_in = np.where(closed, hi - 3.0 * h, np.inf)
+    lo_in = np.where(closed, lo + GEODESIC_MARGIN * h, -np.inf)
+    hi_in = np.where(closed, hi - GEODESIC_MARGIN * h, np.inf)
 
     def rhs(y):
         return _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol)
@@ -674,7 +562,7 @@ def t_tensor_norm(scen, par, tag, l, x, h, sigma_tol):
     horizontally and takes the max variant norm over frame pairs.  Orbits
     of full dimension have no horizontal space and give exactly 0.
     """
-    d = manifold_dim(scen)
+    d = scen.dim
     V = variant_vertical_frame(scen, par, tag, l, x, sigma_tol)
     r = V.shape[1]
     if np.isnan(V[0, 0]):

@@ -85,11 +85,11 @@ def definition_metric(scenario: Scenario, tag: str, l, x: np.ndarray) -> np.ndar
     one value per point.
     """
     x = np.asarray(x, dtype=float)
-    G = _k.gm_metric(scenario.code, scenario.params, x)
+    G = _k.gm_metric(scenario, scenario.params, x)
     if tag == "original":
         return G
     L = np.linalg.cholesky(G)
-    U, s, _ = np.linalg.svd(L.mT @ _k.killing(scenario.code, scenario.params, x),
+    U, s, _ = np.linalg.svd(L.mT @ scenario.killing(scenario.params, x),
                             full_matrices=False)
     s2 = s * s
     l2 = np.square(np.asarray(l, dtype=float))[..., None]
@@ -137,7 +137,7 @@ class MetricVariant:
         breakdown (degenerate rank, singular frame, conditioning)."""
         x = np.asarray(x, dtype=float)
         out = np.asarray(_k.variant_metric(
-            self.scenario.code, self.scenario.params, self.tag_code,
+            self.scenario, self.scenario.params, self.tag_code,
             float(self.l), x, SIGMA_TOL))
         if np.any(np.isnan(out)):
             bad = np.isnan(out).any(axis=(-2, -1))

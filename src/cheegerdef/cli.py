@@ -19,6 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from ._kernels import GEODESIC_MARGIN
 from .config import echo, knob, table_keys, values_from
 from .gmanifold import DegeneratePointError, DomainError, NumericalFailure
 from .scenarios import (DEFAULT_ORBIT_LENGTH, DEFAULT_WARP_AMPLITUDE, Scenario,
@@ -110,10 +111,12 @@ def _build_scenario(rc: RunConfig) -> Scenario:
         sampling_box(scenario, rc.sweep.margin)
     except ValueError as exc:
         raise ConfigError(f"key 'samples.margin': {exc}") from exc
-    for c in rc.sweep.geodesic_transverse or ():
-        if not scenario.chart.contains(scenario.start_from_transverse(c)):
+    margin = GEODESIC_MARGIN * rc.sweep.h_fd
+    for c in rc.sweep.geodesic_transverse or scenario.geodesic_transverse:
+        if not scenario.chart.contains(scenario.start_from_transverse(c), margin):
             raise ConfigError(
-                f"geodesic start {c} leaves the chart of {rc.scenario_id}")
+                f"geodesic start {c} leaves the chart of {rc.scenario_id} "
+                f"shrunk by the integration margin {GEODESIC_MARGIN:g} * fd.step")
     return scenario
 
 

@@ -128,7 +128,7 @@ def killing_operator(scenario, x: np.ndarray, mode: str = "analytic",
     """
     x = scenario.chart.require_inside(x)
     if mode == "analytic":
-        return np.asarray(_k.killing(scenario.code, scenario.params, x))
+        return np.asarray(scenario.killing(scenario.params, x))
     if mode != "fd":
         raise ValueError(f"unknown killing_operator mode '{mode}'")
     group = scenario.group
@@ -148,7 +148,7 @@ def killing_data(scenario, x: np.ndarray,
     """Full orbit data at a chart point, validated."""
     x = scenario.chart.require_inside(x)
     G, K, mb, iso, A, P, status = _k.orbit_data(
-        scenario.code, scenario.params, x, sigma_tol)
+        scenario, scenario.params, x, sigma_tol)
     if status != _k.OK:
         raise DegeneratePointError(
             f"ambiguous or zero orbit rank at {x.tolist()}")

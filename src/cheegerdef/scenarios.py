@@ -1,8 +1,12 @@
 """Catalogue of group actions on model manifolds.
 
-Each scenario packages a chart, an isometric action of a catalogued
-group, the invariant base metric, a sampling region for the verification
-sweeps, and catalogued defaults (geodesic starts, sampling margin).
+Each catalogued scenario is one Scenario record: a chart, a group with
+its action and the action's chart Jacobian, the invariant base metric
+g_M and the Killing operator K with their first chart derivatives, the
+orbit rank, the orbit invariants, a sampling region for the
+verification sweeps and catalogued defaults (geodesic starts, sampling
+margin).  The kernels take the record as their scenario argument and
+call its functions, so adding a scenario is one entry of _CATALOGUE.
 
 Catalogued scenarios:
 
@@ -17,7 +21,7 @@ Catalogued scenarios:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,8 +31,6 @@ from .gmanifold import Chart
 from .lie_core import GroupElement, LieGroupModel, get_group
 
 __all__ = [
-    "ActionModel",
-    "InvariantMetricField",
     "Scenario",
     "direction_pairs",
     "get_scenario",
@@ -43,6 +45,7 @@ __all__ = [
 # catalogued scenario parameters
 DEFAULT_WARP_AMPLITUDE = 0.3
 DEFAULT_ORBIT_LENGTH = 1.0
+DEFAULT_SAMPLE_MARGIN = 0.1
 
 # sub-streams of the run seed for the counter-based generator
 _STREAM_DIRECTIONS = 1
@@ -56,64 +59,150 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ActionModel:
-    """Chart expression of a group action with its derivative."""
-
-    group: LieGroupModel
-    act: Callable[[GroupElement, np.ndarray], np.ndarray]
-    jacobian: Callable[[GroupElement, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class InvariantMetricField:
-    """Metric components in chart coordinates."""
-
-    matrix: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """One catalogued action.
+
+    metric, metric_dx, killing and killing_dx map (params, x), with x a
+    chart point or a stack (..., dim) of points, to g_ij, d_m g_ij
+    [..., m, i, j], K_ik and d_m K_ik [..., m, i, k]; column k of K is
+    the action field of the k-th orthonormal algebra basis element.
+    action and jacobian map (g, x) to the image of x under g and its
+    chart Jacobian.
+    """
+
     scenario_id: str
-    code: int
     group: LieGroupModel
     chart: Chart
-    params: np.ndarray
-    region_lo: np.ndarray
-    region_hi: np.ndarray
-    action: ActionModel
-    metric: InvariantMetricField
-    sample_margin: float
-    geodesic_transverse: tuple[float, ...]
-    start_from_transverse: Callable[[float], np.ndarray]
+    action: Callable[[GroupElement, np.ndarray], np.ndarray]
+    jacobian: Callable[[GroupElement, np.ndarray], np.ndarray]
+    metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    metric_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    killing: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    killing_dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # dimension of every orbit
+    rank: int
     # invariants (..., k) of a point or of a stack (..., dim) of points
     orbit_invariants: Callable[[np.ndarray], np.ndarray]
+    region_lo: np.ndarray
+    region_hi: np.ndarray
+    geodesic_transverse: tuple[float, ...]
+    start_from_transverse: Callable[[float], np.ndarray]
     element_scale: float | None
-    transitive: bool
     # orbits fail to be geodesic in the base metric, so the base-metric
     # drift check has discriminating power
     expect_base_drift: bool
+    # the get_scenario keyword that sets params[0], if any
+    parameter: str | None = None
+    params: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+    sample_margin: float = DEFAULT_SAMPLE_MARGIN
 
     def act(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Image of a chart point, or of a stack (..., dim) of them, under g."""
-        return self.action.act(g, x)
+        return self.action(g, x)
 
     def action_jacobian(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Chart Jacobian of g at a point, or (..., dim, dim) at a stack."""
-        return self.action.jacobian(g, x)
+        return self.jacobian(g, x)
 
     def metric_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.metric.matrix(x)
+        return _k.gm_metric(self, self.params, np.asarray(x, dtype=float))
+
+    @property
+    def code(self) -> Scenario:
+        """The record itself, the kernels' scenario argument: kernel calls
+        written as k.<fn>(sc.code, sc.params, ...) pass the record."""
+        return self
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
+    @property
+    def transitive(self) -> bool:
+        return self.rank == self.dim
+
     def geodesic_starts(self) -> tuple[np.ndarray, ...]:
         return tuple(self.start_from_transverse(c) for c in self.geodesic_transverse)
 
 
+def _filled(x, shape, entries):
+    """Array (..., *shape) over the points x, zero but for the given
+    {index: value} entries."""
+    M = np.zeros(x.shape[:-1] + shape)
+    for index, value in entries.items():
+        M[(...,) + index] = value
+    return M
+
+
+def _round_sphere_metric(par, x):
+    s = np.sin(x[..., 1])
+    return _filled(x, (2, 2), {(0, 0): s * s, (1, 1): 1.0})
+
+
+def _round_sphere_metric_dx(par, x):
+    return _filled(x, (2, 2, 2), {(1, 0, 0): np.sin(2.0 * x[..., 1])})
+
+
+def _warped_metric(par, x):
+    s = np.sin(x[..., 1])
+    return _filled(x, (2, 2), {(0, 0): s * s * (1.0 + par[0] * s), (1, 1): 1.0})
+
+
+def _warped_metric_dx(par, x):
+    s = np.sin(x[..., 1])
+    c = np.cos(x[..., 1])
+    amp = par[0]
+    return _filled(x, (2, 2, 2),
+                   {(1, 0, 0): 2.0 * s * c * (1.0 + amp * s) + s * s * amp * c})
+
+
+def _hopf_metric(par, x):
+    c = np.cos(x[..., 2])
+    s = np.sin(x[..., 2])
+    return _filled(x, (3, 3), {(0, 0): c * c, (1, 1): s * s, (2, 2): 1.0})
+
+
+def _hopf_metric_dx(par, x):
+    return _filled(x, (3, 3, 3), {(2, 0, 0): -np.sin(2.0 * x[..., 2]),
+                                  (2, 1, 1): np.sin(2.0 * x[..., 2])})
+
+
+def _flat_metric(par, x):
+    a = par[0]
+    return _filled(x, (2, 2), {(0, 0): a * a, (1, 1): 1.0})
+
+
+def _flat_metric_dx(par, x):
+    return _filled(x, (2, 2, 2), {})
+
+
 def _so2_angle(M: np.ndarray) -> float:
     return float(np.arctan2(M[1, 0], M[0, 0]))
+
+
+def _circle_shift(dim: int, shifted: tuple[int, ...]) -> dict:
+    """Group, action, Jacobian, Killing operator (with its zero
+    derivative) and rank of the circle shifting the listed periodic
+    coordinates in step."""
+
+    def action(g: GroupElement, x: np.ndarray) -> np.ndarray:
+        a = _so2_angle(g.matrix)
+        y = np.array(x, dtype=float)
+        for m in shifted:
+            y[..., m] = y[..., m] + a
+        return y
+
+    def jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)).copy()
+
+    def killing(par, x):
+        return _filled(x, (dim, 1), {(m, 0): 1.0 for m in shifted})
+
+    def killing_dx(par, x):
+        return _filled(x, (dim, dim, 1), {})
+
+    return dict(group=get_group("u1"), action=action, jacobian=jacobian,
+                killing=killing, killing_dx=killing_dx, rank=1)
 
 
 def _quat_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -169,173 +258,145 @@ def _su2_jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
     ], axis=-2)
 
 
-def _shift_action(group: LieGroupModel, shifted: tuple[int, ...], dim: int) -> ActionModel:
-    """Circle action shifting the listed periodic coordinates in step."""
-
-    def act(g: GroupElement, x: np.ndarray) -> np.ndarray:
-        a = _so2_angle(g.matrix)
-        y = np.array(x, dtype=float)
-        for m in shifted:
-            y[..., m] = y[..., m] + a
-        return y
-
-    def jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)).copy()
-
-    return ActionModel(group=group, act=act, jacobian=jacobian)
+def _rotation_killing(par, x):
+    """The three rotation fields of the sphere in polar coordinates."""
+    ct = np.cos(x[..., 0])
+    st = np.sin(x[..., 0])
+    cot = np.cos(x[..., 1]) / np.sin(x[..., 1])
+    return _filled(x, (2, 3), {(0, 0): -ct * cot, (1, 0): -st, (0, 1): -st * cot,
+                               (1, 1): ct, (0, 2): 1.0})
 
 
-def _kernel_metric(code: int, params: np.ndarray) -> InvariantMetricField:
-    def matrix(x: np.ndarray) -> np.ndarray:
-        return np.asarray(_k.gm_metric(code, params, np.asarray(x, dtype=float)))
-
-    return InvariantMetricField(matrix=matrix)
+def _rotation_killing_dx(par, x):
+    ct = np.cos(x[..., 0])
+    st = np.sin(x[..., 0])
+    cot = np.cos(x[..., 1]) / np.sin(x[..., 1])
+    csc2 = 1.0 / (np.sin(x[..., 1]) * np.sin(x[..., 1]))
+    return _filled(x, (2, 2, 3), {(0, 0, 0): st * cot, (0, 1, 0): -ct,
+                                  (0, 0, 1): -ct * cot, (0, 1, 1): -st,
+                                  (1, 0, 0): ct * csc2, (1, 0, 1): st * csc2})
 
 
 _TWO_PI = 2 * np.pi
 
 
-def _build_s2_like(scenario_id: str, code: int, params: np.ndarray,
-                   sample_margin: float) -> Scenario:
-    group = get_group("u1")
-    chart = Chart(labels=("theta", "phi"),
-                  lo=np.array([0.0, 0.2]), hi=np.array([_TWO_PI, np.pi - 0.2]),
-                  periodic=np.array([True, False]))
+def _sphere_chart(margin: float) -> Chart:
+    return Chart(labels=("theta", "phi"),
+                 lo=np.array([0.0, margin]), hi=np.array([_TWO_PI, np.pi - margin]),
+                 periodic=np.array([True, False]))
+
+
+def _s2_band_like(scenario_id: str, **geometry) -> Scenario:
+    """A circle rotating a band of a rotationally symmetric sphere."""
     return Scenario(
         scenario_id=scenario_id,
-        code=code,
-        group=group,
-        chart=chart,
-        params=params,
+        chart=_sphere_chart(0.2),
+        **_circle_shift(2, (0,)),
+        **geometry,
+        orbit_invariants=lambda x: x[..., 1:2],
         region_lo=np.array([0.0, 0.4]),
         region_hi=np.array([_TWO_PI, np.pi - 0.4]),
-        action=_shift_action(group, (0,), 2),
-        metric=_kernel_metric(code, params),
-        sample_margin=sample_margin,
         geodesic_transverse=(0.6, 0.9, 1.2),
         start_from_transverse=lambda c: np.array([0.3, float(c)]),
-        orbit_invariants=lambda x: x[..., 1:2],
         element_scale=None,
-        transitive=False,
         expect_base_drift=True,
     )
 
 
-def _build_s3_hopf(sample_margin: float) -> Scenario:
-    group = get_group("u1")
-    params = np.array([0.0])
-    chart = Chart(labels=("xi1", "xi2", "eta"),
-                  lo=np.array([0.0, 0.0, 0.15]),
-                  hi=np.array([_TWO_PI, _TWO_PI, np.pi / 2 - 0.15]),
-                  periodic=np.array([True, True, False]))
-    return Scenario(
+_CATALOGUE = {s.scenario_id: s for s in (
+    _s2_band_like("s2_band", metric=_round_sphere_metric,
+                  metric_dx=_round_sphere_metric_dx),
+    _s2_band_like("warped_s2", metric=_warped_metric, metric_dx=_warped_metric_dx,
+                  parameter="warp_amplitude"),
+    Scenario(
         scenario_id="s3_hopf",
-        code=_k.S3_HOPF,
-        group=group,
-        chart=chart,
-        params=params,
-        region_lo=np.array([0.0, 0.0, 0.3]),
-        region_hi=np.array([_TWO_PI, _TWO_PI, np.pi / 2 - 0.3]),
-        action=_shift_action(group, (0, 1), 3),
-        metric=_kernel_metric(_k.S3_HOPF, params),
-        sample_margin=sample_margin,
-        geodesic_transverse=(0.5, 0.8, 1.1),
-        start_from_transverse=lambda c: np.array([0.5, 1.7, float(c)]),
+        chart=Chart(labels=("xi1", "xi2", "eta"),
+                    lo=np.array([0.0, 0.0, 0.15]),
+                    hi=np.array([_TWO_PI, _TWO_PI, np.pi / 2 - 0.15]),
+                    periodic=np.array([True, True, False])),
+        **_circle_shift(3, (0, 1)),
+        metric=_hopf_metric,
+        metric_dx=_hopf_metric_dx,
         orbit_invariants=lambda x: np.stack([x[..., 0] - x[..., 1], x[..., 2]],
                                             axis=-1),
+        region_lo=np.array([0.0, 0.0, 0.3]),
+        region_hi=np.array([_TWO_PI, _TWO_PI, np.pi / 2 - 0.3]),
+        geodesic_transverse=(0.5, 0.8, 1.1),
+        start_from_transverse=lambda c: np.array([0.5, 1.7, float(c)]),
         element_scale=None,
-        transitive=False,
         expect_base_drift=False,
-    )
-
-
-def _build_su2_s2(sample_margin: float) -> Scenario:
-    group = get_group("su2")
-    params = np.array([0.0])
-    chart = Chart(labels=("theta", "phi"),
-                  lo=np.array([0.0, 0.25]), hi=np.array([_TWO_PI, np.pi - 0.25]),
-                  periodic=np.array([True, False]))
-    return Scenario(
+    ),
+    Scenario(
         scenario_id="su2_s2",
-        code=_k.SU2_S2,
-        group=group,
-        chart=chart,
-        params=params,
+        group=get_group("su2"),
+        chart=_sphere_chart(0.25),
+        action=_su2_act,
+        jacobian=_su2_jacobian,
+        metric=_round_sphere_metric,
+        metric_dx=_round_sphere_metric_dx,
+        killing=_rotation_killing,
+        killing_dx=_rotation_killing_dx,
+        rank=2,
+        orbit_invariants=lambda x: np.zeros(np.shape(x)[:-1] + (0,)),
         region_lo=np.array([0.0, 0.9]),
         region_hi=np.array([_TWO_PI, np.pi - 0.9]),
-        action=ActionModel(group=group, act=_su2_act, jacobian=_su2_jacobian),
-        metric=_kernel_metric(_k.SU2_S2, params),
-        sample_margin=sample_margin,
         geodesic_transverse=(1.2, 1.6, 2.0),
         start_from_transverse=lambda c: np.array([0.3, float(c)]),
-        orbit_invariants=lambda x: np.zeros(np.shape(x)[:-1] + (0,)),
         # bounded rotations keep transformed sample points inside the chart
         element_scale=0.6,
-        transitive=True,
         expect_base_drift=False,
-    )
-
-
-def _build_t2_flat(orbit_length: float, sample_margin: float) -> Scenario:
-    group = get_group("u1")
-    params = np.array([float(orbit_length)])
-    chart = Chart(labels=("x1", "x2"),
-                  lo=np.array([0.0, 0.0]), hi=np.array([_TWO_PI, _TWO_PI]),
-                  periodic=np.array([True, True]))
-    return Scenario(
+    ),
+    Scenario(
         scenario_id="t2_flat",
-        code=_k.T2_FLAT,
-        group=group,
-        chart=chart,
-        params=params,
+        chart=Chart(labels=("x1", "x2"),
+                    lo=np.array([0.0, 0.0]), hi=np.array([_TWO_PI, _TWO_PI]),
+                    periodic=np.array([True, True])),
+        **_circle_shift(2, (0,)),
+        metric=_flat_metric,
+        metric_dx=_flat_metric_dx,
+        orbit_invariants=lambda x: x[..., 1:2],
         region_lo=np.array([0.0, 0.0]),
         region_hi=np.array([_TWO_PI, _TWO_PI]),
-        action=_shift_action(group, (0,), 2),
-        metric=_kernel_metric(_k.T2_FLAT, params),
-        sample_margin=sample_margin,
         geodesic_transverse=(1.0, 3.0, 5.0),
         start_from_transverse=lambda c: np.array([0.7, float(c)]),
-        orbit_invariants=lambda x: x[..., 1:2],
         element_scale=None,
-        transitive=False,
         expect_base_drift=False,
-    )
+        parameter="orbit_length",
+    ),
+)}
 
-
-_SCENARIO_IDS = ("s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat")
+# admitted values of the scenario parameters, by get_scenario keyword
+_PARAMETER_RANGES = {
+    "warp_amplitude": (lambda a: -0.9 < a < 0.9, "must lie in (-0.9, 0.9)"),
+    "orbit_length": (lambda a: 0 < a < np.inf, "must be positive and finite"),
+}
 
 
 def list_scenarios() -> tuple[str, ...]:
-    return _SCENARIO_IDS
+    return tuple(_CATALOGUE)
 
 
 def get_scenario(scenario_id: str, warp_amplitude: float = DEFAULT_WARP_AMPLITUDE,
                  orbit_length: float = DEFAULT_ORBIT_LENGTH,
-                 sample_margin: float = 0.1) -> Scenario:
-    """Build a catalogued scenario.
+                 sample_margin: float = DEFAULT_SAMPLE_MARGIN) -> Scenario:
+    """A catalogued scenario with its parameter and sampling margin set.
 
     warp_amplitude applies to warped_s2 only, orbit_length to t2_flat
     only; both are ignored elsewhere.  sample_margin shrinks the sampling
     region away from non-periodic boundaries.
     """
-    if sample_margin < 0:
-        raise ValueError("sample_margin must be nonnegative")
-    if scenario_id == "s2_band":
-        return _build_s2_like("s2_band", _k.S2_BAND, np.array([0.0]), sample_margin)
-    if scenario_id == "warped_s2":
-        if not -0.9 < warp_amplitude < 0.9:
-            raise ValueError("warp_amplitude must lie in (-0.9, 0.9)")
-        return _build_s2_like("warped_s2", _k.WARPED_S2,
-                              np.array([float(warp_amplitude)]), sample_margin)
-    if scenario_id == "s3_hopf":
-        return _build_s3_hopf(sample_margin)
-    if scenario_id == "su2_s2":
-        return _build_su2_s2(sample_margin)
-    if scenario_id == "t2_flat":
-        if not 0 < orbit_length < np.inf:
-            raise ValueError("orbit_length must be positive and finite")
-        return _build_t2_flat(orbit_length, sample_margin)
-    raise KeyError(f"unknown scenario '{scenario_id}'")
+    if not sample_margin >= 0:
+        raise ValueError(f"sample_margin must be nonnegative, got {sample_margin}")
+    if scenario_id not in _CATALOGUE:
+        raise KeyError(f"unknown scenario '{scenario_id}'")
+    record = replace(_CATALOGUE[scenario_id], sample_margin=sample_margin)
+    if record.parameter is None:
+        return record
+    value = {"warp_amplitude": warp_amplitude, "orbit_length": orbit_length}[record.parameter]
+    admitted, problem = _PARAMETER_RANGES[record.parameter]
+    if not admitted(value):
+        raise ValueError(f"{record.parameter} {problem}")
+    return replace(record, params=np.array([float(value)]))
 
 
 def sampling_box(scenario: Scenario,

@@ -60,7 +60,7 @@ def metric_derivatives(v: MetricVariant, x: np.ndarray,
     """First chart derivatives dG[m, i, j] of the variant at x."""
     x = np.asarray(x, dtype=float)
     out = np.asarray(_k.variant_metric_dx(
-        v.scenario.code, v.scenario.params, v.tag_code, float(v.l), x, h,
+        v.scenario, v.scenario.params, v.tag_code, float(v.l), x, h,
         _use_analytic(v), SIGMA_TOL))
     if np.any(np.isnan(out)):
         raise NumericalFailure(f"metric derivatives of {v.label} failed at {x.tolist()}")
@@ -71,7 +71,7 @@ def christoffel(v: MetricVariant, x: np.ndarray, h: float = H_FD) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the variant at x."""
     x = np.asarray(x, dtype=float)
     out = np.asarray(_k.christoffel(
-        v.scenario.code, v.scenario.params, v.tag_code, float(v.l), x, h,
+        v.scenario, v.scenario.params, v.tag_code, float(v.l), x, h,
         _use_analytic(v), SIGMA_TOL))
     if np.any(np.isnan(out)):
         raise NumericalFailure(f"christoffel of {v.label} failed at {x.tolist()}")
@@ -115,12 +115,13 @@ def integrate_geodesics(v: MetricVariant, x0s: np.ndarray, v0s: np.ndarray,
     (x0s[s], v0s[s]) as one stacked RK4 state; one result per start.
 
     Each v0 is normalised to unit variant speed unless unit_speed is
-    False.  A start stops alone at the chart boundary (status
-    left_domain); numerical breakdown of any start raises
-    NumericalFailure naming that start and the step.
+    False.  A start outside the chart box shrunk by the integration
+    margin (GEODESIC_MARGIN FD steps h) raises DomainError.  A start
+    stops alone at that margin (status left_domain); numerical breakdown
+    of any start raises NumericalFailure naming that start and the step.
     """
     scenario = v.scenario
-    x0s = np.stack([scenario.chart.require_inside(x)
+    x0s = np.stack([scenario.chart.require_inside(x, _k.GEODESIC_MARGIN * h)
                     for x in np.asarray(x0s, dtype=float)])
     v0s = np.asarray(v0s, dtype=float)
     if step <= 0 or length <= 0:
@@ -133,7 +134,7 @@ def integrate_geodesics(v: MetricVariant, x0s: np.ndarray, v0s: np.ndarray,
         v0s = v0s / speed[:, None]
     n_steps = int(round(length / step))
     traj, status, _, done = _k.geodesic_rk4(
-        scenario.code, scenario.params, v.tag_code, float(v.l), x0s, v0s,
+        scenario, scenario.params, v.tag_code, float(v.l), x0s, v0s,
         n_steps, float(step), h, _use_analytic(v),
         scenario.chart.lo, scenario.chart.hi,
         scenario.chart.periodic.astype(np.int64), SIGMA_TOL)
@@ -193,7 +194,7 @@ def t_tensor(v: MetricVariant, x: np.ndarray, h: float = H_FD) -> TTensorSample:
     x = np.asarray(x, dtype=float)
     scenario = v.scenario
     val = float(_k.t_tensor_norm(
-        scenario.code, scenario.params, v.tag_code, float(v.l), x, h, SIGMA_TOL))
+        scenario, scenario.params, v.tag_code, float(v.l), x, h, SIGMA_TOL))
     if np.isnan(val):
         raise NumericalFailure(f"T-tensor of {v.label} failed at {x.tolist()}")
     vacuous = scenario.transitive
@@ -237,14 +238,14 @@ def cp_norm(va: MetricVariant, vb: MetricVariant, plan: SamplePlan,
     if vb.scenario.scenario_id != scenario.scenario_id:
         raise ValueError("variants must live on the same scenario")
     c0 = float(_k.c0_block(
-        scenario.code, scenario.params, va.tag_code, float(va.l),
+        scenario, scenario.params, va.tag_code, float(va.l),
         vb.tag_code, float(vb.l), plan.points, plan.dirs, SIGMA_TOL))
     if np.isnan(c0):
         raise NumericalFailure(f"C^0 norm of {va.label} - {vb.label} failed")
     if p == 0:
         return c0
     c1 = float(_k.c1_block(
-        scenario.code, scenario.params, va.tag_code, float(va.l),
+        scenario, scenario.params, va.tag_code, float(va.l),
         vb.tag_code, float(vb.l), plan.points, h, SIGMA_TOL))
     if np.isnan(c1):
         raise NumericalFailure(f"C^1 norm of {va.label} - {vb.label} failed")
@@ -267,7 +268,7 @@ def cp_norm_callable(delta_fn, plan: SamplePlan, p: int, h: float = H_FD) -> flo
         delta = delta_fn(x)
         G = scenario.metric_matrix(x)
         _G, _K, _mb, _iso, A, _P, status = _k.orbit_data(
-            scenario.code, scenario.params, x, SIGMA_TOL)
+            scenario, scenario.params, x, SIGMA_TOL)
         F, _L, fstatus = _k.adapted_frame(np.asarray(G), np.asarray(A))
         if status != _k.OK or fstatus != _k.OK:
             raise NumericalFailure(f"adapted frame failed at {x.tolist()}")

@@ -213,16 +213,16 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
                        plan: SamplePlan) -> dict:
     """C^0/C^1 distances of the rescaled family to the limit and the
     pullback gap, per l, with rate fits."""
-    code, par = scenario.code, scenario.params
+    par = scenario.params
     pts, dirs = plan.points, plan.dirs
     c0s, c1s, gaps = [], [], []
     for l in cfg.l_grid:
         def c0_rows(rows, l=l):
-            return _k.c0_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+            return _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
                                pts[rows], dirs[rows], SIGMA_TOL)
 
         def gap_rows(rows, l=l):
-            return _k.gap_block(code, par, l, pts[rows], SIGMA_TOL)
+            return _k.gap_block(scenario, par, l, pts[rows], SIGMA_TOL)
 
         c0 = float(c0_rows(slice(None)))
         if np.isnan(c0):
@@ -233,7 +233,7 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
         c0s.append(c0)
         if cfg.cp_order >= 1:
             def c1_rows(rows, l=l):
-                return _k.c1_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                return _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
                                    pts[rows], cfg.h_fd, SIGMA_TOL)
 
             c1d = float(c1_rows(slice(None)))
@@ -267,11 +267,11 @@ def t_scaling_series(scenario: Scenario, cfg: SweepConfig,
     about the ratio and are excluded but counted.  Scenarios whose base
     norm vanishes everywhere report a vacuous series.
     """
-    code, par = scenario.code, scenario.params
+    par = scenario.params
     ratios, excluded = [], []
     vacuous = scenario.transitive
     for l in cfg.l_grid:
-        vals_var, vals_orig = _k.t_pair_block(code, par, _k.RESCALED, l,
+        vals_var, vals_orig = _k.t_pair_block(scenario, par, _k.RESCALED, l,
                                               plan.points, cfg.h_fd, SIGMA_TOL)
         vals_var = np.asarray(vals_var)
         vals_orig = np.asarray(vals_orig)
@@ -341,16 +341,16 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     stride = max(1, len(plan.points) // cfg.invariance_points)
     pts = plan.points[::stride]
     elements = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
-    code, par = scenario.code, scenario.params
+    par = scenario.params
     moved = np.stack([scenario.act(g, pts) for g in elements])
     jac = np.stack([scenario.action_jacobian(g, pts) for g in elements])
 
     local = {}
 
     def residual(tag_code: int, l: float) -> float:
-        here = _k.variant_metric(code, par, tag_code, l, pts, SIGMA_TOL)
+        here = _k.variant_metric(scenario, par, tag_code, l, pts, SIGMA_TOL)
         local[tag_code, l] = here
-        there = _k.variant_metric(code, par, tag_code, l, moved, SIGMA_TOL)
+        there = _k.variant_metric(scenario, par, tag_code, l, moved, SIGMA_TOL)
         pulled = jac.mT @ there @ jac
         return float(np.max(np.abs(pulled - here)))
 
@@ -367,7 +367,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
         })
 
     # horizontal block of the deformed family versus the base metric
-    G, K, mb, iso, A, P, status = _k.orbit_data(code, par, pts, SIGMA_TOL)
+    G, K, mb, iso, A, P, status = _k.orbit_data(scenario, par, pts, SIGMA_TOL)
     F, L, fstatus = _k.adapted_frame(G, A)
     failed = np.flatnonzero((status != _k.OK) | (fstatus != _k.OK))
     if failed.size:
@@ -405,12 +405,12 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
                    plan: SamplePlan) -> dict:
     """C^0 distance of the deformed metric to the base metric for large
     l, with the rate fit of the decay."""
-    code, par = scenario.code, scenario.params
+    par = scenario.params
     pts, dirs = plan.points, plan.dirs
     c0s = []
     for l in cfg.large_l_grid:
         def c0_rows(rows, l=l):
-            return _k.c0_block(code, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
+            return _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
                                pts[rows], dirs[rows], SIGMA_TOL)
 
         c0 = float(c0_rows(slice(None)))
@@ -432,11 +432,11 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     definition (definition_metric), all on one stack of samples.
     """
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed, cfg.margin)
-    code, par = scenario.code, scenario.params
-    kernel_max = float(_k.oracle_block(code, par, pts, ls, SIGMA_TOL))
+    par = scenario.params
+    kernel_max = float(_k.oracle_block(scenario, par, pts, ls, SIGMA_TOL))
     ref = definition_metric(scenario, "cheeger", ls, pts)
     definition_max = _worst([
-        np.abs(_k.variant_metric(code, par, tag, ls, pts, SIGMA_TOL) - ref)
+        np.abs(_k.variant_metric(scenario, par, tag, ls, pts, SIGMA_TOL) - ref)
         for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED)])
     return {
         "n_samples": int(len(pts)),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cheegerdef.scenarios import get_scenario
+from cheegerdef.scenarios import get_scenario, list_scenarios
 
 
 @pytest.fixture(scope="session")
@@ -31,5 +31,5 @@ def t2_flat():
 
 
 @pytest.fixture(scope="session")
-def all_scenarios(s2_band, warped_s2, s3_hopf, su2_s2, t2_flat):
-    return (s2_band, warped_s2, s3_hopf, su2_s2, t2_flat)
+def all_scenarios():
+    return tuple(get_scenario(sid) for sid in list_scenarios())

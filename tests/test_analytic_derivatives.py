@@ -12,12 +12,12 @@ import pytest
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import NumericalFailure, killing_data
+from cheegerdef.scenarios import get_scenario, list_scenarios
 from cheegerdef.tensor_calc import (H_FD, christoffel, geodesic_integrate,
                                     metric_derivatives)
 from cheegerdef.verify import DEFAULT_L_GRID, SweepConfig, build_plan
 
 RANK_UPDATE_TAGS = (_k.RESCALED, _k.LIMIT, _k.CHEEGER_CLOSED)
-SCENARIOS = ("s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat")
 # the limit metric is the identity in these charts
 FLAT_LIMIT = ("s2_band", "warped_s2", "t2_flat")
 
@@ -32,9 +32,9 @@ def _rel_err(exact, fd):
     return float(np.max(np.abs(exact - fd)) / max(1.0, float(np.max(np.abs(fd)))))
 
 
-@pytest.mark.parametrize("sid", SCENARIOS)
-def test_analytic_derivatives_match_fd_oracle(sid, request):
-    scenario = request.getfixturevalue(sid)
+@pytest.mark.parametrize("sid", list_scenarios())
+def test_analytic_derivatives_match_fd_oracle(sid):
+    scenario = get_scenario(sid)
     code, par = scenario.code, scenario.params
     plan = build_plan(scenario, SweepConfig())
     worst_dx = worst_gam = 0.0
@@ -74,25 +74,24 @@ def test_christoffel_matches_index_loop(all_scenarios):
                 np.testing.assert_allclose(gam, ref, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("sid", SCENARIOS)
-def test_killing_dx_matches_fd(sid, request):
-    scenario = request.getfixturevalue(sid)
-    code, par = scenario.code, scenario.params
+@pytest.mark.parametrize("sid", list_scenarios())
+def test_killing_dx_matches_fd(sid):
+    scenario = get_scenario(sid)
+    par = scenario.params
     h = 1e-5
     for x in build_plan(scenario, SweepConfig(n_points=36)).points:
-        exact = np.asarray(_k.killing_dx(code, par, x))
+        exact = np.asarray(scenario.killing_dx(par, x))
         for m in range(scenario.dim):
             e = np.zeros(scenario.dim)
             e[m] = h
-            K = lambda y: np.asarray(_k.killing(code, par, y))
+            K = lambda y: np.asarray(scenario.killing(par, y))
             fd = (K(x - 2 * e) - 8 * K(x - e) + 8 * K(x + e) - K(x + 2 * e)) / (12 * h)
             np.testing.assert_allclose(exact[m], fd, atol=1e-9)
 
 
 def test_killing_dx_nonzero_only_on_rotation_action(all_scenarios):
     for scenario in all_scenarios:
-        dK = _k.killing_dx(scenario.code, scenario.params,
-                           scenario.geodesic_starts()[0])
+        dK = scenario.killing_dx(scenario.params, scenario.geodesic_starts()[0])
         assert bool(np.any(dK)) == (scenario.scenario_id == "su2_s2")
 
 

@@ -8,11 +8,11 @@ import pytest
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import NumericalFailure
-from cheegerdef.scenarios import invariance_elements, oracle_samples
+from cheegerdef.scenarios import (get_scenario, invariance_elements, list_scenarios,
+                                  oracle_samples)
 from cheegerdef.tensor_calc import SamplePlan, cp_norm_callable
 from cheegerdef.verify import SweepConfig, build_plan, convergence_series, large_l_series
 
-SIDS = ("s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat")
 TAGS = (_k.ORIGINAL, _k.CHEEGER, _k.RESCALED, _k.LIMIT, _k.CHEEGER_CLOSED)
 RANK_UPDATE_TAGS = (_k.RESCALED, _k.LIMIT, _k.CHEEGER_CLOSED)
 TOL = 1e-8
@@ -22,9 +22,9 @@ def _same(stacked, rows, atol=1e-15):
     np.testing.assert_allclose(stacked, rows, rtol=0.0, atol=atol, equal_nan=True)
 
 
-@pytest.fixture(params=SIDS)
+@pytest.fixture(params=list_scenarios())
 def scenario(request):
-    return request.getfixturevalue(request.param)
+    return get_scenario(request.param)
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def test_orbit_data_stack_matches_single_points(scenario, plan):
 
 def test_su2_split_has_fixed_rank(su2_s2):
     pts = build_plan(su2_s2, SweepConfig()).points
-    K = _k.killing(su2_s2.code, su2_s2.params, pts)
+    K = su2_s2.killing(su2_s2.params, pts)
     mb, iso, status = _k.m_basis(su2_s2.code, K, TOL)
     assert mb.shape == (len(pts), 3, 2) and iso.shape == (len(pts), 3, 1)
     assert np.all(status == _k.OK)
@@ -110,7 +110,7 @@ def test_su2_split_has_fixed_rank(su2_s2):
 def test_su2_split_signs_are_fixed(su2_s2):
     # the first non-negligible entry of every basis column is positive
     pts = build_plan(su2_s2, SweepConfig()).points
-    K = _k.killing(su2_s2.code, su2_s2.params, pts)
+    K = su2_s2.killing(su2_s2.params, pts)
     mb, iso, status = _k.m_basis(su2_s2.code, K, TOL)
     cols = np.concatenate([mb, iso], axis=-1).swapaxes(-1, -2).reshape(-1, 3)
     first = np.argmax(np.abs(cols) > 1e-12, axis=-1)

@@ -152,7 +152,7 @@ def test_su2_deformation_is_global_rescale(su2_s2):
         np.testing.assert_allclose(route(x), (l * l / (1 + l * l)) * G, atol=1e-12)
 
 
-@pytest.mark.parametrize("sid", ["s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat"])
+@pytest.mark.parametrize("sid", list_scenarios())
 def test_deformation_routes_agree_four_ways(sid, all_scenarios):
     """The reparametrisation and rank-update kernel routes and the
     definition route, point by point and as one stack with one l per

@@ -241,6 +241,18 @@ def test_geodesic_start_outside_chart(tmp_path, capsys):
     assert "chart" in capsys.readouterr().err
 
 
+def test_geodesic_start_inside_integration_margin(tmp_path, capsys):
+    # inside the chart (lo = 0.2) but within 3 fd.step of its edge
+    out = tmp_path / "out.csv"
+    p = _write(tmp_path, "scenario = s2_band\ngeodesic.starts = 0.2001\n"
+                         f"only = geodesic\nout.csv = {out}\n")
+    assert cli.main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "geodesic start 0.2001" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_end_to_end_tiny_run(tmp_path, capsys):
     p = _tiny_config(tmp_path)
     assert cli.main(["run", str(p)]) == 0

@@ -10,14 +10,14 @@ from cheegerdef.gmanifold import (
     killing_data,
     killing_operator,
 )
-from cheegerdef.scenarios import rng_for, sample_grid
+from cheegerdef.scenarios import list_scenarios, rng_for, sample_grid
 
 
 def _interior_points(scenario, n=24):
     return sample_grid(scenario, n)
 
 
-@pytest.mark.parametrize("sid", ["s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat"])
+@pytest.mark.parametrize("sid", list_scenarios())
 def test_killing_fd_matches_analytic(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     for x in _interior_points(scenario, 12):
@@ -31,7 +31,7 @@ def test_killing_operator_rejects_bad_mode(s2_band):
         killing_operator(s2_band, np.array([0.3, 0.9]), mode="exact")
 
 
-@pytest.mark.parametrize("sid", ["s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat"])
+@pytest.mark.parametrize("sid", list_scenarios())
 def test_orbit_rank_constant_on_chart(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     rng = rng_for(123, 9)
@@ -41,7 +41,7 @@ def test_orbit_rank_constant_on_chart(sid, all_scenarios):
     assert len(ranks) == 1
 
 
-@pytest.mark.parametrize("sid", ["s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat"])
+@pytest.mark.parametrize("sid", list_scenarios())
 def test_isotropy_is_annihilated(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     for x in _interior_points(scenario, 12):
@@ -55,7 +55,7 @@ def test_isotropy_is_annihilated(sid, all_scenarios):
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("sid", ["s2_band", "warped_s2", "s3_hopf", "su2_s2", "t2_flat"])
+@pytest.mark.parametrize("sid", list_scenarios())
 def test_orbit_tensor_is_spd(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     for x in _interior_points(scenario, 12):
@@ -119,7 +119,7 @@ def test_chart_wrap_periodic(t2_flat):
     assert w[1] == pytest.approx(2 * np.pi - 0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("sid", ["s2_band", "s3_hopf", "su2_s2", "t2_flat"])
+@pytest.mark.parametrize("sid", list_scenarios())
 def test_fd_jacobian_matches_analytic(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     rng = rng_for(5, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
-from cheegerdef.gmanifold import Chart, NumericalFailure, killing_data
+from cheegerdef.gmanifold import Chart, DomainError, NumericalFailure, killing_data
 from cheegerdef.tensor_calc import (GeodesicResult, geodesic_integrate,
                                     integrate_geodesics, orbit_invariant_drift,
                                     speed_drift)
@@ -185,3 +185,15 @@ def test_drifts_match_pointwise_loops(warped_s2, tag):
     assert speed_drift(res, stride=5) == np.max(np.abs(np.array(speeds) - speeds[0]))
     inv = [warped_s2.orbit_invariants(x) for x in res.positions]
     assert orbit_invariant_drift(res) == np.max(np.abs(np.array(inv) - inv[0]))
+
+
+def test_start_inside_the_integration_margin_is_refused(s2_band):
+    # the chart's lo is 0.2 and RK4 stops a row within 3 h of it, so a
+    # start at 0.2001 would stop at step 0 with nothing measured
+    lim = variant(s2_band, "limit")
+    v0 = np.array([1.0, 0.0])
+    with pytest.raises(DomainError, match="margin"):
+        integrate_geodesics(lim, [[0.3, 0.9], [0.3, 0.2001]], [v0, v0], h=H)
+    (res,) = integrate_geodesics(lim, [[0.3, 0.2 + _k.GEODESIC_MARGIN * H]], [v0],
+                                 length=0.01, h=H)
+    assert res.status == "ok" and res.steps == 10

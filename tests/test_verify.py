@@ -261,6 +261,21 @@ def test_oracle_fails_on_l_for_l_squared(slip, all_scenarios, monkeypatch):
         assert not verdict["passed"]
 
 
+def test_rate_windows_fail_on_l_for_l_squared(s2_band, monkeypatch):
+    """Negative controls of the rate windows: with l in place of l^2 the
+    rescaled family approaches its limit at O(l) and the deformed metric
+    returns to the base metric like 1/l, so both windows fail."""
+    from cheegerdef import _kernels as _k
+
+    monkeypatch.setattr(_k, "_sq", _l_for_l_squared)
+    res = run_suite(s2_band, SweepConfig(enabled=("convergence", "large_l"), cp_order=0))
+    verdicts = {v["criterion"]: v for v in res["verdicts"]}
+    assert not verdicts["c0_rate_window"]["passed"]
+    assert verdicts["c0_rate_window"]["measured"] < 1.5
+    assert not verdicts["large_l_rate_window"]["passed"]
+    assert verdicts["large_l_rate_window"]["measured"] > -1.5
+
+
 def test_nan_residual_fails_the_invariance_verdicts(s2_band, monkeypatch):
     """A NaN residual that is not the first one reduced still fails the
     invariance and horizontal verdicts and reaches the CSV."""
