@@ -3,7 +3,14 @@
 Every pipeline function takes its points as an array x of shape (..., d):
 a single point is the zero-batch case x.shape == (d,), a sample plan is
 an (N, d) stack, and results keep the leading shape ((..., d, d) for a
-metric).  The scenario argument scen is a scenarios.Scenario record,
+metric).  The deformation parameter l is one value, one value per point
+(shape (...,)), or a column of L values with one unit axis per point
+axis ((L, 1) against an (N, d) plan), which adds a leading l axis to the
+result ((L, N, d, d)) while the orbit data, the frame and the limit
+metric are computed once on the points.  The c0, gap and c1 blocks take
+l as one value or as a 1-D grid of L values, build that column and
+reduce over the point axis only: a grid gives an (L,) result.  The
+scenario argument scen is a scenarios.Scenario record,
 whose metric, Killing operator and their derivatives the kernels call;
 the metric variant is a small integer tag.  Matrices are tiny (manifold
 dimension <= 3, orbit rank <= 2), so inverses and the Cholesky gate are
@@ -49,8 +56,8 @@ GEODESIC_MARGIN = 3.0
 
 
 def _sq(l):
-    """l^2 shaped to scale a stack of matrices; l is one value or an
-    array with one value per point."""
+    """l^2 shaped to scale a stack of matrices; l is one value, one value
+    per point or an l column."""
     if isinstance(l, np.ndarray):
         return (l * l)[..., None, None]
     return l * l
@@ -60,11 +67,13 @@ def _sq(l):
 _EYE = tuple(np.eye(n) for n in range(4))
 
 
-def _nan_rows(ok, M):
-    """M with the rows where ok is False replaced by NaN."""
+def _nan_rows(ok, M, core=2):
+    """M with the rows where ok is False replaced by NaN.  ok is aligned
+    with M's axes before its core trailing ones from the right, so an l
+    axis that M carries in front of ok's axes broadcasts."""
     if ok.ndim == 0:
         return M if ok else np.full_like(M, np.nan)
-    return np.where(ok.reshape(ok.shape + (1,) * (M.ndim - ok.ndim)), M, np.nan)
+    return np.where(ok.reshape(ok.shape + (1,) * core), M, np.nan)
 
 
 def _positive(P):
@@ -291,8 +300,8 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     ORIGINAL is the base metric.  CHEEGER goes through the deformation
     reparametrisation (inverse of the Cheeger map applied to the product
     metric).  CHEEGER_CLOSED, RESCALED and LIMIT share the independent
-    closed rank update G_v = G - W Y(P) W^T of _rank_update.  l is one
-    value or one value per point.
+    closed rank update G_v = G - W Y(P) W^T of _rank_update.  ORIGINAL
+    and LIMIT do not depend on l and keep the points' leading shape.
 
     Failures (degenerate orbit rank, an orbit tensor that fails the
     Cholesky gate, blown-up conditioning) poison that point's row with
@@ -352,7 +361,7 @@ def _rank_update_dx(scen, par, tag, l, x, sigma_tol):
             dY = dPi - dMi @ Pi - Mi @ dPi
     B = dW @ (Y @ W.mT)
     dGv = sym2(dG - B - B.mT - W @ (dY @ W.mT))
-    return Gv, _nan_rows(ok, dGv)
+    return Gv, _nan_rows(ok, dGv, core=3)
 
 
 # Richardson stencil steps, in units of h
@@ -396,10 +405,14 @@ def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
         return _rank_update_dx(scen, par, tag, l, x, sigma_tol)[1]
     d = x.shape[-1]
     ys = _stencil(x, h)
-    f = np.empty(ys.shape[:-1] + (d, d))
+    f = None
     for m in range(d):
         for k in range(6):
-            f[..., m, k, :, :] = variant_metric(scen, par, tag, l, ys[..., m, k, :], sigma_tol)
+            g = variant_metric(scen, par, tag, l, ys[..., m, k, :], sigma_tol)
+            if f is None:
+                # an l column puts an l axis in front of the points'
+                f = np.empty(g.shape[:-2] + (d, 6, d, d))
+            f[..., m, k, :, :] = g
     return _richardson(f, h)
 
 
@@ -506,43 +519,52 @@ def _pair_sup(G, F, Delta, dirs):
     return np.maximum(frame, seeded)
 
 
+def _l_column(l):
+    """A block's l as the pipeline takes it: one value as is, a 1-D grid
+    of L values as the (L, 1) column against an (N, d) plan."""
+    return np.reshape(l, (-1, 1)) if np.ndim(l) else l
+
+
 def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol):
     """C0 distance of two variants over a sample plan.
 
     Sup over plan points and unit direction pairs (adapted frame plus the
     per-point seeded pairs) of |(g_a - g_b)(u, v)| with unit length and
-    the frame both measured in g_M.  NaN if any point's pipeline
+    the frame both measured in g_M.  l_a and l_b are one value or a 1-D
+    grid, which gives one distance per l.  NaN if any point's pipeline
     evaluation fails.
     """
     G, K, mb, iso, A, P, status = orbit_data(scen, par, pts, sigma_tol)
     F, L, fstatus = adapted_frame(G, A)
-    Delta = (variant_metric(scen, par, tag_a, l_a, pts, sigma_tol)
-             - variant_metric(scen, par, tag_b, l_b, pts, sigma_tol))
+    Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), pts, sigma_tol)
+             - variant_metric(scen, par, tag_b, _l_column(l_b), pts, sigma_tol))
     vals = _pair_sup(G, F, Delta, dirs)
-    return np.max(np.where(fstatus == OK, vals, np.nan))
+    return np.max(np.where(fstatus == OK, vals, np.nan), axis=-1)
 
 
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol):
     """Derivative part of the C1 distance: sup over plan points, chart
     coordinates and components of d_m (g_a - g_b)_ij, with the analytic
-    derivatives of variant_metric_dx (Richardson FD for CHEEGER)."""
-    dA = variant_metric_dx(scen, par, tag_a, l_a, pts, h, True, sigma_tol)
-    dB = variant_metric_dx(scen, par, tag_b, l_b, pts, h, True, sigma_tol)
-    return np.max(np.abs(dA - dB))
+    derivatives of variant_metric_dx (Richardson FD for CHEEGER); one
+    value per l of a grid."""
+    dA = variant_metric_dx(scen, par, tag_a, _l_column(l_a), pts, h, True, sigma_tol)
+    dB = variant_metric_dx(scen, par, tag_b, _l_column(l_b), pts, h, True, sigma_tol)
+    return np.max(np.abs(dA - dB), axis=(-4, -3, -2, -1))
 
 
 def gap_block(scen, par, l, pts, sigma_tol):
-    """Sup over the plan of the normal-homogeneous pullback residual.
+    """Sup over the plan of the normal-homogeneous pullback residual, one
+    value per l of a grid.
 
     At each point pulls the rescaled metric back along the orbit map to
     the orthonormal algebra complement basis and measures the max-abs
     deviation from the bi-invariant identity block.
     """
     G, K, mb, iso, A, P, status = orbit_data(scen, par, pts, sigma_tol)
-    Gr = variant_metric(scen, par, RESCALED, l, pts, sigma_tol)
+    Gr = variant_metric(scen, par, RESCALED, _l_column(l), pts, sigma_tol)
     M = A.mT @ (Gr @ A)
     dev = np.abs(M - _EYE[A.shape[-1]]).max(axis=(-2, -1))
-    return np.max(np.where(status == OK, dev, np.nan))
+    return np.max(np.where(status == OK, dev, np.nan), axis=-1)
 
 
 def variant_vertical_frame(scen, par, tag, l, x, sigma_tol):

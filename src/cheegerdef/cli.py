@@ -13,6 +13,7 @@ or usage error, 3 numerical failure inside the pipeline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -167,7 +168,10 @@ def run_from_config(rc: RunConfig) -> tuple[dict, str, str]:
     return results, render_csv(results["rows"]), render_report(rc, results, scenario)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     ap = argparse.ArgumentParser(
         prog="cheegerdef",
         description="Deformation construction and verification runs on "

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import _kernels as _k
 from .gmanifold import Chart
@@ -448,9 +449,14 @@ def direction_pairs(scenario: Scenario, n_points: int, n_pairs: int,
 
 def invariance_elements(scenario: Scenario, count: int,
                         seed: int) -> list[GroupElement]:
+    """Seeded group elements: the exponentials of random algebra vectors,
+    drawn one after another and exponentiated in one stacked call."""
     rng = rng_for(seed, _STREAM_ELEMENTS)
-    return [scenario.group.random_element(rng, scenario.element_scale)
+    group = scenario.group
+    vecs = [group.random_algebra_vector(rng, scenario.element_scale)
             for _ in range(count)]
+    mats = scipy.linalg.expm(np.stack([group.algebra.element(v) for v in vecs]))
+    return [GroupElement(group.group_id, M) for M in mats]
 
 
 def oracle_samples(scenario: Scenario, count: int, seed: int,

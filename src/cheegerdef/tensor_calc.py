@@ -159,7 +159,10 @@ def geodesic_integrate(v: MetricVariant, x0: np.ndarray, v0: np.ndarray,
 
 def speed_drift(res: GeodesicResult, stride: int = 50) -> float:
     """Max deviation of the variant speed from its initial value along
-    the trajectory, sampled every stride steps."""
+    the trajectory, sampled every stride steps.  The stride is bounded by
+    the completed steps, so a trajectory shorter than one stride still
+    compares its first and last states."""
+    stride = max(1, min(stride, res.steps))
     pos = res.positions[::stride]
     vel = res.velocities[::stride]
     G = res.variant.matrix(pos)

@@ -197,53 +197,60 @@ def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
                             seed=cfg.seed, margin=cfg.margin)
 
 
-def _block_failure(what: str, scenario: Scenario, l: float, block,
-                   points: np.ndarray) -> NumericalFailure:
-    """Failure naming l and the first plan point on which block(rows)
-    alone is NaN.  The blocks evaluate a whole plan and turn NaN when any
-    point fails; rows are independent, so rerunning the block one point
-    at a time finds the point."""
-    i = next(i for i in range(len(points)) if np.isnan(block(slice(i, i + 1))))
-    return NumericalFailure(
-        f"{what} failed at l={l} at plan point {i} {points[i].tolist()} "
-        f"on {scenario.scenario_id}")
+def _raise_first_failure(scenario: Scenario, l_grid, points: np.ndarray,
+                         series) -> None:
+    """Raise the failure of the first l of the grid at which a series is
+    NaN, naming the first plan point on which that series' block alone is
+    NaN at that l.
+
+    series holds (what, values, block): values is the block's result on
+    the whole grid and block(l, rows) evaluates it at one l on the plan
+    rows; at one l the series are tried in their order.  The blocks turn
+    NaN when any point fails; rows are independent, so rerunning the
+    block one point at a time at the failing l finds the point.
+    """
+    for j, l in enumerate(l_grid):
+        for what, values, block in series:
+            if np.isnan(values[j]):
+                i = next(i for i in range(len(points))
+                         if np.isnan(block(l, slice(i, i + 1))))
+                raise NumericalFailure(
+                    f"{what} failed at l={l} at plan point {i} {points[i].tolist()} "
+                    f"on {scenario.scenario_id}")
 
 
 def convergence_series(scenario: Scenario, cfg: SweepConfig,
                        plan: SamplePlan) -> dict:
     """C^0/C^1 distances of the rescaled family to the limit and the
-    pullback gap, per l, with rate fits."""
+    pullback gap, per l, with rate fits.  Each block evaluates the whole
+    l grid in one call."""
     par = scenario.params
     pts, dirs = plan.points, plan.dirs
-    c0s, c1s, gaps = [], [], []
-    for l in cfg.l_grid:
-        def c0_rows(rows, l=l):
-            return _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                               pts[rows], dirs[rows], SIGMA_TOL)
-
-        def gap_rows(rows, l=l):
-            return _k.gap_block(scenario, par, l, pts[rows], SIGMA_TOL)
-
-        c0 = float(c0_rows(slice(None)))
-        if np.isnan(c0):
-            raise _block_failure("convergence series (C^0)", scenario, l, c0_rows, pts)
-        gap = float(gap_rows(slice(None)))
-        if np.isnan(gap):
-            raise _block_failure("convergence series (gap)", scenario, l, gap_rows, pts)
-        c0s.append(c0)
-        if cfg.cp_order >= 1:
-            def c1_rows(rows, l=l):
-                return _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                                   pts[rows], cfg.h_fd, SIGMA_TOL)
-
-            c1d = float(c1_rows(slice(None)))
-            if np.isnan(c1d):
-                raise _block_failure("C^1 series", scenario, l, c1_rows, pts)
-            c1s.append(max(c0, c1d))
-        else:
-            c1s.append(float("nan"))
-        gaps.append(gap)
     ls = np.asarray(cfg.l_grid)
+
+    def c0_rows(l, rows):
+        return _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                           pts[rows], dirs[rows], SIGMA_TOL)
+
+    def gap_rows(l, rows):
+        return _k.gap_block(scenario, par, l, pts[rows], SIGMA_TOL)
+
+    def c1_rows(l, rows):
+        return _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                           pts[rows], cfg.h_fd, SIGMA_TOL)
+
+    c0, gap = c0_rows(ls, slice(None)), gap_rows(ls, slice(None))
+    series = [("convergence series (C^0)", c0, c0_rows),
+              ("convergence series (gap)", gap, gap_rows)]
+    if cfg.cp_order >= 1:
+        c1d = c1_rows(ls, slice(None))
+        series.append(("C^1 series", c1d, c1_rows))
+    _raise_first_failure(scenario, cfg.l_grid, pts, series)
+    c0s, gaps = c0.tolist(), gap.tolist()
+    if cfg.cp_order >= 1:
+        c1s = [max(a, b) for a, b in zip(c0s, c1d.tolist())]
+    else:
+        c1s = [float("nan")] * len(ls)
     ratios = np.asarray(gaps) / ls**2
     finite = ratios[np.isfinite(ratios) & (ratios > 0)]
     ratio_spread = float(np.max(finite) / np.min(finite)) if finite.size else float("nan")
@@ -345,26 +352,29 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     moved = np.stack([scenario.act(g, pts) for g in elements])
     jac = np.stack([scenario.action_jacobian(g, pts) for g in elements])
 
-    local = {}
+    local = []
 
-    def residual(tag_code: int, l: float) -> float:
+    def residual(tag_code: int, l) -> np.ndarray:
+        """Residual of one variant: l is one value, or the (L, 1) column
+        of the grid, which gives one residual per l from one call on the
+        points and one on their images."""
         here = _k.variant_metric(scenario, par, tag_code, l, pts, SIGMA_TOL)
-        local[tag_code, l] = here
-        there = _k.variant_metric(scenario, par, tag_code, l, moved, SIGMA_TOL)
+        if tag_code != _k.ORIGINAL:
+            local.append(here)
+        # the images carry an element axis in front of the point axis
+        l_moved = l[..., None] if isinstance(l, np.ndarray) else l
+        there = _k.variant_metric(scenario, par, tag_code, l_moved, moved, SIGMA_TOL)
         pulled = jac.mT @ there @ jac
-        return float(np.max(np.abs(pulled - here)))
+        return np.max(np.abs(pulled - here[..., None, :, :, :]), axis=(-4, -3, -2, -1))
 
     static = {
-        "original": residual(_k.ORIGINAL, 0.0),
-        "limit": residual(_k.LIMIT, 0.0),
+        "original": float(residual(_k.ORIGINAL, 0.0)),
+        "limit": float(residual(_k.LIMIT, 0.0)),
     }
-    by_l = []
-    for l in cfg.l_grid:
-        by_l.append({
-            "l": float(l),
-            "cheeger": residual(_k.CHEEGER, l),
-            "rescaled": residual(_k.RESCALED, l),
-        })
+    column = np.asarray(cfg.l_grid)[:, None]
+    cheeger, rescaled = (residual(tag, column) for tag in (_k.CHEEGER, _k.RESCALED))
+    by_l = [{"l": float(l), "cheeger": float(c), "rescaled": float(r)}
+            for l, c, r in zip(cfg.l_grid, cheeger, rescaled)]
 
     # horizontal block of the deformed family versus the base metric
     G, K, mb, iso, A, P, status = _k.orbit_data(scenario, par, pts, SIGMA_TOL)
@@ -375,8 +385,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     H = F[..., :, A.shape[-1]:]
     horiz_worst = 0.0
     if H.size:
-        horiz_worst = _worst([np.max(np.abs((Gv - G).mT @ H))
-                              for (tag, l), Gv in local.items() if tag != _k.ORIGINAL])
+        horiz_worst = _worst([np.max(np.abs((Gv - G).mT @ H)) for Gv in local])
     # duality identity of the orbit projection against the raw pairing
     kd = KillingData(x=pts, K=K, m_basis=mb, isotropy_basis=iso, orbit_tensor=P)
     v = plan.dirs[np.minimum(np.arange(len(pts)) * stride, len(plan.dirs) - 1), 0, 0]
@@ -407,16 +416,15 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
     l, with the rate fit of the decay."""
     par = scenario.params
     pts, dirs = plan.points, plan.dirs
-    c0s = []
-    for l in cfg.large_l_grid:
-        def c0_rows(rows, l=l):
-            return _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
-                               pts[rows], dirs[rows], SIGMA_TOL)
 
-        c0 = float(c0_rows(slice(None)))
-        if np.isnan(c0):
-            raise _block_failure("large-l series", scenario, l, c0_rows, pts)
-        c0s.append(c0)
+    def c0_rows(l, rows):
+        return _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
+                           pts[rows], dirs[rows], SIGMA_TOL)
+
+    c0 = c0_rows(np.asarray(cfg.large_l_grid), slice(None))
+    _raise_first_failure(scenario, cfg.large_l_grid, pts,
+                         [("large-l series", c0, c0_rows)])
+    c0s = c0.tolist()
     return {
         "l_grid": list(cfg.large_l_grid),
         "c0": c0s,
@@ -433,11 +441,12 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     """
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed, cfg.margin)
     par = scenario.params
-    kernel_max = float(_k.oracle_block(scenario, par, pts, ls, SIGMA_TOL))
+    # each kernel route is evaluated once and compared both ways
+    reparam, closed = (_k.variant_metric(scenario, par, tag, ls, pts, SIGMA_TOL)
+                       for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED))
+    kernel_max = float(np.max(np.abs(reparam - closed)))
     ref = definition_metric(scenario, "cheeger", ls, pts)
-    definition_max = _worst([
-        np.abs(_k.variant_metric(scenario, par, tag, ls, pts, SIGMA_TOL) - ref)
-        for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED)])
+    definition_max = _worst([np.abs(reparam - ref), np.abs(closed - ref)])
     return {
         "n_samples": int(len(pts)),
         "kernel_max_diff": kernel_max,

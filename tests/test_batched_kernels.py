@@ -268,3 +268,19 @@ def test_metric_variant_failure_names_the_failing_point(s2_band):
     stack = np.array([[0.3, 0.9], [0.3, 1.0], [0.5, 0.0], [0.3, 0.0]])
     with pytest.raises(NumericalFailure, match=r"limit failed at \[0\.5, 0\.0\]$"):
         v.matrix(stack)
+
+
+@pytest.mark.parametrize("seed", (42, 7, 2**64 - 1))
+def test_invariance_elements_equal_per_element_exp(scenario, seed):
+    # the same algebra vectors, drawn in the same order, exponentiated
+    # one at a time
+    from cheegerdef.scenarios import _STREAM_ELEMENTS, rng_for
+    rng = rng_for(seed, _STREAM_ELEMENTS)
+    group = scenario.group
+    expected = [group.exp(group.random_algebra_vector(rng, scenario.element_scale))
+                for _ in range(12)]
+    elements = invariance_elements(scenario, 12, seed)
+    assert len(elements) == 12
+    for g, e in zip(elements, expected):
+        assert g.group_id == e.group_id
+        np.testing.assert_array_equal(g.matrix, e.matrix)

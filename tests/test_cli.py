@@ -387,3 +387,25 @@ def test_csv_floats_roundtrip(tmp_path):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "cheegerdef" in capsys.readouterr().out
+
+
+def test_short_geodesic_speed_check_compares_two_states(tmp_path, capsys):
+    # 20 steps at the default step, fewer than the speed check's stride;
+    # the base drift of so short a run sits below the default threshold
+    p = _write(tmp_path, "scenario = s2_band\nonly = geodesic\ngeodesic.length = 0.02\n"
+                         "tol.geo_base_drift = 1e-5\n"
+                         f"out.csv = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
+    assert cli.main(["run", str(p)]) == 0
+    assert "geodesic_speed_conservation measured=0.0 " not in capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    starts = report["report"]["geodesic"]["starts"]
+    assert max(s["base_speed_drift"] for s in starts) > 0.0
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["run", "x.cfg", "--seed", "3"]).seed == 3
+    assert cli._parser().parse_args(["run", "x.cfg"]).seed is None
+    assert cli.main(["run", "--bogus"]) == 2
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["--list-scenarios"]) == 0

@@ -1,0 +1,119 @@
+"""The l axis of the metric pipeline: a block called on a whole l grid
+equals the same block called once per l, bit for bit, and a failure at
+one l of the grid stays in that entry."""
+
+import re
+
+import numpy as np
+import pytest
+
+from cheegerdef import _kernels as _k
+from cheegerdef import verify
+from cheegerdef.gmanifold import NumericalFailure
+from cheegerdef.scenarios import get_scenario, invariance_elements, list_scenarios
+from cheegerdef.verify import SweepConfig, build_plan, invariance_results, large_l_series
+
+TOL = 1e-8
+CFG = SweepConfig()
+
+
+@pytest.fixture(scope="module", params=list_scenarios())
+def planned(request):
+    scenario = get_scenario(request.param)
+    return scenario, build_plan(scenario, CFG)
+
+
+def _per_l(block, ls):
+    vals = [block(l) for l in ls]
+    assert all(np.ndim(v) == 0 for v in vals)
+    return np.array(vals)
+
+
+def _assert_grid_equals_per_l(block, ls):
+    grid = block(np.asarray(ls))
+    assert grid.shape == (len(ls),)
+    np.testing.assert_array_equal(grid, _per_l(block, ls))
+
+
+def test_c0_grid_equals_per_l_calls(planned):
+    scenario, plan = planned
+    par, pts, dirs = scenario.params, plan.points, plan.dirs
+    _assert_grid_equals_per_l(
+        lambda l: _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                              pts, dirs, TOL), CFG.l_grid)
+    _assert_grid_equals_per_l(
+        lambda l: _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
+                              pts, dirs, TOL), CFG.large_l_grid)
+
+
+def test_gap_and_c1_grids_equal_per_l_calls(planned):
+    scenario, plan = planned
+    par, pts = scenario.params, plan.points
+    _assert_grid_equals_per_l(
+        lambda l: _k.gap_block(scenario, par, l, pts, TOL), CFG.l_grid)
+    _assert_grid_equals_per_l(
+        lambda l: _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
+                              pts, CFG.h_fd, TOL), CFG.l_grid)
+
+
+def test_invariance_residuals_equal_per_l_evaluation(planned):
+    scenario, plan = planned
+    par = scenario.params
+    stride = max(1, len(plan.points) // CFG.invariance_points)
+    pts = plan.points[::stride]
+    elements = invariance_elements(scenario, CFG.invariance_elements, CFG.seed)
+    moved = np.stack([scenario.act(g, pts) for g in elements])
+    jac = np.stack([scenario.action_jacobian(g, pts) for g in elements])
+
+    def residual(tag, l):
+        here = _k.variant_metric(scenario, par, tag, l, pts, TOL)
+        there = _k.variant_metric(scenario, par, tag, l, moved, TOL)
+        return float(np.max(np.abs(jac.mT @ there @ jac - here)))
+
+    inv = invariance_results(scenario, CFG, plan)
+    assert [row["l"] for row in inv["by_l"]] == list(CFG.l_grid)
+    for row in inv["by_l"]:
+        assert row["cheeger"] == residual(_k.CHEEGER, row["l"])
+        assert row["rescaled"] == residual(_k.RESCALED, row["l"])
+    assert inv["static"] == {"original": residual(_k.ORIGINAL, 0.0),
+                             "limit": residual(_k.LIMIT, 0.0)}
+
+
+def test_l_column_adds_a_leading_axis(s2_band):
+    plan = build_plan(s2_band, SweepConfig(n_points=16, n_dirs=4))
+    column = np.array([[0.2], [0.05]])
+    for tag in (_k.CHEEGER, _k.RESCALED, _k.CHEEGER_CLOSED):
+        G = _k.variant_metric(s2_band, s2_band.params, tag, column, plan.points, TOL)
+        assert G.shape == (2,) + plan.points.shape + (2,)
+        for row, l in zip(G, column[:, 0]):
+            np.testing.assert_array_equal(
+                row, _k.variant_metric(s2_band, s2_band.params, tag, l, plan.points, TOL))
+    dG = _k.variant_metric_dx(s2_band, s2_band.params, _k.CHEEGER, column,
+                              plan.points, 1e-4, True, TOL)
+    np.testing.assert_array_equal(
+        dG[1], _k.variant_metric_dx(s2_band, s2_band.params, _k.CHEEGER, 0.05,
+                                    plan.points, 1e-4, True, TOL))
+
+
+def test_conditioning_failure_at_the_smallest_l_stays_in_its_entry(s2_band, monkeypatch):
+    # the reparametrisation route refuses a condition number of 1e12 or
+    # more, which an orbit tensor of order one reaches at l = 1e-7
+    par = s2_band.params
+    grid = (10.0, 1.0, 1e-7)
+    cfg = SweepConfig(n_points=16, n_dirs=4)
+    plan = build_plan(s2_band, cfg)
+    c0 = _k.c0_block(s2_band, par, _k.CHEEGER, np.asarray(grid), _k.ORIGINAL, 0.0,
+                     plan.points, plan.dirs, TOL)
+    assert np.isfinite(c0[:2]).all() and np.isnan(c0[2])
+    for j in range(2):
+        assert c0[j] == _k.c0_block(s2_band, par, _k.CHEEGER, grid[j], _k.ORIGINAL, 0.0,
+                                    plan.points, plan.dirs, TOL)
+    # the failing rows, found without the blocks
+    G = _k.variant_metric(s2_band, par, _k.CHEEGER, grid[2], plan.points, TOL)
+    first = int(np.flatnonzero(np.isnan(G).any(axis=(-2, -1)))[0])
+    # the config refuses l below MIN_L, so lower it to reach the series
+    monkeypatch.setattr(verify, "MIN_L", 1e-9)
+    cfg = SweepConfig(n_points=16, n_dirs=4, large_l_grid=grid)
+    where = re.escape(f"l=1e-07 at plan point {first} {plan.points[first].tolist()}")
+    with pytest.raises(NumericalFailure, match=rf"large-l series failed at {where} on s2_band"):
+        large_l_series(s2_band, cfg, plan)

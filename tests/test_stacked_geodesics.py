@@ -197,3 +197,30 @@ def test_start_inside_the_integration_margin_is_refused(s2_band):
     (res,) = integrate_geodesics(lim, [[0.3, 0.2 + _k.GEODESIC_MARGIN * H]], [v0],
                                  length=0.01, h=H)
     assert res.status == "ok" and res.steps == 10
+
+
+def _speed(res, k):
+    w = res.velocities[k]
+    return w @ res.variant.matrix(res.positions[k]) @ w
+
+
+@pytest.mark.parametrize("tag", ("limit", "original"))
+def test_speed_drift_of_a_short_run_compares_its_last_state(s2_band, tag):
+    # 20 steps, fewer than the default stride of 50: the first and last
+    # states are compared instead of the first state with itself
+    x0s, v0s = _starts(s2_band)
+    res = geodesic_integrate(variant(s2_band, tag), x0s[0], v0s[0],
+                             length=0.02, step=1e-3)
+    assert res.steps == 20
+    assert speed_drift(res) == abs(_speed(res, 20) - _speed(res, 0))
+    if tag == "original":
+        assert speed_drift(res) > 0.0
+
+
+def test_speed_drift_of_a_long_run_keeps_its_stride(s2_band):
+    # 70 steps: sampled at steps 0 and 50, as before the stride bound
+    x0s, v0s = _starts(s2_band)
+    res = geodesic_integrate(variant(s2_band, "original"), x0s[0], v0s[0],
+                             length=0.07, step=1e-3)
+    assert res.steps == 70
+    assert speed_drift(res) == abs(_speed(res, 50) - _speed(res, 0))
