@@ -9,7 +9,7 @@ axis ((L, 1) against an (N, d) plan), which adds a leading l axis to the
 result ((L, N, d, d)) while the orbit data, the frame and the limit
 metric are computed once on the points.  The c0, gap and c1 blocks take
 l as one value or as a 1-D grid of L values, build that column and
-reduce over the point axis only: a grid gives an (L,) result.  The
+return one value per plan point: (N,) for one l, (L, N) for a grid.  The
 scenario argument scen is a scenarios.Scenario record,
 whose metric, Killing operator and their derivatives the kernels call;
 the metric variant is a small integer tag.  Matrices are tiny (manifold
@@ -28,10 +28,10 @@ for the analytic ones.
 
 Failures are per point: a degenerate algebra split, an orbit tensor that
 fails the Cholesky gate or a blown-up conditioning turns that point's
-row into NaN and leaves the other rows alone.  The blocks reduce with
-NaN-propagating maxima, so one bad point makes the block NaN; the
-Python layer turns that into a typed exception.  Frame construction and
-geodesic integration also return explicit per-row status codes.
+row into NaN and leaves the other rows alone; the Python layer names
+the first NaN point of a block's values in a typed exception.  Frame
+construction and geodesic integration also return explicit per-row
+status codes.
 """
 
 import numpy as np
@@ -526,35 +526,34 @@ def _l_column(l):
 
 
 def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol):
-    """C0 distance of two variants over a sample plan.
+    """C0 distance of two variants at each point of a sample plan.
 
-    Sup over plan points and unit direction pairs (adapted frame plus the
-    per-point seeded pairs) of |(g_a - g_b)(u, v)| with unit length and
-    the frame both measured in g_M.  l_a and l_b are one value or a 1-D
-    grid, which gives one distance per l.  NaN if any point's pipeline
-    evaluation fails.
+    Sup over unit direction pairs (adapted frame plus the point's seeded
+    pairs) of |(g_a - g_b)(u, v)| with unit length and the frame both
+    measured in g_M.  l_a and l_b are one value or a 1-D grid, which
+    adds a leading l axis.  NaN at a point whose pipeline evaluation
+    fails.
     """
     G, K, mb, iso, A, P, status = orbit_data(scen, par, pts, sigma_tol)
     F, L, fstatus = adapted_frame(G, A)
     Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), pts, sigma_tol)
              - variant_metric(scen, par, tag_b, _l_column(l_b), pts, sigma_tol))
-    vals = _pair_sup(G, F, Delta, dirs)
-    return np.max(np.where(fstatus == OK, vals, np.nan), axis=-1)
+    return np.where(fstatus == OK, _pair_sup(G, F, Delta, dirs), np.nan)
 
 
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol):
-    """Derivative part of the C1 distance: sup over plan points, chart
-    coordinates and components of d_m (g_a - g_b)_ij, with the analytic
-    derivatives of variant_metric_dx (Richardson FD for CHEEGER); one
-    value per l of a grid."""
+    """Derivative part of the C1 distance at each plan point: sup over
+    chart coordinates and components of d_m (g_a - g_b)_ij, with the
+    analytic derivatives of variant_metric_dx (Richardson FD for
+    CHEEGER); a grid adds a leading l axis."""
     dA = variant_metric_dx(scen, par, tag_a, _l_column(l_a), pts, h, True, sigma_tol)
     dB = variant_metric_dx(scen, par, tag_b, _l_column(l_b), pts, h, True, sigma_tol)
-    return np.max(np.abs(dA - dB), axis=(-4, -3, -2, -1))
+    return np.max(np.abs(dA - dB), axis=(-3, -2, -1))
 
 
 def gap_block(scen, par, l, pts, sigma_tol):
-    """Sup over the plan of the normal-homogeneous pullback residual, one
-    value per l of a grid.
+    """Normal-homogeneous pullback residual at each plan point; a grid
+    adds a leading l axis.
 
     At each point pulls the rescaled metric back along the orbit map to
     the orthonormal algebra complement basis and measures the max-abs
@@ -564,7 +563,7 @@ def gap_block(scen, par, l, pts, sigma_tol):
     Gr = variant_metric(scen, par, RESCALED, _l_column(l), pts, sigma_tol)
     M = A.mT @ (Gr @ A)
     dev = np.abs(M - _EYE[A.shape[-1]]).max(axis=(-2, -1))
-    return np.max(np.where(status == OK, dev, np.nan), axis=-1)
+    return np.where(status == OK, dev, np.nan)
 
 
 def variant_vertical_frame(scen, par, tag, l, x, sigma_tol):
@@ -638,7 +637,7 @@ def t_pair_block(scen, par, tag, l, pts, h, sigma_tol):
 
 def oracle_block(scen, par, pts, ls, sigma_tol):
     """Max componentwise disagreement between the two deformation routes
-    over paired samples (point pts[n], deformation parameter ls[n])."""
+    at each paired sample (point pts[n], deformation parameter ls[n])."""
     G1 = variant_metric(scen, par, CHEEGER, ls, pts, sigma_tol)
     G2 = variant_metric(scen, par, CHEEGER_CLOSED, ls, pts, sigma_tol)
-    return np.max(np.abs(G1 - G2))
+    return np.max(np.abs(G1 - G2), axis=(-2, -1))

@@ -233,6 +233,7 @@ def cp_norm(va: MetricVariant, vb: MetricVariant, plan: SamplePlan,
     of |(g_a - g_b)(u, v)|; the pairs range over the orbit-adapted frame
     and the plan's seeded directions.  C^1 is the max of the C^0 value
     and the sup of first chart derivatives of the component difference.
+    A failure raises NumericalFailure naming the first failing plan point.
     """
     if p not in (0, 1):
         raise UnsupportedOrderError(
@@ -240,18 +241,23 @@ def cp_norm(va: MetricVariant, vb: MetricVariant, plan: SamplePlan,
     scenario = va.scenario
     if vb.scenario.scenario_id != scenario.scenario_id:
         raise ValueError("variants must live on the same scenario")
-    c0 = float(_k.c0_block(
+
+    def sup(what, vals):
+        failed = np.flatnonzero(np.isnan(vals))
+        if failed.size:
+            i = failed[0]
+            raise NumericalFailure(f"{what} norm of {va.label} - {vb.label} failed at "
+                                   f"plan point {i} {plan.points[i].tolist()}")
+        return float(np.max(vals))
+
+    c0 = sup("C^0", _k.c0_block(
         scenario, scenario.params, va.tag_code, float(va.l),
         vb.tag_code, float(vb.l), plan.points, plan.dirs, SIGMA_TOL))
-    if np.isnan(c0):
-        raise NumericalFailure(f"C^0 norm of {va.label} - {vb.label} failed")
     if p == 0:
         return c0
-    c1 = float(_k.c1_block(
+    c1 = sup("C^1", _k.c1_block(
         scenario, scenario.params, va.tag_code, float(va.l),
         vb.tag_code, float(vb.l), plan.points, h, SIGMA_TOL))
-    if np.isnan(c1):
-        raise NumericalFailure(f"C^1 norm of {va.label} - {vb.label} failed")
     return max(c0, c1)
 
 

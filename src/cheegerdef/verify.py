@@ -197,26 +197,24 @@ def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
                             seed=cfg.seed, margin=cfg.margin)
 
 
-def _raise_first_failure(scenario: Scenario, l_grid, points: np.ndarray,
-                         series) -> None:
-    """Raise the failure of the first l of the grid at which a series is
-    NaN, naming the first plan point on which that series' block alone is
-    NaN at that l.
+def _sup_over_plan(scenario: Scenario, l_grid, points: np.ndarray,
+                   series) -> list[np.ndarray]:
+    """Per-l maxima over the plan of per-point series.
 
-    series holds (what, values, block): values is the block's result on
-    the whole grid and block(l, rows) evaluates it at one l on the plan
-    rows; at one l the series are tried in their order.  The blocks turn
-    NaN when any point fails; rows are independent, so rerunning the
-    block one point at a time at the failing l finds the point.
+    series holds (what, values) with values of shape (L, N): one row per
+    l of the grid, one entry per plan point.  The first NaN, in grid
+    order and then in series order, raises NumericalFailure naming the
+    series, l and the first failing plan point.
     """
     for j, l in enumerate(l_grid):
-        for what, values, block in series:
-            if np.isnan(values[j]):
-                i = next(i for i in range(len(points))
-                         if np.isnan(block(l, slice(i, i + 1))))
+        for what, values in series:
+            failed = np.flatnonzero(np.isnan(values[j]))
+            if failed.size:
+                i = failed[0]
                 raise NumericalFailure(
                     f"{what} failed at l={l} at plan point {i} {points[i].tolist()} "
                     f"on {scenario.scenario_id}")
+    return [np.max(values, axis=-1) for _, values in series]
 
 
 def convergence_series(scenario: Scenario, cfg: SweepConfig,
@@ -225,30 +223,21 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
     pullback gap, per l, with rate fits.  Each block evaluates the whole
     l grid in one call."""
     par = scenario.params
-    pts, dirs = plan.points, plan.dirs
+    pts = plan.points
     ls = np.asarray(cfg.l_grid)
-
-    def c0_rows(l, rows):
-        return _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                           pts[rows], dirs[rows], SIGMA_TOL)
-
-    def gap_rows(l, rows):
-        return _k.gap_block(scenario, par, l, pts[rows], SIGMA_TOL)
-
-    def c1_rows(l, rows):
-        return _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                           pts[rows], cfg.h_fd, SIGMA_TOL)
-
-    c0, gap = c0_rows(ls, slice(None)), gap_rows(ls, slice(None))
-    series = [("convergence series (C^0)", c0, c0_rows),
-              ("convergence series (gap)", gap, gap_rows)]
+    series = [
+        ("convergence series (C^0)",
+         _k.c0_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, plan.dirs,
+                     SIGMA_TOL)),
+        ("convergence series (gap)", _k.gap_block(scenario, par, ls, pts, SIGMA_TOL)),
+    ]
     if cfg.cp_order >= 1:
-        c1d = c1_rows(ls, slice(None))
-        series.append(("C^1 series", c1d, c1_rows))
-    _raise_first_failure(scenario, cfg.l_grid, pts, series)
+        series.append(("C^1 series", _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT,
+                                                 0.0, pts, cfg.h_fd, SIGMA_TOL)))
+    c0, gap, *c1d = _sup_over_plan(scenario, cfg.l_grid, pts, series)
     c0s, gaps = c0.tolist(), gap.tolist()
     if cfg.cp_order >= 1:
-        c1s = [max(a, b) for a, b in zip(c0s, c1d.tolist())]
+        c1s = [max(a, b) for a, b in zip(c0s, c1d[0].tolist())]
     else:
         c1s = [float("nan")] * len(ls)
     ratios = np.asarray(gaps) / ls**2
@@ -272,16 +261,20 @@ def t_scaling_series(scenario: Scenario, cfg: SweepConfig,
 
     Points where the base norm is below the floor carry no information
     about the ratio and are excluded but counted.  Scenarios whose base
-    norm vanishes everywhere report a vacuous series.
+    norm vanishes everywhere report a vacuous series.  A NaN norm is a
+    numerical failure, never an excluded point.
     """
     par = scenario.params
+    # (L, N) norms of the rescaled and of the base metric
+    rescaled, base = map(np.array, zip(*(
+        _k.t_pair_block(scenario, par, _k.RESCALED, l, plan.points, cfg.h_fd, SIGMA_TOL)
+        for l in cfg.l_grid)))
+    _sup_over_plan(scenario, cfg.l_grid, plan.points,
+                   [("T-tensor series (rescaled)", rescaled),
+                    ("T-tensor series (base)", base)])
     ratios, excluded = [], []
     vacuous = scenario.transitive
-    for l in cfg.l_grid:
-        vals_var, vals_orig = _k.t_pair_block(scenario, par, _k.RESCALED, l,
-                                              plan.points, cfg.h_fd, SIGMA_TOL)
-        vals_var = np.asarray(vals_var)
-        vals_orig = np.asarray(vals_orig)
+    for vals_var, vals_orig in zip(rescaled, base):
         keep = vals_orig > cfg.t_floor
         excluded.append(int(np.count_nonzero(~keep)))
         if not np.any(keep):
@@ -415,16 +408,10 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
     """C^0 distance of the deformed metric to the base metric for large
     l, with the rate fit of the decay."""
     par = scenario.params
-    pts, dirs = plan.points, plan.dirs
-
-    def c0_rows(l, rows):
-        return _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
-                           pts[rows], dirs[rows], SIGMA_TOL)
-
-    c0 = c0_rows(np.asarray(cfg.large_l_grid), slice(None))
-    _raise_first_failure(scenario, cfg.large_l_grid, pts,
-                         [("large-l series", c0, c0_rows)])
-    c0s = c0.tolist()
+    c0 = _k.c0_block(scenario, par, _k.CHEEGER, np.asarray(cfg.large_l_grid), _k.ORIGINAL,
+                     0.0, plan.points, plan.dirs, SIGMA_TOL)
+    c0s = _sup_over_plan(scenario, cfg.large_l_grid, plan.points,
+                         [("large-l series", c0)])[0].tolist()
     return {
         "l_grid": list(cfg.large_l_grid),
         "c0": c0s,

@@ -10,8 +10,9 @@ from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import NumericalFailure
 from cheegerdef.scenarios import (get_scenario, invariance_elements, list_scenarios,
                                   oracle_samples)
-from cheegerdef.tensor_calc import SamplePlan, cp_norm_callable
-from cheegerdef.verify import SweepConfig, build_plan, convergence_series, large_l_series
+from cheegerdef.tensor_calc import SamplePlan, cp_norm, cp_norm_callable
+from cheegerdef.verify import (SweepConfig, build_plan, convergence_series, large_l_series,
+                               t_scaling_series)
 
 TAGS = (_k.ORIGINAL, _k.CHEEGER, _k.RESCALED, _k.LIMIT, _k.CHEEGER_CLOSED)
 RANK_UPDATE_TAGS = (_k.RESCALED, _k.LIMIT, _k.CHEEGER_CLOSED)
@@ -153,7 +154,8 @@ def test_action_stack_matches_single_points(scenario, plan):
             _same(jac[n], scenario.action_jacobian(g, x), atol=1e-14)
 
 
-# pointwise loops for the blocks, independent of the stacked reductions
+# pointwise loops for the blocks, independent of the stacked evaluation:
+# one value per plan point
 
 def _c0_loop(scenario, tag_a, l_a, tag_b, l_b, plan):
     code, par = scenario.code, scenario.params
@@ -162,33 +164,36 @@ def _c0_loop(scenario, tag_a, l_a, tag_b, l_b, plan):
         return (_k.variant_metric(code, par, tag_a, l_a, x, TOL)
                 - _k.variant_metric(code, par, tag_b, l_b, x, TOL))
 
-    return cp_norm_callable(delta, plan, 0)
+    return np.array([
+        cp_norm_callable(delta, SamplePlan(scenario=scenario, points=plan.points[n:n + 1],
+                                           dirs=plan.dirs[n:n + 1]), 0)
+        for n in range(len(plan.points))])
 
 
 def _gap_loop(scenario, l, pts):
     code, par = scenario.code, scenario.params
-    best = 0.0
+    vals = []
     for x in pts:
         G, K, mb, iso, A, P, status = _k.orbit_data(code, par, x, TOL)
         M = A.T @ _k.variant_metric(code, par, _k.RESCALED, l, x, TOL) @ A
-        best = max(best, float(np.max(np.abs(M - np.eye(A.shape[1])))))
-    return best
+        vals.append(float(np.max(np.abs(M - np.eye(A.shape[1])))))
+    return np.array(vals)
 
 
 def _c1_loop(scenario, tag_a, l_a, tag_b, l_b, pts):
     code, par = scenario.code, scenario.params
-    return max(float(np.max(np.abs(
+    return np.array([float(np.max(np.abs(
         _k.variant_metric_dx(code, par, tag_a, l_a, x, 1e-4, True, TOL)
         - _k.variant_metric_dx(code, par, tag_b, l_b, x, 1e-4, True, TOL))))
-        for x in pts)
+        for x in pts])
 
 
 def _oracle_loop(scenario, pts, ls):
     code, par = scenario.code, scenario.params
-    return max(float(np.max(np.abs(
+    return np.array([float(np.max(np.abs(
         _k.variant_metric(code, par, _k.CHEEGER, float(l), x, TOL)
         - _k.variant_metric(code, par, _k.CHEEGER_CLOSED, float(l), x, TOL))))
-        for x, l in zip(pts, ls))
+        for x, l in zip(pts, ls)])
 
 
 def test_blocks_match_pointwise_loops(scenario):
@@ -239,15 +244,20 @@ def test_pole_row_is_nan_and_other_rows_unchanged(s2_band):
     F, L, fstatus = _k.adapted_frame(G, A)
     assert fstatus[POLE] == _k.FRAME_FAIL and np.isnan(F[POLE]).all()
     assert np.all(fstatus[others] == _k.OK)
-    assert np.isnan(_k.c0_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0,
-                                bad.points, bad.dirs, TOL))
-    assert np.isnan(_k.c0_block(code, par, _k.CHEEGER, 10.0, _k.ORIGINAL, 0.0,
-                                bad.points, bad.dirs, TOL))
-    assert np.isnan(_k.gap_block(code, par, 0.1, bad.points, TOL))
-    assert np.isnan(_k.c1_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0,
-                                bad.points, 1e-4, TOL))
     ls = np.full(len(bad.points), 0.5)
-    assert np.isnan(_k.oracle_block(code, par, bad.points, ls, TOL))
+    for block in (
+            lambda p: _k.c0_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0,
+                                  p.points, p.dirs, TOL),
+            lambda p: _k.c0_block(code, par, _k.CHEEGER, 10.0, _k.ORIGINAL, 0.0,
+                                  p.points, p.dirs, TOL),
+            lambda p: _k.gap_block(code, par, 0.1, p.points, TOL),
+            lambda p: _k.c1_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0,
+                                  p.points, 1e-4, TOL),
+            lambda p: _k.oracle_block(code, par, p.points, ls, TOL)):
+        clean, poisoned = block(plan), block(bad)
+        assert poisoned.shape == (len(bad.points),)
+        assert np.isnan(poisoned[POLE]) and not np.isnan(poisoned[others]).any()
+        np.testing.assert_array_equal(poisoned[others], clean[others])
 
 
 def test_failures_name_l_and_first_failing_point(s2_band):
@@ -259,6 +269,20 @@ def test_failures_name_l_and_first_failing_point(s2_band):
     with pytest.raises(NumericalFailure,
                        match=rf"l=10.0 at plan point {POLE} \[0.5, 0.0\] on s2_band"):
         large_l_series(s2_band, cfg, bad)
+    with pytest.raises(NumericalFailure,
+                       match=rf"T-tensor series \(rescaled\) failed at "
+                             rf"l=0.2 at plan point {POLE} \[0.5, 0.0\] on s2_band"):
+        t_scaling_series(s2_band, cfg, bad)
+
+
+def test_cp_norm_failure_names_the_first_failing_point(s2_band):
+    bad = _with_pole(SamplePlan.build(s2_band, n_points=16, n_dirs=4, seed=1))
+    va, vb = variant(s2_band, "rescaled", 0.1), variant(s2_band, "limit")
+    for p in (0, 1):
+        with pytest.raises(NumericalFailure,
+                           match=rf"C\^0 norm of rescaled\(l=0.1\) - limit failed at "
+                                 rf"plan point {POLE} \[0.5, 0.0\]$"):
+            cp_norm(va, vb, bad, p)
 
 
 def test_metric_variant_failure_names_the_failing_point(s2_band):

@@ -23,16 +23,18 @@ def planned(request):
     return scenario, build_plan(scenario, CFG)
 
 
-def _per_l(block, ls):
+def _per_l(block, ls, n):
     vals = [block(l) for l in ls]
-    assert all(np.ndim(v) == 0 for v in vals)
+    assert all(np.shape(v) == (n,) for v in vals)
     return np.array(vals)
 
 
-def _assert_grid_equals_per_l(block, ls):
+def _assert_grid_equals_per_l(block, ls, n):
+    """A block on the grid gives one row of n per-point values per l,
+    equal to the block called at that l."""
     grid = block(np.asarray(ls))
-    assert grid.shape == (len(ls),)
-    np.testing.assert_array_equal(grid, _per_l(block, ls))
+    assert grid.shape == (len(ls), n)
+    np.testing.assert_array_equal(grid, _per_l(block, ls, n))
 
 
 def test_c0_grid_equals_per_l_calls(planned):
@@ -40,20 +42,20 @@ def test_c0_grid_equals_per_l_calls(planned):
     par, pts, dirs = scenario.params, plan.points, plan.dirs
     _assert_grid_equals_per_l(
         lambda l: _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                              pts, dirs, TOL), CFG.l_grid)
+                              pts, dirs, TOL), CFG.l_grid, len(pts))
     _assert_grid_equals_per_l(
         lambda l: _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
-                              pts, dirs, TOL), CFG.large_l_grid)
+                              pts, dirs, TOL), CFG.large_l_grid, len(pts))
 
 
 def test_gap_and_c1_grids_equal_per_l_calls(planned):
     scenario, plan = planned
     par, pts = scenario.params, plan.points
     _assert_grid_equals_per_l(
-        lambda l: _k.gap_block(scenario, par, l, pts, TOL), CFG.l_grid)
+        lambda l: _k.gap_block(scenario, par, l, pts, TOL), CFG.l_grid, len(pts))
     _assert_grid_equals_per_l(
         lambda l: _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                              pts, CFG.h_fd, TOL), CFG.l_grid)
+                              pts, CFG.h_fd, TOL), CFG.l_grid, len(pts))
 
 
 def test_invariance_residuals_equal_per_l_evaluation(planned):
@@ -104,13 +106,17 @@ def test_conditioning_failure_at_the_smallest_l_stays_in_its_entry(s2_band, monk
     plan = build_plan(s2_band, cfg)
     c0 = _k.c0_block(s2_band, par, _k.CHEEGER, np.asarray(grid), _k.ORIGINAL, 0.0,
                      plan.points, plan.dirs, TOL)
-    assert np.isfinite(c0[:2]).all() and np.isnan(c0[2])
+    assert c0.shape == (3, len(plan.points))
+    assert np.isfinite(c0[:2]).all() and np.isnan(c0[2]).any()
     for j in range(2):
-        assert c0[j] == _k.c0_block(s2_band, par, _k.CHEEGER, grid[j], _k.ORIGINAL, 0.0,
-                                    plan.points, plan.dirs, TOL)
-    # the failing rows, found without the blocks
-    G = _k.variant_metric(s2_band, par, _k.CHEEGER, grid[2], plan.points, TOL)
-    first = int(np.flatnonzero(np.isnan(G).any(axis=(-2, -1)))[0])
+        np.testing.assert_array_equal(
+            c0[j], _k.c0_block(s2_band, par, _k.CHEEGER, grid[j], _k.ORIGINAL, 0.0,
+                               plan.points, plan.dirs, TOL))
+    # the failing rows, found without the blocks, are the NaN entries
+    failing = np.isnan(_k.variant_metric(s2_band, par, _k.CHEEGER, grid[2], plan.points,
+                                         TOL)).any(axis=(-2, -1))
+    np.testing.assert_array_equal(np.isnan(c0[2]), failing)
+    first = int(np.flatnonzero(failing)[0])
     # the config refuses l below MIN_L, so lower it to reach the series
     monkeypatch.setattr(verify, "MIN_L", 1e-9)
     cfg = SweepConfig(n_points=16, n_dirs=4, large_l_grid=grid)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cheegerdef.scenarios import oracle_samples
+from cheegerdef.scenarios import get_scenario, list_scenarios, oracle_samples
 from cheegerdef.verify import (
     ALL_TESTS,
     SweepConfig,
@@ -350,3 +350,28 @@ def test_run_suite_timings_are_private(s2_band):
 def test_all_tests_tuple_is_canonical():
     assert ALL_TESTS == ("convergence", "t_scaling", "geodesic",
                          "invariance", "large_l", "oracle")
+
+
+EDGE = dict(n_points=16, n_dirs=8, invariance_points=8, invariance_elements=5,
+            oracle_count=30, geodesic_length=0.1, geodesic_step=2e-3)
+FINE_GRID = (0.01, 0.005, 0.002, 0.001)
+
+
+@pytest.mark.parametrize("sid, warp, keys", [
+    *(pytest.param(sid, None, {"seed": 2**64 - 1}, id=f"{sid}-largest_seed")
+      for sid in list_scenarios()),
+    *(pytest.param(sid, None, {"l_grid": FINE_GRID}, id=f"{sid}-l_down_to_MIN_L")
+      for sid in list_scenarios()),
+    pytest.param("warped_s2", 0.89, {}, id="warped_s2-warp_+0.89"),
+    # the default grid is pre-asymptotic here (P = 0.11 at the equator
+    # against l^2 = 0.04: c0_rate_window FAILs); at this length the base
+    # drift falls below its floor because the geodesic is short
+    pytest.param("warped_s2", -0.89,
+                 {"l_grid": (0.02, 0.01, 0.005, 0.0025),
+                  "enabled": tuple(t for t in ALL_TESTS if t != "geodesic")},
+                 id="warped_s2-warp_-0.89"),
+])
+def test_edge_configs_pass_every_verdict(sid, warp, keys):
+    scenario = get_scenario(sid) if warp is None else get_scenario(sid, warp_amplitude=warp)
+    res = run_suite(scenario, SweepConfig(**EDGE, **keys))
+    assert res["passed"], [v for v in res["verdicts"] if not v["passed"]]
