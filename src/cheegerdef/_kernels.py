@@ -9,7 +9,12 @@ axis ((L, 1) against an (N, d) plan), which adds a leading l axis to the
 result ((L, N, d, d)) while the orbit data, the frame and the limit
 metric are computed once on the points.  The c0, gap and c1 blocks take
 l as one value or as a 1-D grid of L values, build that column and
-return one value per plan point: (N,) for one l, (L, N) for a grid.  The
+return one value per plan point: (N,) for one l, (L, N) for a grid.  A
+point set's orbit data is computed once and passed down: variant_metric
+takes the orbit_data tuple of its points in place of x, the c0 and gap
+blocks take plan_geometry (orbit data and adapted frame) as a trailing
+argument and compute it once per call without it, and oracle_block
+shares one orbit_data call between its two routes.  The
 scenario argument scen is a scenarios.Scenario record,
 whose metric, Killing operator and their derivatives the kernels call;
 the metric variant is a small integer tag.  Matrices are tiny (manifold
@@ -199,13 +204,19 @@ def m_basis(scen, K, sigma_tol):
 
 
 def orbit_data(scen, par, x, sigma_tol):
-    """Metric, Killing operator, algebra split and orbit tensor at x."""
+    """Metric, Killing operator, algebra split and orbit tensor at x:
+    the tuple (G, K, mb, iso, A, P, status)."""
     G = gm_metric(scen, par, x)
     K = scen.killing(par, x)
     mb, iso, status = m_basis(scen, K, sigma_tol)
     A = K if K.shape[-1] == 1 else K @ mb
     P = sym2(A.mT @ (G @ A))
     return G, K, mb, iso, A, P, status
+
+
+def _orbit(scen, par, x, sigma_tol):
+    """Orbit data at x, where x is points or their orbit_data tuple."""
+    return x if isinstance(x, tuple) else orbit_data(scen, par, x, sigma_tol)
 
 
 # gram-schmidt acceptance threshold for squared residual norms; metrics in
@@ -266,8 +277,16 @@ def adapted_frame(G, A):
     return F, L.reshape(lead + (r, r)), status
 
 
+def plan_geometry(scen, par, pts, sigma_tol):
+    """The geometry of a point set that the c0 and gap blocks take:
+    (orbit_data tuple, adapted_frame (F, L, status)) at pts."""
+    orbit = orbit_data(scen, par, pts, sigma_tol)
+    return orbit, adapted_frame(orbit[0], orbit[4])
+
+
 def _rank_update(scen, par, tag, l, x, sigma_tol):
-    """Shared pieces of the rank update G_v = G - W Y(P) W^T at x.
+    """Shared pieces of the rank update G_v = G - W Y(P) W^T at x
+    (points or their orbit_data tuple).
 
     W = G A and P = A^T G A come from the orbit data; Y(P) is
     (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1} for
@@ -278,7 +297,7 @@ def _rank_update(scen, par, tag, l, x, sigma_tol):
     P is NaN); the other outputs of those rows are meaningless and the
     callers mask them.
     """
-    G, K, mb, iso, A, P, status = orbit_data(scen, par, x, sigma_tol)
+    G, K, mb, iso, A, P, status = _orbit(scen, par, x, sigma_tol)
     W = G @ A
     ok = _positive(P)
     Pi = inv_mat(P)
@@ -303,16 +322,19 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     closed rank update G_v = G - W Y(P) W^T of _rank_update.  ORIGINAL
     and LIMIT do not depend on l and keep the points' leading shape.
 
+    x is the points or their orbit_data tuple, so that calls on the same
+    points share one orbit_data evaluation.
+
     Failures (degenerate orbit rank, an orbit tensor that fails the
     Cholesky gate, blown-up conditioning) poison that point's row with
     NaN.
     """
     if tag == ORIGINAL:
-        return gm_metric(scen, par, x)
+        return x[0] if isinstance(x, tuple) else gm_metric(scen, par, x)
     if tag != CHEEGER:
         G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l, x, sigma_tol)
         return _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
-    G, K, mb, iso, A, P, status = orbit_data(scen, par, x, sigma_tol)
+    G, K, mb, iso, A, P, status = _orbit(scen, par, x, sigma_tol)
     d = G.shape[-1]
     l2 = _sq(l)
     kap = A.mT @ G
@@ -525,20 +547,22 @@ def _l_column(l):
     return np.reshape(l, (-1, 1)) if np.ndim(l) else l
 
 
-def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol):
+def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol, geometry=None):
     """C0 distance of two variants at each point of a sample plan.
 
     Sup over unit direction pairs (adapted frame plus the point's seeded
     pairs) of |(g_a - g_b)(u, v)| with unit length and the frame both
     measured in g_M.  l_a and l_b are one value or a 1-D grid, which
-    adds a leading l axis.  NaN at a point whose pipeline evaluation
+    adds a leading l axis.  geometry is plan_geometry at pts, computed
+    here when not given.  NaN at a point whose pipeline evaluation
     fails.
     """
-    G, K, mb, iso, A, P, status = orbit_data(scen, par, pts, sigma_tol)
-    F, L, fstatus = adapted_frame(G, A)
-    Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), pts, sigma_tol)
-             - variant_metric(scen, par, tag_b, _l_column(l_b), pts, sigma_tol))
-    return np.where(fstatus == OK, _pair_sup(G, F, Delta, dirs), np.nan)
+    if geometry is None:
+        geometry = plan_geometry(scen, par, pts, sigma_tol)
+    orbit, (F, L, fstatus) = geometry
+    Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), orbit, sigma_tol)
+             - variant_metric(scen, par, tag_b, _l_column(l_b), orbit, sigma_tol))
+    return np.where(fstatus == OK, _pair_sup(orbit[0], F, Delta, dirs), np.nan)
 
 
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol):
@@ -551,16 +575,19 @@ def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol):
     return np.max(np.abs(dA - dB), axis=(-3, -2, -1))
 
 
-def gap_block(scen, par, l, pts, sigma_tol):
+def gap_block(scen, par, l, pts, sigma_tol, geometry=None):
     """Normal-homogeneous pullback residual at each plan point; a grid
     adds a leading l axis.
 
     At each point pulls the rescaled metric back along the orbit map to
     the orthonormal algebra complement basis and measures the max-abs
-    deviation from the bi-invariant identity block.
+    deviation from the bi-invariant identity block.  Of geometry
+    (plan_geometry at pts) only the orbit data is used; without it the
+    orbit data is computed here.
     """
-    G, K, mb, iso, A, P, status = orbit_data(scen, par, pts, sigma_tol)
-    Gr = variant_metric(scen, par, RESCALED, _l_column(l), pts, sigma_tol)
+    orbit = orbit_data(scen, par, pts, sigma_tol) if geometry is None else geometry[0]
+    G, K, mb, iso, A, P, status = orbit
+    Gr = variant_metric(scen, par, RESCALED, _l_column(l), orbit, sigma_tol)
     M = A.mT @ (Gr @ A)
     dev = np.abs(M - _EYE[A.shape[-1]]).max(axis=(-2, -1))
     return np.where(status == OK, dev, np.nan)
@@ -637,7 +664,9 @@ def t_pair_block(scen, par, tag, l, pts, h, sigma_tol):
 
 def oracle_block(scen, par, pts, ls, sigma_tol):
     """Max componentwise disagreement between the two deformation routes
-    at each paired sample (point pts[n], deformation parameter ls[n])."""
-    G1 = variant_metric(scen, par, CHEEGER, ls, pts, sigma_tol)
-    G2 = variant_metric(scen, par, CHEEGER_CLOSED, ls, pts, sigma_tol)
+    at each paired sample (point pts[n], deformation parameter ls[n]);
+    the two routes share one orbit_data evaluation."""
+    orbit = orbit_data(scen, par, pts, sigma_tol)
+    G1 = variant_metric(scen, par, CHEEGER, ls, orbit, sigma_tol)
+    G2 = variant_metric(scen, par, CHEEGER_CLOSED, ls, orbit, sigma_tol)
     return np.max(np.abs(G1 - G2), axis=(-2, -1))

@@ -68,7 +68,10 @@ class Scenario:
     [..., m, i, j], K_ik and d_m K_ik [..., m, i, k]; column k of K is
     the action field of the k-th orthonormal algebra basis element.
     action and jacobian map (g, x) to the image of x under g and its
-    chart Jacobian.
+    chart Jacobian.  g is one element, or a stack of E elements whose
+    matrix is an (E, n, n) stack; the element axis then goes in front of
+    the point axes, giving (E, ..., dim) images and (E, ..., dim, dim)
+    Jacobians.
     """
 
     scenario_id: str
@@ -98,11 +101,13 @@ class Scenario:
     sample_margin: float = DEFAULT_SAMPLE_MARGIN
 
     def act(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
-        """Image of a chart point, or of a stack (..., dim) of them, under g."""
+        """Image of a chart point, or of a stack (..., dim) of them, under g
+        (or under each element of a stack g, element axis first)."""
         return self.action(g, x)
 
     def action_jacobian(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
-        """Chart Jacobian of g at a point, or (..., dim, dim) at a stack."""
+        """Chart Jacobian of g at a point, or (..., dim, dim) at a stack
+        (element axis first for a stack g)."""
         return self.jacobian(g, x)
 
     def metric_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -177,8 +182,14 @@ def _flat_metric_dx(par, x):
     return _filled(x, (2, 2, 2), {})
 
 
-def _so2_angle(M: np.ndarray) -> float:
-    return float(np.arctan2(M[1, 0], M[0, 0]))
+def _elements(g: GroupElement) -> tuple[int, ...]:
+    """Element axes of g: () for one element, (E,) for a stack."""
+    return g.matrix.shape[:-2]
+
+
+def _so2_angle(M: np.ndarray) -> np.ndarray:
+    """Rotation angle of an SO(2) matrix, or of each in a stack."""
+    return np.arctan2(M[..., 1, 0], M[..., 0, 0])
 
 
 def _circle_shift(dim: int, shifted: tuple[int, ...]) -> dict:
@@ -187,14 +198,16 @@ def _circle_shift(dim: int, shifted: tuple[int, ...]) -> dict:
     coordinates in step."""
 
     def action(g: GroupElement, x: np.ndarray) -> np.ndarray:
-        a = _so2_angle(g.matrix)
-        y = np.array(x, dtype=float)
+        # one angle per element, broadcast over the point axes of x
+        a = np.reshape(_so2_angle(g.matrix), _elements(g) + (1,) * (np.ndim(x) - 1))
+        y = np.array(np.broadcast_to(x, _elements(g) + np.shape(x)), dtype=float)
         for m in shifted:
             y[..., m] = y[..., m] + a
         return y
 
     def jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim)).copy()
+        return np.broadcast_to(np.eye(dim),
+                               _elements(g) + np.shape(x)[:-1] + (dim, dim)).copy()
 
     def killing(par, x):
         return _filled(x, (dim, 1), {(m, 0): 1.0 for m in shifted})
@@ -207,12 +220,14 @@ def _circle_shift(dim: int, shifted: tuple[int, ...]) -> dict:
 
 
 def _quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrix of a unit quaternion (w, x, y, z), or (..., 3, 3)
+    for a stack (..., 4)."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+    ], -2)
 
 
 def _sphere_embed(x: np.ndarray) -> np.ndarray:
@@ -231,9 +246,17 @@ def _sphere_coord_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d_th, d_ph
 
 
+def _su2_rotation(g: GroupElement, x: np.ndarray) -> np.ndarray:
+    """Rotation of the embedded sphere by g, with unit axes between the
+    element axes and the matrix so that the rotation of a row vector
+    stack (..., 3) at the points x is v @ R.mT."""
+    R = _quat_to_rotation(g.matrix[..., :, 0])
+    return np.reshape(R, _elements(g) + (1,) * max(np.ndim(x) - 2, 0) + (3, 3))
+
+
 def _su2_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
-    R = _quat_to_rotation(g.matrix[:, 0])
-    p = _sphere_embed(x) @ R.T
+    R = _su2_rotation(g, x)
+    p = _sphere_embed(x) @ R.mT
     ph = np.arccos(np.clip(p[..., 2], -1.0, 1.0))
     th = np.arctan2(p[..., 1], p[..., 0])
     # keep the angle on the branch nearest the input for continuity
@@ -242,12 +265,12 @@ def _su2_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
 
 
 def _su2_jacobian(g: GroupElement, x: np.ndarray) -> np.ndarray:
-    R = _quat_to_rotation(g.matrix[:, 0])
+    R = _su2_rotation(g, x)
     y = _su2_act(g, x)
     d_th_x, d_ph_x = _sphere_coord_fields(x)
     d_th_y, d_ph_y = _sphere_coord_fields(y)
-    w_th = d_th_x @ R.T
-    w_ph = d_ph_x @ R.T
+    w_th = d_th_x @ R.mT
+    w_ph = d_ph_x @ R.mT
     s2 = np.sin(y[..., 1]) ** 2
 
     def dot(a, b):

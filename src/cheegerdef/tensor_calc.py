@@ -9,12 +9,16 @@ with one Richardson extrapolation level (step h_fd).  Geodesics are
 integrated with classical fourth-order Runge-Kutta, all starts of a
 variant as one stacked state; each start keeps its own status and step
 count.  Tensor norms and C^p distances are suprema over explicit sample
-plans, measured against the base metric.
+plans, measured against the base metric.  A plan carries the orbit data
+and adapted frame of its points, computed once when it is built (or on
+first use for a plan constructed directly), and the verification stages
+pass them to every C^0 and gap block they evaluate on the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -216,9 +220,20 @@ class SamplePlan:
     @classmethod
     def build(cls, scenario: Scenario, n_points: int = 200, n_dirs: int = 50,
               seed: int = 42, margin: float | None = None) -> "SamplePlan":
+        """The plan on the sample grid, with its geometry computed."""
         pts = sample_grid(scenario, n_points, margin)
         dirs = direction_pairs(scenario, len(pts), n_dirs, seed)
-        return cls(scenario=scenario, points=pts, dirs=dirs)
+        plan = cls(scenario=scenario, points=pts, dirs=dirs)
+        # computed now, so a suite pays for it while building its plan
+        plan.geometry
+        return plan
+
+    @cached_property
+    def geometry(self) -> tuple:
+        """Orbit data and adapted frame at the plan points
+        (_kernels.plan_geometry), computed once per plan."""
+        sc = self.scenario
+        return _k.plan_geometry(sc, sc.params, self.points, SIGMA_TOL)
 
     @property
     def realized_points(self) -> int:

@@ -35,6 +35,7 @@ from .cheeger import definition_metric, kappa, variant
 from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
                      parse_int, positive, validate)
 from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
+from .lie_core import GroupElement
 from .scenarios import Scenario, invariance_elements, oracle_samples
 from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
                           orbit_invariant_drift, speed_drift, t_tensor)
@@ -228,8 +229,9 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
     series = [
         ("convergence series (C^0)",
          _k.c0_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, plan.dirs,
-                     SIGMA_TOL)),
-        ("convergence series (gap)", _k.gap_block(scenario, par, ls, pts, SIGMA_TOL)),
+                     SIGMA_TOL, plan.geometry)),
+        ("convergence series (gap)",
+         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL, plan.geometry)),
     ]
     if cfg.cp_order >= 1:
         series.append(("C^1 series", _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT,
@@ -335,43 +337,59 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     The invariance residual of a variant is the sup over sampled group
     elements and plan points of the max-abs difference between the
     pulled-back and local metric components (analytic action Jacobians).
-    Each variant is evaluated once on the invariance points and once on
-    the stack of their images under all sampled elements.
+    The invariance points are a stride slice of the plan, so their orbit
+    data and frame are rows of the plan's geometry.  All sampled
+    elements act in one stacked call, and the images get one orbit_data
+    evaluation that every variant shares.  A NaN residual is located
+    (variant, l, element, plan point) from the residuals themselves.
     """
     stride = max(1, len(plan.points) // cfg.invariance_points)
     pts = plan.points[::stride]
+    orbit, (F, L, fstatus) = (tuple(a[::stride] for a in part) for part in plan.geometry)
+    G, K, mb, iso, A, P, status = orbit
     elements = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
+    stack = GroupElement(scenario.group.group_id, np.stack([g.matrix for g in elements]))
     par = scenario.params
-    moved = np.stack([scenario.act(g, pts) for g in elements])
-    jac = np.stack([scenario.action_jacobian(g, pts) for g in elements])
+    moved = scenario.act(stack, pts)
+    jac = scenario.action_jacobian(stack, pts)
+    orbit_moved = _k.orbit_data(scenario, par, moved, SIGMA_TOL)
 
     local = []
 
-    def residual(tag_code: int, l) -> np.ndarray:
-        """Residual of one variant: l is one value, or the (L, 1) column
-        of the grid, which gives one residual per l from one call on the
-        points and one on their images."""
-        here = _k.variant_metric(scenario, par, tag_code, l, pts, SIGMA_TOL)
+    def residuals(tag_code: int, l) -> np.ndarray:
+        """Residual of one variant per element and point, (E, N): l is
+        one value, or the (L, 1) column of the grid, which gives (L, E, N)
+        from one call on the points and one on their images."""
+        here = _k.variant_metric(scenario, par, tag_code, l, orbit, SIGMA_TOL)
         if tag_code != _k.ORIGINAL:
             local.append(here)
         # the images carry an element axis in front of the point axis
         l_moved = l[..., None] if isinstance(l, np.ndarray) else l
-        there = _k.variant_metric(scenario, par, tag_code, l_moved, moved, SIGMA_TOL)
+        there = _k.variant_metric(scenario, par, tag_code, l_moved, orbit_moved, SIGMA_TOL)
         pulled = jac.mT @ there @ jac
-        return np.max(np.abs(pulled - here[..., None, :, :, :]), axis=(-4, -3, -2, -1))
+        return np.max(np.abs(pulled - here[..., None, :, :, :]), axis=(-2, -1))
 
-    static = {
-        "original": float(residual(_k.ORIGINAL, 0.0)),
-        "limit": float(residual(_k.LIMIT, 0.0)),
-    }
+    res_static = {"original": residuals(_k.ORIGINAL, 0.0),
+                  "limit": residuals(_k.LIMIT, 0.0)}
+    static = {tag: float(np.max(r)) for tag, r in res_static.items()}
     column = np.asarray(cfg.l_grid)[:, None]
-    cheeger, rescaled = (residual(tag, column) for tag in (_k.CHEEGER, _k.RESCALED))
-    by_l = [{"l": float(l), "cheeger": float(c), "rescaled": float(r)}
-            for l, c, r in zip(cfg.l_grid, cheeger, rescaled)]
+    res_cheeger, res_rescaled = (residuals(tag, column) for tag in (_k.CHEEGER, _k.RESCALED))
+    by_l = [{"l": float(l), "cheeger": float(np.max(c)), "rescaled": float(np.max(r))}
+            for l, c, r in zip(cfg.l_grid, res_cheeger, res_rescaled)]
+    # in the order the verdict reduces them: static tags, then per l
+    series = [(f"{tag} at every l", r) for tag, r in res_static.items()]
+    for l, c, r in zip(cfg.l_grid, res_cheeger, res_rescaled):
+        series += [(f"cheeger at l={l}", c), (f"rescaled at l={l}", r)]
+    nan_at = ""
+    for what, r in series:
+        bad = np.argwhere(np.isnan(r))
+        if bad.size:
+            e, n = bad[0]
+            nan_at = (f"NaN residual of {what}, element {e}, "
+                      f"plan point {n * stride} {pts[n].tolist()}")
+            break
 
     # horizontal block of the deformed family versus the base metric
-    G, K, mb, iso, A, P, status = _k.orbit_data(scenario, par, pts, SIGMA_TOL)
-    F, L, fstatus = _k.adapted_frame(G, A)
     failed = np.flatnonzero((status != _k.OK) | (fstatus != _k.OK))
     if failed.size:
         return {"error": f"frame failed at {pts[failed[0]].tolist()}"}
@@ -391,7 +409,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
 
     overall = _worst([*static.values(),
                       *(row[tag] for row in by_l for tag in ("cheeger", "rescaled"))])
-    return {
+    out = {
         "static": static,
         "by_l": by_l,
         "max_residual": overall,
@@ -401,6 +419,9 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
         "n_points": int(len(pts)),
         "n_elements": int(len(elements)),
     }
+    if nan_at:
+        out["nan_at"] = nan_at
+    return out
 
 
 def large_l_series(scenario: Scenario, cfg: SweepConfig,
@@ -409,7 +430,7 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
     l, with the rate fit of the decay."""
     par = scenario.params
     c0 = _k.c0_block(scenario, par, _k.CHEEGER, np.asarray(cfg.large_l_grid), _k.ORIGINAL,
-                     0.0, plan.points, plan.dirs, SIGMA_TOL)
+                     0.0, plan.points, plan.dirs, SIGMA_TOL, plan.geometry)
     c0s = _sup_over_plan(scenario, cfg.large_l_grid, plan.points,
                          [("large-l series", c0)])[0].tolist()
     return {
@@ -428,8 +449,10 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     """
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed, cfg.margin)
     par = scenario.params
-    # each kernel route is evaluated once and compared both ways
-    reparam, closed = (_k.variant_metric(scenario, par, tag, ls, pts, SIGMA_TOL)
+    # each kernel route is evaluated once, on shared orbit data, and
+    # compared both ways
+    orbit = _k.orbit_data(scenario, par, pts, SIGMA_TOL)
+    reparam, closed = (_k.variant_metric(scenario, par, tag, ls, orbit, SIGMA_TOL)
                        for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED))
     kernel_max = float(np.max(np.abs(reparam - closed)))
     ref = definition_metric(scenario, "cheeger", ls, pts)
@@ -548,9 +571,11 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
             verdicts.append(_verdict("invariance_residual", False, inv["error"],
                                      cfg.invariance_max))
         else:
+            # the NaN location goes to the verdict note, not the report body
             verdicts.append(_verdict("invariance_residual",
                                      inv["max_residual"] < cfg.invariance_max,
-                                     inv["max_residual"], cfg.invariance_max))
+                                     inv["max_residual"], cfg.invariance_max,
+                                     note=inv.pop("nan_at", "")))
             verdicts.append(_verdict("horizontal_block_static",
                                      inv["horizontal_residual"] < cfg.horizontal_max,
                                      inv["horizontal_residual"], cfg.horizontal_max))

@@ -8,6 +8,7 @@ import pytest
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import NumericalFailure
+from cheegerdef.lie_core import GroupElement
 from cheegerdef.scenarios import (get_scenario, invariance_elements, list_scenarios,
                                   oracle_samples)
 from cheegerdef.tensor_calc import SamplePlan, cp_norm, cp_norm_callable
@@ -152,6 +153,26 @@ def test_action_stack_matches_single_points(scenario, plan):
         for n, x in enumerate(pts):
             _same(moved[n], scenario.act(g, x), atol=1e-14)
             _same(jac[n], scenario.action_jacobian(g, x), atol=1e-14)
+
+
+def test_stacked_elements_act_as_each_element(scenario, plan):
+    """One element whose matrix stacks E elements gives (E, N, d) images
+    and (E, N, d, d) Jacobians, equal to the calls element by element:
+    exactly for the circle shifts, to roundoff for the rotations."""
+    pts = plan.points[::7]
+    elements = invariance_elements(scenario, 6, 11)
+    stack = GroupElement(scenario.group.group_id, np.stack([g.matrix for g in elements]))
+    moved = scenario.act(stack, pts)
+    jac = scenario.action_jacobian(stack, pts)
+    E, N, d = len(elements), len(pts), scenario.dim
+    assert moved.shape == (E, N, d) and jac.shape == (E, N, d, d)
+    atol = 0.0 if scenario.group.algebra.dim == 1 else 1e-15
+    for e, g in enumerate(elements):
+        _same(moved[e], scenario.act(g, pts), atol=atol)
+        _same(jac[e], scenario.action_jacobian(g, pts), atol=atol)
+    # one point: the element axis alone
+    assert scenario.act(stack, pts[0]).shape == (E, d)
+    _same(scenario.action_jacobian(stack, pts[0]), jac[:, 0], atol=atol)
 
 
 # pointwise loops for the blocks, independent of the stacked evaluation:

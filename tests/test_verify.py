@@ -302,6 +302,55 @@ def test_nan_residual_fails_the_invariance_verdicts(s2_band, monkeypatch):
     assert cells == ["nan"] * len(SweepConfig().l_grid)
 
 
+def test_nan_residual_note_names_variant_l_element_and_point(s2_band, monkeypatch):
+    """The invariance verdict's note locates the first NaN residual, read
+    from the residuals: a rescaled image NaN at one l, element and
+    invariance point only."""
+    from cheegerdef import _kernels as _k
+
+    exact = _k.variant_metric
+    cfg = SweepConfig(**{**SMALL, "enabled": ("invariance",)})
+
+    def one_image_is_nan(scen, par, tag, l, x, sigma_tol):
+        out = exact(scen, par, tag, l, x, sigma_tol)
+        if tag == _k.RESCALED and out.ndim == 5:
+            # (L, E, N, d, d) images: l = 0.05, element 3, point 2
+            out = out.copy()
+            out[2, 3, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(_k, "variant_metric", one_image_is_nan)
+    res = run_suite(s2_band, cfg)
+    plan = build_plan(s2_band, cfg)
+    stride = len(plan.points) // cfg.invariance_points
+    (verdict,) = [v for v in res["verdicts"] if v["criterion"] == "invariance_residual"]
+    assert not verdict["passed"] and math.isnan(verdict["measured"])
+    assert verdict["note"] == (
+        f"NaN residual of rescaled at l=0.05, element 3, plan point {2 * stride} "
+        f"{plan.points[2 * stride].tolist()}")
+    # the location stays out of the report body, and the row of l = 0.05
+    # alone reads NaN
+    assert "nan_at" not in res["invariance"]
+    assert [math.isnan(r["invariance_residual"]) for r in res["rows"]] == [
+        False, False, True, False]
+
+
+def test_nan_note_takes_the_first_variant_in_reduction_order(s2_band, monkeypatch):
+    from cheegerdef import _kernels as _k
+
+    exact = _k.variant_metric
+
+    def limit_and_cheeger_are_nan(scen, par, tag, l, x, sigma_tol):
+        out = exact(scen, par, tag, l, x, sigma_tol)
+        return np.full_like(out, np.nan) if tag in (_k.LIMIT, _k.CHEEGER) else out
+
+    monkeypatch.setattr(_k, "variant_metric", limit_and_cheeger_are_nan)
+    res = run_suite(s2_band, SweepConfig(**{**SMALL, "enabled": ("invariance",)}))
+    (verdict,) = [v for v in res["verdicts"] if v["criterion"] == "invariance_residual"]
+    first = build_plan(s2_band, SweepConfig(**SMALL)).points[0].tolist()
+    assert verdict["note"] == f"NaN residual of limit at every l, element 0, plan point 0 {first}"
+
+
 def test_run_suite_full_band(s2_band):
     cfg = SweepConfig(**SMALL)
     res = run_suite(s2_band, cfg)
