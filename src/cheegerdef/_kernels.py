@@ -22,7 +22,9 @@ dimension <= 3, orbit rank <= 2), so inverses and the Cholesky gate are
 closed forms for sizes 1, 2 and 3 written over the stack: a LAPACK call
 per evaluation costs more than the whole algebra.  Geodesics are
 stacked too: RK4 advances a stack of starts as one state, so a step
-makes four stacked Christoffel calls however many starts it carries.
+makes four stacked Christoffel calls however many starts it carries.  A
+geodesic stack may mix the base metric with one rank-update variant: its
+base rows take the base metric's values from the same Christoffel call.
 
 The closed-form deformed metric, its vertical rescaling and their limit
 are one rank update G - W Y(P) W^T of the base metric (W = G A,
@@ -345,10 +347,13 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     return _nan_rows(cond < 1e12, sym2(Ci.mT @ (inner @ Ci)))
 
 
-def _rank_update_dx(scen, par, tag, l, x, sigma_tol):
+def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None):
     """Value and exact first chart derivatives of the rank update,
     (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, by the product
     rule with dP^{-1} = -P^{-1} dP P^{-1} and likewise for (l^2 + P)^{-1}.
+    base is None or a boolean mask of the rows of x that take the base
+    metric and its catalogued derivative instead, both evaluated here for
+    every row; the Cholesky gate of P does not act on those rows.
 
     d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
     orthogonal projector Q onto the isotropy complement, so the basis
@@ -382,8 +387,11 @@ def _rank_update_dx(scen, par, tag, l, x, sigma_tol):
         else:
             dY = dPi - dMi @ Pi - Mi @ dPi
     B = dW @ (Y @ W.mT)
-    dGv = sym2(dG - B - B.mT - W @ (dY @ W.mT))
-    return Gv, _nan_rows(ok, dGv, core=3)
+    dGv = _nan_rows(ok, sym2(dG - B - B.mT - W @ (dY @ W.mT)), core=3)
+    if base is not None:
+        Gv = np.where(base[..., None, None], G, Gv)
+        dGv = np.where(base[..., None, None, None], dG, dGv)
+    return Gv, dGv
 
 
 # Richardson stencil steps, in units of h
@@ -438,13 +446,14 @@ def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
     return _richardson(f, h)
 
 
-def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol):
+def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=None):
     """Christoffel symbols Gamma[..., k, i, j] of a metric variant at x.
 
     The rank-update tags take the value and the derivative from one
-    evaluation of _rank_update_dx."""
+    evaluation of _rank_update_dx; on that path base may mask the rows
+    of x that take the base metric instead (see _rank_update_dx)."""
     if analytic and tag != ORIGINAL and tag != CHEEGER:
-        G, dG = _rank_update_dx(scen, par, tag, l, x, sigma_tol)
+        G, dG = _rank_update_dx(scen, par, tag, l, x, sigma_tol, base)
     else:
         G = variant_metric(scen, par, tag, l, x, sigma_tol)
         dG = variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol)
@@ -458,21 +467,55 @@ def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol):
     return 0.5 * (Gi @ T.reshape(lead + (d, d * d))).reshape(lead + (d, d, d))
 
 
-def _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol):
+def _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol, base):
     """Right-hand side (v, -Gamma(v, v)) of the geodesic equation on a
-    stack (n, 2 d) of states (x, v)."""
+    stack (n, 2 d) of states (x, v); base masks the base-metric rows of
+    a mixed stack or is None."""
     n, d = y.shape[0], y.shape[1] // 2
     x, v = y[:, :d], y[:, d:]
-    Gam = christoffel(scen, par, tag, l, x, h, analytic, sigma_tol)
+    Gam = christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=base)
     w = v[:, :, None]
     acc = -((Gam.reshape(n, d * d, d) @ w).reshape(n, d, d) @ w)[:, :, 0]
     return np.concatenate([v, acc], axis=-1)
+
+
+def _stack_tag(tag, lead, analytic):
+    """The Christoffel tag of a geodesic stack and its base-row mask.
+
+    tag is one tag, or one tag per start (shape lead).  One tag, or the
+    same tag on every start, gives (tag, None).  A mix of ORIGINAL and
+    one rank-update tag on the analytic path gives that tag and the
+    flat mask of the ORIGINAL rows; any other mix is refused.
+    """
+    if np.ndim(tag) == 0:
+        return tag, None
+    tags = np.asarray(tag)
+    if tags.shape != lead:
+        raise ValueError(f"one tag per start: tags of shape {tags.shape} "
+                         f"for starts of shape {lead}")
+    tags = tags.reshape(-1)
+    base = tags == ORIGINAL
+    others = np.unique(tags[~base])
+    if others.size == 0:
+        return ORIGINAL, None
+    if others.size == 1 and not base.any():
+        return int(others[0]), None
+    if others.size > 1 or others[0] == CHEEGER or not analytic:
+        raise ValueError("a mixed geodesic stack holds ORIGINAL and one "
+                         "rank-update tag, with analytic derivatives")
+    return int(others[0]), base
 
 
 def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
                  lo, hi, periodic, sigma_tol):
     """Integrate the geodesic equation with classical RK4 from a stack of
     starts x0, v0 of shape (..., d); one start is the zero-batch case.
+
+    tag is one metric-variant tag for every start, or one tag per start
+    that mixes ORIGINAL with one rank-update tag (CHEEGER_CLOSED,
+    RESCALED or LIMIT) on the analytic path; each stage then makes one
+    Christoffel call for the whole stack, and every row equals the same
+    start integrated under its own tag alone.
 
     All running starts advance as one stacked state.  Trajectory rows are
     (position, velocity); a start that stops early keeps zero rows after
@@ -486,6 +529,7 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     """
     lead = x0.shape[:-1]
     d = x0.shape[-1]
+    tag, base = _stack_tag(tag, lead, analytic)
     y = np.concatenate([x0.reshape(-1, d), v0.reshape(-1, d)], axis=-1)
     n = y.shape[0]
     traj = np.zeros((n, n_steps + 1, 2 * d))
@@ -500,14 +544,22 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     hi_in = np.where(closed, hi - GEODESIC_MARGIN * h, np.inf)
 
     def rhs(y):
-        return _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol)
+        return _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol, base)
+
+    def stop(gone, code, step):
+        """Stop the running rows in gone with status code after step
+        steps; their base-mask entries go with them."""
+        nonlocal rows, y, base
+        status[rows[gone]] = code
+        done[rows[gone]] = step
+        rows, y = rows[~gone], y[~gone]
+        if base is not None:
+            base = base[~gone]
 
     for step in range(n_steps):
         out = ((y[:, :d] < lo_in) | (y[:, :d] > hi_in)).any(axis=-1)
         if out.any():
-            status[rows[out]] = LEFT_DOMAIN
-            done[rows[out]] = step
-            rows, y = rows[~out], y[~out]
+            stop(out, LEFT_DOMAIN, step)
             if rows.size == 0:
                 break
         k1 = rhs(y)
@@ -517,9 +569,7 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         bad = np.isnan(y).any(axis=-1)
         if bad.any():
-            status[rows[bad]] = NUMERIC_FAIL
-            done[rows[bad]] = step
-            rows, y = rows[~bad], y[~bad]
+            stop(bad, NUMERIC_FAIL, step)
             if rows.size == 0:
                 break
         traj[rows, step + 1] = y

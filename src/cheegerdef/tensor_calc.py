@@ -6,17 +6,19 @@ metric, the product rule of the closed rank update for the closed-form,
 rescaled and limit variants.  The reparametrisation route, the T-tensor
 frame field and the test oracle use fourth-order central differences
 with one Richardson extrapolation level (step h_fd).  Geodesics are
-integrated with classical fourth-order Runge-Kutta, all starts of a
-variant as one stacked state; each start keeps its own status and step
-count.  Tensor norms and C^p distances are suprema over explicit sample
-plans, measured against the base metric.  A plan carries the orbit data
-and adapted frame of its points, computed once when it is built (or on
-first use for a plan constructed directly), and the verification stages
-pass them to every C^0 and gap block they evaluate on the plan.
+integrated with classical fourth-order Runge-Kutta, all starts as one
+stacked state, which may mix the base metric with one rank-update
+variant; each start keeps its own variant, status and step count.
+Tensor norms and C^p distances are suprema over explicit sample plans,
+measured against the base metric.  A plan carries the orbit data and
+adapted frame of its points, computed on first use, and the
+verification stages pass them to every C^0 and gap block they evaluate
+on the plan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,44 +113,71 @@ class GeodesicResult:
 _GEO_STATUS = {_k.OK: "ok", _k.LEFT_DOMAIN: "left_domain", _k.NUMERIC_FAIL: "numerical"}
 
 
-def integrate_geodesics(v: MetricVariant, x0s: np.ndarray, v0s: np.ndarray,
+def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
+                        x0s: np.ndarray, v0s: np.ndarray,
                         length: float = 3.0, step: float = 1e-3,
                         unit_speed: bool = True,
                         h: float = H_FD) -> list[GeodesicResult]:
-    """Integrate the geodesic equation of the variant from each start
-    (x0s[s], v0s[s]) as one stacked RK4 state; one result per start.
+    """Integrate the geodesic equation from each start (x0s[s], v0s[s])
+    as one stacked RK4 state; one result per start.
 
-    Each v0 is normalised to unit variant speed unless unit_speed is
-    False.  A start outside the chart box shrunk by the integration
-    margin (GEODESIC_MARGIN FD steps h) raises DomainError.  A start
-    stops alone at that margin (status left_domain); numerical breakdown
-    of any start raises NumericalFailure naming that start and the step.
+    v is one variant for every start, or one variant per start.  A
+    per-start list may mix the base metric with one variant of exact
+    derivatives (limit, rescaled or the closed form), and each row then
+    equals its start integrated under its own variant alone.  Each v0 is
+    normalised to unit variant speed unless unit_speed is False.  A start
+    outside the chart box shrunk by the integration margin
+    (GEODESIC_MARGIN FD steps h) raises DomainError.  A start stops
+    alone at that margin (status left_domain); numerical breakdown of any
+    start raises NumericalFailure naming the first failing start by its
+    variant, its index among that variant's starts and the step.
     """
-    scenario = v.scenario
+    x0s = np.asarray(x0s, dtype=float)
+    variants = [v] * len(x0s) if isinstance(v, MetricVariant) else list(v)
+    if len(variants) != len(x0s):
+        raise ValueError(f"{len(variants)} variants for {len(x0s)} geodesic starts")
+    # the starts of each variant, in order of first appearance
+    starts: dict[tuple, list[int]] = {}
+    for s, var in enumerate(variants):
+        starts.setdefault((var.tag, var.l), []).append(s)
+    # the variant whose l and derivative path the stack takes: the one
+    # that is not the base metric, if any
+    main = next((var for var in variants if var.tag != "original"), variants[0])
+    if sum(tag != "original" for tag, _ in starts) > 1:
+        raise ValueError("a mixed geodesic stack holds the base metric "
+                         "and one other variant")
+    scenario = main.scenario
     x0s = np.stack([scenario.chart.require_inside(x, _k.GEODESIC_MARGIN * h)
-                    for x in np.asarray(x0s, dtype=float)])
+                    for x in x0s])
     v0s = np.asarray(v0s, dtype=float)
     if step <= 0 or length <= 0:
         raise ValueError("geodesic step and length must be positive")
     if unit_speed:
-        G = v.matrix(x0s)
-        speed = np.sqrt((v0s[:, None, :] @ G @ v0s[:, :, None])[:, 0, 0])
+        speed = np.empty(len(x0s))
+        for rows in starts.values():
+            G = variants[rows[0]].matrix(x0s[rows])
+            w = v0s[rows]
+            speed[rows] = np.sqrt((w[:, None, :] @ G @ w[:, :, None])[:, 0, 0])
         if np.any(speed <= 0):
             raise ValueError("initial velocity must be nonzero")
         v0s = v0s / speed[:, None]
+    tag = (main.tag_code if len(starts) == 1
+           else np.array([var.tag_code for var in variants]))
     n_steps = int(round(length / step))
     traj, status, _, done = _k.geodesic_rk4(
-        scenario, scenario.params, v.tag_code, float(v.l), x0s, v0s,
-        n_steps, float(step), h, _use_analytic(v),
+        scenario, scenario.params, tag, float(main.l), x0s, v0s,
+        n_steps, float(step), h, _use_analytic(main),
         scenario.chart.lo, scenario.chart.hi,
         scenario.chart.periodic.astype(np.int64), SIGMA_TOL)
     failed = np.flatnonzero(status == _k.NUMERIC_FAIL)
     if failed.size:
         s = failed[0]
+        var = variants[s]
         raise NumericalFailure(
-            f"geodesic integration of {v.label} from start {s} at "
+            f"geodesic integration of {var.label} from start "
+            f"{starts[var.tag, var.l].index(s)} at "
             f"{x0s[s].tolist()} broke down at step {done[s]}")
-    return [GeodesicResult(variant=v, states=traj[s], dt=float(step),
+    return [GeodesicResult(variant=variants[s], states=traj[s], dt=float(step),
                            status=_GEO_STATUS[int(status[s])], steps=int(done[s]))
             for s in range(len(x0s))]
 
@@ -220,13 +249,11 @@ class SamplePlan:
     @classmethod
     def build(cls, scenario: Scenario, n_points: int = 200, n_dirs: int = 50,
               seed: int = 42, margin: float | None = None) -> "SamplePlan":
-        """The plan on the sample grid, with its geometry computed."""
+        """The plan on the sample grid; its geometry is computed by the
+        first stage that reads it."""
         pts = sample_grid(scenario, n_points, margin)
         dirs = direction_pairs(scenario, len(pts), n_dirs, seed)
-        plan = cls(scenario=scenario, points=pts, dirs=dirs)
-        # computed now, so a suite pays for it while building its plan
-        plan.geometry
-        return plan
+        return cls(scenario=scenario, points=pts, dirs=dirs)
 
     @cached_property
     def geometry(self) -> tuple:

@@ -310,13 +310,14 @@ def geodesic_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     transverse = cfg.geodesic_transverse or scenario.geodesic_transverse
     x0s = np.stack([scenario.start_from_transverse(c) for c in transverse])
     v0s = np.stack([killing_data(scenario, x0).A[:, 0] for x0 in x0s])
-    # one stack per metric: a stack mixing both would need a per-row tag
-    lims, bases = (integrate_geodesics(variant(scenario, tag), x0s, v0s,
-                                       length=cfg.geodesic_length,
-                                       step=cfg.geodesic_step, h=cfg.h_fd)
-                   for tag in ("limit", "original"))
+    # one stack: the limit starts, then the same starts under the base metric
+    n = len(x0s)
+    res = integrate_geodesics(
+        [variant(scenario, "limit")] * n + [variant(scenario, "original")] * n,
+        np.vstack([x0s, x0s]), np.vstack([v0s, v0s]),
+        length=cfg.geodesic_length, step=cfg.geodesic_step, h=cfg.h_fd)
     starts = []
-    for c, res_lim, res_base in zip(transverse, lims, bases):
+    for c, res_lim, res_base in zip(transverse, res[:n], res[n:]):
         starts.append({
             "transverse": float(c),
             "limit_drift": orbit_invariant_drift(res_lim),

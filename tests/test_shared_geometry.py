@@ -136,3 +136,25 @@ def test_sample_stages_compute_each_point_set_once(monkeypatch):
         assert res["passed"], sid
         assert counts == {"orbit_data": 3, "adapted_frame": 1, "act": 1,
                           "action_jacobian": 1}, sid
+
+
+def test_geodesic_only_run_computes_no_plan_geometry(monkeypatch):
+    """The plan geometry is computed by the first stage that reads it, so
+    a run of the geodesic stage alone (the benchmark's fiber_geodesics
+    config) builds no plan geometry and no adapted frame."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("plan_geometry", "adapted_frame"):
+        monkeypatch.setattr(_k, name, counted(name, getattr(_k, name)))
+    workload = workloads.WORKLOADS["fiber_geodesics"]
+    for sid in workload.scenarios:
+        text = workloads.config_text(workload, sid, seed=42)
+        cfg = cli.build_run_config(cli.parse_config(text)).sweep
+        assert verify.run_suite(get_scenario(sid), cfg)["passed"], sid
+    assert counts == {}

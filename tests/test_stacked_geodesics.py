@@ -1,6 +1,8 @@
 """Stacked geodesic integration: a stack of starts advances as one RK4
 state, each start keeps its own status and step count, and every row
-equals the same start integrated alone."""
+equals the same start integrated alone.  A stack may mix the base metric
+with the limit metric; each of its rows equals the same start in a stack
+of its own variant."""
 
 import dataclasses
 
@@ -30,6 +32,13 @@ def _rk4(scenario, tag, x0, v0, n_steps, dt, chart=None):
     return _k.geodesic_rk4(scenario.code, scenario.params, tag, 0.0, x0, v0,
                            n_steps, dt, H, True, chart.lo, chart.hi,
                            chart.periodic.astype(np.int64), TOL)
+
+
+def _wide(s2_band):
+    """The s2_band chart box opened past both poles."""
+    return Chart(labels=s2_band.chart.labels, lo=np.array([0.0, -1.0]),
+                 hi=np.array([2 * np.pi, np.pi + 1.0]),
+                 periodic=s2_band.chart.periodic)
 
 
 def _assert_same(stacked, single):
@@ -78,9 +87,7 @@ def test_meridian_rows_leave_chart_alone(s2_band):
 def test_degenerate_row_fails_alone(s2_band):
     # with the chart box opened past the pole, the pole start reaches the
     # kernel and its Christoffel symbols are NaN at the first step
-    wide = Chart(labels=s2_band.chart.labels, lo=np.array([0.0, -1.0]),
-                 hi=np.array([2 * np.pi, np.pi + 1.0]),
-                 periodic=s2_band.chart.periodic)
+    wide = _wide(s2_band)
     x0s, v0s = _starts(s2_band)
     x0s = np.vstack([x0s[:2], [[0.3, 0.0]], x0s[2:]])
     v0s = np.vstack([v0s[:2], [[1.0, 0.0]], v0s[2:]])
@@ -96,10 +103,7 @@ def test_degenerate_row_fails_alone(s2_band):
 
 
 def test_failure_names_variant_start_and_step(s2_band):
-    wide = Chart(labels=s2_band.chart.labels, lo=np.array([0.0, -1.0]),
-                 hi=np.array([2 * np.pi, np.pi + 1.0]),
-                 periodic=s2_band.chart.periodic)
-    scenario = dataclasses.replace(s2_band, chart=wide)
+    scenario = dataclasses.replace(s2_band, chart=_wide(s2_band))
     v = variant(scenario, "limit")
     x0s = np.array([[0.3, 0.9], [0.3, 0.0]])
     v0s = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -107,6 +111,109 @@ def test_failure_names_variant_start_and_step(s2_band):
                        match=r"of limit from start 1 at \[0\.3, 0\.0\] "
                              r"broke down at step 0"):
         integrate_geodesics(v, x0s, v0s, length=0.5, step=1e-2, unit_speed=False)
+
+
+def _mixed(scenario, x0s_lim, v0s_lim, x0s_base, v0s_base, **kw):
+    """One mixed stack (limit starts, then base starts) and the two
+    one-variant stacks of the same starts."""
+    lim, base = variant(scenario, "limit"), variant(scenario, "original")
+    mixed = integrate_geodesics([lim] * len(x0s_lim) + [base] * len(x0s_base),
+                                np.vstack([x0s_lim, x0s_base]),
+                                np.vstack([v0s_lim, v0s_base]), **kw)
+    alone = (integrate_geodesics(lim, x0s_lim, v0s_lim, **kw)
+             + integrate_geodesics(base, x0s_base, v0s_base, **kw))
+    return mixed, alone
+
+
+@pytest.mark.parametrize("sid", NON_TRANSITIVE)
+def test_mixed_stack_rows_equal_their_one_variant_stacks(sid, request):
+    scenario = request.getfixturevalue(sid)
+    x0s, v0s = _starts(scenario)
+    mixed, alone = _mixed(scenario, x0s, v0s, x0s, v0s, length=3.0, step=1e-2)
+    assert [r.variant.tag for r in mixed] == ["limit"] * 3 + ["original"] * 3
+    for res, one in zip(mixed, alone):
+        _assert_same(res, one)
+        assert res.status == "ok"
+
+
+def test_mixed_stack_limit_row_fails_alone_at_the_pole(s2_band):
+    # the limit metric degenerates at the pole (P = 0), so its pole row
+    # is NaN at the first step; the base rows beside it carry on
+    wide = _wide(s2_band)
+    x0s, v0s = _starts(s2_band)
+    x_lim = np.vstack([x0s[:1], [[0.3, 0.0]], x0s[1:]])
+    v_lim = np.vstack([v0s[:1], [[1.0, 0.0]], v0s[1:]])
+    tags = np.array([_k.LIMIT] * 4 + [_k.ORIGINAL] * 3)
+    traj, status, steps, done = _rk4(s2_band, tags, np.vstack([x_lim, x0s]),
+                                     np.vstack([v_lim, v0s]), 50, 1e-2, wide)
+    np.testing.assert_array_equal(status, [_k.OK, _k.NUMERIC_FAIL] + [_k.OK] * 5)
+    np.testing.assert_array_equal(done, [50, 0] + [50] * 5)
+    assert steps == 50
+    for rows, tag, x, v in ((slice(0, 4), _k.LIMIT, x_lim, v_lim),
+                            (slice(4, 7), _k.ORIGINAL, x0s, v0s)):
+        one = _rk4(s2_band, tag, x, v, 50, 1e-2, wide)
+        np.testing.assert_array_equal(traj[rows], one[0])
+        np.testing.assert_array_equal(status[rows], one[1])
+        np.testing.assert_array_equal(done[rows], one[3])
+
+
+def test_mixed_stack_base_meridian_row_leaves_chart_alone(s2_band):
+    # a base meridian start runs into the chart edge after 204 steps;
+    # the limit rows and the other base rows run to the end
+    x0s, v0s = _starts(s2_band)
+    x_base = np.vstack([x0s, [[0.3, 0.9015]]])
+    v_base = np.vstack([v0s, [[0.0, 1.0]]])
+    mixed, alone = _mixed(s2_band, x0s, v0s, x_base, v_base, length=3.0, step=1e-2)
+    assert [r.status for r in mixed] == ["ok"] * 6 + ["left_domain"]
+    assert [r.steps for r in mixed] == [300] * 6 + [204]
+    for res, one in zip(mixed, alone):
+        _assert_same(res, one)
+
+
+def test_mixed_stack_keeps_the_gate_of_p_off_the_base_rows(s2_band, monkeypatch):
+    # with every orbit tensor failing the Cholesky gate, the limit rows
+    # are NaN at the first step and the base rows still equal their
+    # base-only run, which never evaluates the gate
+    x0s, v0s = _starts(s2_band)
+    monkeypatch.setattr(_k, "_positive", lambda P: np.zeros(P.shape[:-2], bool))
+    tags = np.array([_k.LIMIT] * 3 + [_k.ORIGINAL] * 3)
+    traj, status, steps, done = _rk4(s2_band, tags, np.vstack([x0s, x0s]),
+                                     np.vstack([v0s, v0s]), 30, 1e-2)
+    np.testing.assert_array_equal(status, [_k.NUMERIC_FAIL] * 3 + [_k.OK] * 3)
+    np.testing.assert_array_equal(done, [0] * 3 + [30] * 3)
+    one = _rk4(s2_band, _k.ORIGINAL, x0s, v0s, 30, 1e-2)
+    np.testing.assert_array_equal(traj[3:], one[0])
+
+
+@pytest.mark.parametrize("x_lim, x_base, named", (
+    ([[0.3, 0.9], [0.3, 0.5]], [[0.3, 0.9], [0.3, 0.0]], r"of original from start 1"),
+    ([[0.3, 0.9], [0.3, 0.0]], [[0.3, 0.0], [0.3, 0.9]], r"of limit from start 1"),
+))
+def test_mixed_failure_names_the_first_failing_row(s2_band, x_lim, x_base, named):
+    # rows in limit-then-base order; the first failing row is named by its
+    # variant and its index among that variant's starts
+    scenario = dataclasses.replace(s2_band, chart=_wide(s2_band))
+    lim, base = variant(scenario, "limit"), variant(scenario, "original")
+    v0s = np.array([[1.0, 0.0]] * 4)
+    with pytest.raises(NumericalFailure,
+                       match=named + r" at \[0\.3, 0\.0\] broke down at step 0"):
+        integrate_geodesics([lim, lim, base, base], np.vstack([x_lim, x_base]), v0s,
+                            length=0.5, step=1e-2, unit_speed=False)
+
+
+def test_stacks_that_cannot_mix_are_refused(s2_band):
+    x0s, v0s = _starts(s2_band)
+    x0s, v0s = x0s[:2], v0s[:2]
+    for tags, analytic in (([_k.LIMIT, _k.RESCALED], True),
+                           ([_k.CHEEGER, _k.ORIGINAL], True),
+                           ([_k.LIMIT, _k.ORIGINAL], False)):
+        with pytest.raises(ValueError, match="mixed geodesic stack"):
+            _k.geodesic_rk4(s2_band, s2_band.params, np.array(tags), 0.1, x0s, v0s,
+                            5, 1e-2, H, analytic, s2_band.chart.lo, s2_band.chart.hi,
+                            s2_band.chart.periodic.astype(np.int64), TOL)
+    pair = [variant(s2_band, "rescaled", 0.1), variant(s2_band, "rescaled", 0.2)]
+    with pytest.raises(ValueError, match="mixed geodesic stack"):
+        integrate_geodesics(pair, x0s, v0s, length=0.05, step=1e-2)
 
 
 def test_kernel_keeps_the_single_start_shapes(s2_band):
