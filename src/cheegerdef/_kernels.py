@@ -495,12 +495,13 @@ def _stack_tag(tag, lead, analytic):
                          f"for starts of shape {lead}")
     tags = tags.reshape(-1)
     base = tags == ORIGINAL
-    others = np.unique(tags[~base])
-    if others.size == 0:
+    # a set, not np.unique, whose first call imports numpy.ma
+    others = sorted(set(tags[~base].tolist()))
+    if not others:
         return ORIGINAL, None
-    if others.size == 1 and not base.any():
+    if len(others) == 1 and not base.any():
         return int(others[0]), None
-    if others.size > 1 or others[0] == CHEEGER or not analytic:
+    if len(others) > 1 or others[0] == CHEEGER or not analytic:
         raise ValueError("a mixed geodesic stack holds ORIGINAL and one "
                          "rank-update tag, with analytic derivatives")
     return int(others[0]), base

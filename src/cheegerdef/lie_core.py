@@ -5,6 +5,18 @@ the 2-torus as a block pair of rotations, and the special unitary group
 of rank one as the 4x4 real matrices of left quaternion multiplication.
 Algebra bases are chosen orthonormal for the catalogued bi-invariant
 form, which is the identity matrix in every case.
+
+Exponentials have a closed form.  In every catalogued model the square
+of an algebra element is diagonal, X^2 = -Theta^2 with Theta diagonal
+and nonnegative: Theta^2 = theta^2 I for the circle and the quaternion
+model, blockwise for the torus.  X then commutes with Theta, and the
+exponential series splits into its even and odd parts,
+
+    exp X = cos(Theta) + (sin(Theta) / Theta) X,
+
+with sin(0)/0 read as 1.  X^2 is diagonal for every element exactly when
+every anticommutator X_a X_b + X_b X_a of the basis is diagonal, which
+each catalogued group checks when it is built.
 """
 
 from __future__ import annotations
@@ -12,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "AlgebraClosureError",
@@ -21,7 +32,9 @@ __all__ = [
     "LieAlgebraBasis",
     "LieGroupModel",
     "ad_invariance_residual",
+    "anticommutator_residual",
     "antisymmetry_residual",
+    "closed_form_exp",
     "get_group",
     "jacobi_residual",
     "list_groups",
@@ -76,6 +89,35 @@ def ad_invariance_residual(c: np.ndarray, B: np.ndarray) -> float:
     t1 = np.einsum("aim,mj->aij", c, B)
     t2 = np.einsum("ajm,im->aij", c, B)
     return float(np.max(np.abs(t1 + t2)))
+
+
+def anticommutator_residual(basis: tuple[np.ndarray, ...]) -> float:
+    """Largest off-diagonal entry of the anticommutators X_a X_b + X_b X_a
+    of the basis; 0 when the square of every algebra element is diagonal,
+    the condition of closed_form_exp."""
+    worst = 0.0
+    for a in basis:
+        for b in basis:
+            S = a @ b + b @ a
+            worst = max(worst, float(np.max(np.abs(S - np.diag(np.diag(S))))))
+    return worst
+
+
+def closed_form_exp(X: np.ndarray) -> np.ndarray:
+    """exp X = cos(Theta) + sin(Theta) (X / Theta) for an algebra element
+    X whose square is diagonal, X^2 = -Theta^2, or for each of a stack
+    (..., n, n) of them.
+
+    The diagonal of X^2 is taken as an elementwise row sum, so a stack
+    and its elements one at a time round alike.  The result is wrong for
+    a matrix whose square is not diagonal (see anticommutator_residual).
+    """
+    X = np.asarray(X, dtype=float)
+    theta = np.sqrt(np.maximum(-(X * np.swapaxes(X, -1, -2)).sum(axis=-1), 0.0))[..., None]
+    # X / Theta, the generator of unit angle; a row with Theta = 0 is
+    # divided by 1, and its sin(0) factor drops it
+    unit = X / np.where(theta > 0.0, theta, 1.0)
+    return np.cos(theta) * np.eye(X.shape[-1]) + np.sin(theta) * unit
 
 
 @dataclass(frozen=True)
@@ -149,7 +191,7 @@ class LieGroupModel:
         return GroupElement(self.group_id, np.eye(n))
 
     def exp(self, coeffs: np.ndarray, t: float = 1.0) -> GroupElement:
-        M = scipy.linalg.expm(t * self.algebra.element(coeffs))
+        M = closed_form_exp(t * self.algebra.element(coeffs))
         return GroupElement(self.group_id, M)
 
     def compose(self, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -228,12 +270,22 @@ def _quat_left_mult(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def _make_u1() -> LieGroupModel:
-    algebra = LieAlgebraBasis.from_matrices((_J2.copy(),))
-    form = BiInvariantForm(np.eye(1))
-    model = LieGroupModel("u1", algebra, form)
+def _model(group_id: str, matrices: tuple[np.ndarray, ...]) -> LieGroupModel:
+    """The group whose algebra has the given orthonormal basis, with the
+    identity as its bi-invariant form; refuses a basis outside the
+    closed form of the exponential."""
+    algebra = LieAlgebraBasis.from_matrices(matrices)
+    resid = anticommutator_residual(algebra.matrices)
+    if resid > 1e-14:
+        raise ValueError(f"{group_id}: squares of algebra elements are not "
+                         f"diagonal (anticommutator residual {resid:.3e})")
+    form = BiInvariantForm(np.eye(algebra.dim))
     form.validate(algebra)
-    return model
+    return LieGroupModel(group_id, algebra, form)
+
+
+def _make_u1() -> LieGroupModel:
+    return _model("u1", (_J2.copy(),))
 
 
 def _make_t2() -> LieGroupModel:
@@ -241,11 +293,7 @@ def _make_t2() -> LieGroupModel:
     k1[:2, :2] = _J2
     k2 = np.zeros((4, 4))
     k2[2:, 2:] = _J2
-    algebra = LieAlgebraBasis.from_matrices((k1, k2))
-    form = BiInvariantForm(np.eye(2))
-    model = LieGroupModel("t2", algebra, form)
-    form.validate(algebra)
-    return model
+    return _model("t2", (k1, k2))
 
 
 def _make_su2() -> LieGroupModel:
@@ -253,28 +301,20 @@ def _make_su2() -> LieGroupModel:
     li = _quat_left_mult(np.array([0.0, 1.0, 0.0, 0.0]))
     lj = _quat_left_mult(np.array([0.0, 0.0, 1.0, 0.0]))
     lk = _quat_left_mult(np.array([0.0, 0.0, 0.0, 1.0]))
-    algebra = LieAlgebraBasis.from_matrices((0.5 * li, 0.5 * lj, 0.5 * lk))
-    form = BiInvariantForm(np.eye(3))
-    model = LieGroupModel("su2", algebra, form)
-    form.validate(algebra)
-    return model
+    return _model("su2", (0.5 * li, 0.5 * lj, 0.5 * lk))
 
 
+_MAKERS = {"u1": _make_u1, "t2": _make_t2, "su2": _make_su2}
 _GROUPS: dict[str, LieGroupModel] = {}
 
 
 def get_group(group_id: str) -> LieGroupModel:
+    if group_id not in _MAKERS:
+        raise KeyError(f"unknown group '{group_id}'")
     if group_id not in _GROUPS:
-        if group_id == "u1":
-            _GROUPS[group_id] = _make_u1()
-        elif group_id == "t2":
-            _GROUPS[group_id] = _make_t2()
-        elif group_id == "su2":
-            _GROUPS[group_id] = _make_su2()
-        else:
-            raise KeyError(f"unknown group '{group_id}'")
+        _GROUPS[group_id] = _MAKERS[group_id]()
     return _GROUPS[group_id]
 
 
 def list_groups() -> tuple[str, ...]:
-    return ("u1", "t2", "su2")
+    return tuple(_MAKERS)

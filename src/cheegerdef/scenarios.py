@@ -25,11 +25,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels as _k
 from .gmanifold import Chart
-from .lie_core import GroupElement, LieGroupModel, get_group
+from .lie_core import GroupElement, LieGroupModel, closed_form_exp, get_group
 
 __all__ = [
     "Scenario",
@@ -478,7 +477,7 @@ def invariance_elements(scenario: Scenario, count: int,
     group = scenario.group
     vecs = [group.random_algebra_vector(rng, scenario.element_scale)
             for _ in range(count)]
-    mats = scipy.linalg.expm(np.stack([group.algebra.element(v) for v in vecs]))
+    mats = closed_form_exp(np.stack([group.algebra.element(v) for v in vecs]))
     return [GroupElement(group.group_id, M) for M in mats]
 
 

@@ -10,10 +10,10 @@ integrated with classical fourth-order Runge-Kutta, all starts as one
 stacked state, which may mix the base metric with one rank-update
 variant; each start keeps its own variant, status and step count.
 Tensor norms and C^p distances are suprema over explicit sample plans,
-measured against the base metric.  A plan carries the orbit data and
-adapted frame of its points, computed on first use, and the
-verification stages pass them to every C^0 and gap block they evaluate
-on the plan.
+measured against the base metric.  A plan carries its seeded direction
+pairs and the orbit data and adapted frame of its points, each computed
+on first use, and the verification stages pass them to every C^0 and gap
+block they evaluate on the plan.
 """
 
 from __future__ import annotations
@@ -192,12 +192,13 @@ def geodesic_integrate(v: MetricVariant, x0: np.ndarray, v0: np.ndarray,
 
 def speed_drift(res: GeodesicResult, stride: int = 50) -> float:
     """Max deviation of the variant speed from its initial value along
-    the trajectory, sampled every stride steps.  The stride is bounded by
-    the completed steps, so a trajectory shorter than one stride still
-    compares its first and last states."""
-    stride = max(1, min(stride, res.steps))
-    pos = res.positions[::stride]
-    vel = res.velocities[::stride]
+    the trajectory, sampled every stride steps and at the last completed
+    step, so no tail of the run goes unchecked."""
+    # the last multiple of the stride at or past the end becomes the end
+    idx = np.arange(0, res.steps + stride, stride)
+    idx[-1] = res.steps
+    pos = res.positions[idx]
+    vel = res.velocities[idx]
     G = res.variant.matrix(pos)
     speeds = (vel[:, None, :] @ G @ vel[:, :, None])[:, 0, 0]
     return float(np.max(np.abs(speeds - speeds[0])))
@@ -237,23 +238,37 @@ def t_tensor(v: MetricVariant, x: np.ndarray, h: float = H_FD) -> TTensorSample:
     return TTensorSample(x=x, value=val, vacuous=vacuous)
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """Fixed evaluation plan for sup-norm estimates: grid points plus a
-    batch of seeded direction pairs per point."""
+    batch of seeded direction pairs per point.
 
-    scenario: Scenario
-    points: np.ndarray
-    dirs: np.ndarray
+    The pairs are drawn on first read, from their own stream of the seed,
+    unless the plan is given them; a stage that reads neither the pairs
+    nor the geometry pays for neither.
+    """
+
+    def __init__(self, scenario: Scenario, points: np.ndarray,
+                 dirs: np.ndarray | None = None, n_dirs: int = 50, seed: int = 42):
+        self.scenario = scenario
+        self.points = points
+        self.n_dirs = n_dirs
+        self.seed = seed
+        if dirs is not None:
+            # a given batch takes the place of the cached draw
+            vars(self)["dirs"] = dirs
 
     @classmethod
     def build(cls, scenario: Scenario, n_points: int = 200, n_dirs: int = 50,
               seed: int = 42, margin: float | None = None) -> "SamplePlan":
-        """The plan on the sample grid; its geometry is computed by the
-        first stage that reads it."""
-        pts = sample_grid(scenario, n_points, margin)
-        dirs = direction_pairs(scenario, len(pts), n_dirs, seed)
-        return cls(scenario=scenario, points=pts, dirs=dirs)
+        """The plan on the sample grid; its direction pairs and geometry
+        are computed by the first stage that reads them."""
+        return cls(scenario, sample_grid(scenario, n_points, margin),
+                   n_dirs=n_dirs, seed=seed)
+
+    @cached_property
+    def dirs(self) -> np.ndarray:
+        """Seeded direction pairs, (points, n_dirs, 2, dim)."""
+        return direction_pairs(self.scenario, len(self.points), self.n_dirs, self.seed)
 
     @cached_property
     def geometry(self) -> tuple:

@@ -158,3 +158,41 @@ def test_geodesic_only_run_computes_no_plan_geometry(monkeypatch):
         cfg = cli.build_run_config(cli.parse_config(text)).sweep
         assert verify.run_suite(get_scenario(sid), cfg)["passed"], sid
     assert counts == {}
+
+
+def test_geodesic_only_run_draws_no_direction_pairs(monkeypatch):
+    """The plan's direction pairs are drawn on first read, so a run of the
+    geodesic stage alone draws none, and its CSV and report equal those
+    of a run whose plan draws them up front."""
+    from cheegerdef import scenarios, tensor_calc
+    calls = Counter()
+    draw = scenarios.direction_pairs
+
+    def counted(*args, **kwargs):
+        calls["direction_pairs"] += 1
+        return draw(*args, **kwargs)
+
+    for module in (scenarios, tensor_calc):
+        monkeypatch.setattr(module, "direction_pairs", counted)
+    workload = workloads.WORKLOADS["fiber_geodesics"]
+    for sid in workload.scenarios:
+        rc = cli.build_run_config(cli.parse_config(
+            workloads.config_text(workload, sid, seed=42)))
+        scenario = get_scenario(sid)
+        calls.clear()
+        lazy = verify.run_suite(scenario, rc.sweep)
+        assert lazy["passed"] and calls == {}, sid
+        with monkeypatch.context() as m:
+            # the plan of the parent: pairs drawn when it is built
+            m.setattr(verify, "build_plan",
+                      lambda sc, cfg, build=verify.build_plan: _drawn(build(sc, cfg)))
+            eager = verify.run_suite(scenario, rc.sweep)
+        assert calls == {"direction_pairs": 1}, sid
+        assert cli.render_csv(lazy["rows"]) == cli.render_csv(eager["rows"])
+        assert (cli.render_report(rc, lazy, scenario)
+                == cli.render_report(rc, eager, scenario)), sid
+
+
+def _drawn(plan):
+    plan.dirs
+    return plan

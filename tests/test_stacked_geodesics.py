@@ -325,9 +325,12 @@ def test_speed_drift_of_a_short_run_compares_its_last_state(s2_band, tag):
 
 
 def test_speed_drift_of_a_long_run_keeps_its_stride(s2_band):
-    # 70 steps: sampled at steps 0 and 50, as before the stride bound
+    # 70 steps: sampled at steps 0 and 50 on the stride and at step 70,
+    # the last completed state, whose drift is the largest
     x0s, v0s = _starts(s2_band)
     res = geodesic_integrate(variant(s2_band, "original"), x0s[0], v0s[0],
                              length=0.07, step=1e-3)
     assert res.steps == 70
-    assert speed_drift(res) == abs(_speed(res, 50) - _speed(res, 0))
+    drifts = [abs(_speed(res, k) - _speed(res, 0)) for k in (50, 70)]
+    assert drifts[1] > drifts[0]
+    assert speed_drift(res) == max(drifts)
