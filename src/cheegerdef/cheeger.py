@@ -30,7 +30,6 @@ from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure
 from .scenarios import Scenario
 
 __all__ = [
-    "DeformationParams",
     "MetricVariant",
     "VARIANT_TAGS",
     "definition_metric",
@@ -47,17 +46,6 @@ _TAG_CODES = {
     "limit": _k.LIMIT,
     "cheeger_closed_form": _k.CHEEGER_CLOSED,
 }
-
-
-@dataclass(frozen=True)
-class DeformationParams:
-    """Deformation scale l (side length of the group factor)."""
-
-    l: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.l) or self.l <= 0:
-            raise ValueError(f"deformation parameter l must be positive, got {self.l}")
 
 
 def kappa(kd: KillingData, G: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -118,8 +106,9 @@ class MetricVariant:
     def __post_init__(self) -> None:
         if self.tag not in _TAG_CODES:
             raise ValueError(f"unknown metric variant tag '{self.tag}'")
-        if self.tag in ("cheeger", "rescaled", "cheeger_closed_form"):
-            DeformationParams(self.l)
+        if self.tag in ("cheeger", "rescaled", "cheeger_closed_form") and not (
+                np.isfinite(self.l) and self.l > 0):
+            raise ValueError(f"deformation parameter l must be positive, got {self.l}")
 
     @property
     def tag_code(self) -> int:

@@ -27,7 +27,8 @@ from .scenarios import (DEFAULT_ORBIT_LENGTH, DEFAULT_WARP_AMPLITUDE, Scenario,
                         get_scenario, list_scenarios, sampling_box)
 from .verify import ALL_TESTS, SweepConfig, run_suite
 
-__all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run_from_config"]
+__all__ = ["ConfigError", "RunConfig", "build_run_config", "main", "parse_config",
+           "render_csv", "render_report", "run_from_config"]
 
 CSV_HEADER = "l,c0_diff,c1_diff,t_ratio_max,gap_residual,invariance_residual"
 SCHEMA_VERSION = 2

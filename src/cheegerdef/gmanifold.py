@@ -1,10 +1,9 @@
-"""Charts, group actions and orbit data on the catalogued manifolds.
+"""Charts, orbit data and the typed failures of the metric pipeline.
 
-The functions here take a scenario object (see scenarios) and expose the
-pointwise orbit machinery: the Killing operator of the action, the orbit
-data (isotropy split of the algebra and orbit tensor), and pullbacks of
-metric fields along group transformations.  Heavy lifting is delegated
-to the numpy kernels; this layer adds validation and typed failures.
+killing_data takes a scenario object (see scenarios) and returns the
+validated orbit data at a chart point: the Killing operator, the
+isotropy split of the algebra and the orbit tensor.  The computation is
+the numpy kernels'; this layer adds validation and typed failures.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .lie_core import GroupElement
 
 __all__ = [
     "Chart",
@@ -23,10 +21,7 @@ __all__ = [
     "KillingData",
     "NumericalFailure",
     "SIGMA_TOL",
-    "action_pullback_metric",
-    "fd_action_jacobian",
     "killing_data",
-    "killing_operator",
 ]
 
 # relative singular-value cutoff for isotropy detection
@@ -80,15 +75,6 @@ class Chart:
                 f"[{self.lo.tolist()}, {self.hi.tolist()}] (margin {margin})")
         return x
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Reduce periodic coordinates into their fundamental interval."""
-        x = np.array(x, dtype=float)
-        for m in range(self.dim):
-            if self.periodic[m]:
-                period = self.hi[m] - self.lo[m]
-                x[m] = self.lo[m] + np.mod(x[m] - self.lo[m], period)
-        return x
-
 
 @dataclass(frozen=True)
 class KillingData:
@@ -118,31 +104,6 @@ class KillingData:
         return self.m_basis.shape[-1]
 
 
-def killing_operator(scenario, x: np.ndarray, mode: str = "analytic",
-                     h_act: float = 1e-5) -> np.ndarray:
-    """Killing operator at x as a (dim M, dim g) matrix.
-
-    mode "analytic" uses the catalogued action derivative; mode "fd"
-    differentiates the action along one-parameter subgroups with
-    fourth-order central differences of step h_act.
-    """
-    x = scenario.chart.require_inside(x)
-    if mode == "analytic":
-        return np.asarray(scenario.killing(scenario.params, x))
-    if mode != "fd":
-        raise ValueError(f"unknown killing_operator mode '{mode}'")
-    group = scenario.group
-    d = scenario.chart.dim
-    ng = group.algebra.dim
-    K = np.zeros((d, ng))
-    basis = np.eye(ng)
-    for k in range(ng):
-        f = lambda t: scenario.act(group.exp(basis[k], t), x)
-        K[:, k] = (f(-2 * h_act) - 8 * f(-h_act) + 8 * f(h_act)
-                   - f(2 * h_act)) / (12 * h_act)
-    return K
-
-
 def killing_data(scenario, x: np.ndarray,
                  sigma_tol: float = SIGMA_TOL) -> KillingData:
     """Full orbit data at a chart point, validated."""
@@ -154,36 +115,3 @@ def killing_data(scenario, x: np.ndarray,
             f"ambiguous or zero orbit rank at {x.tolist()}")
     return KillingData(x=x, K=np.asarray(K), m_basis=np.asarray(mb),
                        isotropy_basis=np.asarray(iso), orbit_tensor=np.asarray(P))
-
-
-def fd_action_jacobian(scenario, g: GroupElement, x: np.ndarray,
-                       h: float = 1e-6) -> np.ndarray:
-    """Finite-difference chart Jacobian of the transformation by g."""
-    d = scenario.chart.dim
-    J = np.zeros((d, d))
-    for m in range(d):
-        e = np.zeros(d)
-        e[m] = h
-        J[:, m] = (scenario.act(g, x - 2 * e) - 8 * scenario.act(g, x - e)
-                   + 8 * scenario.act(g, x + e)
-                   - scenario.act(g, x + 2 * e)) / (12 * h)
-    return J
-
-
-def action_pullback_metric(scenario, g: GroupElement, matrix_fn,
-                           x: np.ndarray, jac_mode: str = "analytic") -> np.ndarray:
-    """Pullback of a metric field along the transformation by g at x.
-
-    matrix_fn maps a chart point to metric components.  Invariance of the
-    field is |pullback - matrix_fn(x)| = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    y = scenario.act(g, x)
-    if jac_mode == "analytic":
-        J = scenario.action_jacobian(g, x)
-    elif jac_mode == "fd":
-        J = fd_action_jacobian(scenario, g, x)
-    else:
-        raise ValueError(f"unknown jac_mode '{jac_mode}'")
-    H = matrix_fn(y)
-    return J.T @ H @ J

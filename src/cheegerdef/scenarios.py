@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels as _k
 from .gmanifold import Chart
 from .lie_core import GroupElement, LieGroupModel, closed_form_exp, get_group
 
@@ -109,9 +108,6 @@ class Scenario:
         (element axis first for a stack g)."""
         return self.jacobian(g, x)
 
-    def metric_matrix(self, x: np.ndarray) -> np.ndarray:
-        return _k.gm_metric(self, self.params, np.asarray(x, dtype=float))
-
     @property
     def code(self) -> Scenario:
         """The record itself, the kernels' scenario argument: kernel calls
@@ -125,9 +121,6 @@ class Scenario:
     @property
     def transitive(self) -> bool:
         return self.rank == self.dim
-
-    def geodesic_starts(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.start_from_transverse(c) for c in self.geodesic_transverse)
 
 
 def _filled(x, shape, entries):

@@ -38,13 +38,14 @@ from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
 from .lie_core import GroupElement
 from .scenarios import Scenario, invariance_elements, oracle_samples
 from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
-                          orbit_invariant_drift, speed_drift, t_tensor)
+                          orbit_invariant_drift, speed_drift)
 
 __all__ = [
     "ALL_TESTS",
     "MIN_L",
     "RateFit",
     "SweepConfig",
+    "build_plan",
     "convergence_series",
     "geodesic_results",
     "invariance_results",
@@ -52,7 +53,6 @@ __all__ = [
     "oracle_results",
     "rate_fit",
     "run_suite",
-    "spot_t_ratio",
     "t_scaling_series",
 ]
 
@@ -294,14 +294,6 @@ def t_scaling_series(scenario: Scenario, cfg: SweepConfig,
     }
 
 
-def spot_t_ratio(scenario: Scenario, x: np.ndarray, l: float,
-                 h: float = 1e-4) -> float:
-    """Pointwise ratio of fundamental-tensor norms, rescaled over base."""
-    num = t_tensor(variant(scenario, "rescaled", l), x, h).value
-    den = t_tensor(variant(scenario, "original"), x, h).value
-    return num / den
-
-
 def geodesic_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     """Orbit-invariant drift of vertical geodesics under the limit and
     base metrics, per catalogued start."""
@@ -492,7 +484,7 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
     plan = build_plan(scenario, cfg)
     results: dict = {
         "scenario": scenario.scenario_id,
-        "plan_points": int(plan.realized_points),
+        "plan_points": len(plan.points),
         "plan_dirs": int(cfg.n_dirs),
     }
     timings: dict[str, float] = {}

@@ -8,12 +8,14 @@ import time
 import numpy as np
 import pytest
 
+from cheegerdef import _kernels as _k
 from cheegerdef import cli
 from cheegerdef.cheeger import variant
-from cheegerdef.gmanifold import killing_data
+from cheegerdef.gmanifold import SIGMA_TOL, killing_data
 from cheegerdef.scenarios import sample_grid
 from cheegerdef.tensor_calc import (
-    geodesic_integrate,
+    H_FD,
+    integrate_geodesics,
     orbit_invariant_drift,
     speed_drift,
 )
@@ -24,7 +26,6 @@ from cheegerdef.verify import (
     invariance_results,
     large_l_series,
     oracle_results,
-    spot_t_ratio,
     t_scaling_series,
 )
 
@@ -64,7 +65,7 @@ def test_criterion_2_hopf_spot_value(capsys, s3_hopf):
     rescaled = variant(s3_hopf, "rescaled", l)
     limit = variant(s3_hopf, "limit")
     for x in sample_grid(s3_hopf, 12):
-        G = s3_hopf.metric_matrix(x)
+        G = s3_hopf.metric(s3_hopf.params, x)
         v = killing_data(s3_hopf, x).K[:, 0]  # unit vertical field
         # kernel route and definition route
         for gr, gl in ((rescaled.matrix(x), limit.matrix(x)),
@@ -98,10 +99,10 @@ def test_criterion_4_totally_geodesic_fibers(capsys, s2_band):
     for phi0 in (0.6, 0.9, 1.2):
         x0 = np.array([0.3, phi0])
         v0 = np.array([1.0, 0.0])  # along the orbit circle
-        lim = geodesic_integrate(variant(s2_band, "limit"), x0, v0,
-                                 length=3.0, step=1e-3)
-        base = geodesic_integrate(variant(s2_band, "original"), x0, v0,
-                                  length=3.0, step=1e-3)
+        (lim,) = integrate_geodesics(variant(s2_band, "limit"), [x0], [v0],
+                                     length=3.0, step=1e-3)
+        (base,) = integrate_geodesics(variant(s2_band, "original"), [x0], [v0],
+                                      length=3.0, step=1e-3)
         ld = orbit_invariant_drift(lim)
         bd = orbit_invariant_drift(base)
         sd = speed_drift(lim)
@@ -117,7 +118,9 @@ def test_criterion_5_t_tensor_scaling(capsys, s2_band):
     plan = build_plan(s2_band, cfg)
     tsc = t_scaling_series(s2_band, cfg, plan)
     slope = tsc["t_fit"]["slope"]
-    spot = spot_t_ratio(s2_band, np.array([0.5, np.pi / 4]), 0.1)
+    x = np.array([0.5, np.pi / 4])
+    spot = (_k.t_tensor_norm(s2_band, s2_band.params, _k.RESCALED, 0.1, x, H_FD, SIGMA_TOL)
+            / _k.t_tensor_norm(s2_band, s2_band.params, _k.ORIGINAL, 0.0, x, H_FD, SIGMA_TOL))
     expected = 0.01 / 0.51
     ok = (1.8 <= slope <= 2.2) and abs(spot - expected) < 1e-6
     _report(capsys, 5, "t-tensor-scaling", ok,

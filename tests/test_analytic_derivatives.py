@@ -11,13 +11,16 @@ import pytest
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
-from cheegerdef.gmanifold import NumericalFailure, killing_data
+from cheegerdef.gmanifold import killing_data
 from cheegerdef.scenarios import get_scenario, list_scenarios
-from cheegerdef.tensor_calc import (H_FD, christoffel, geodesic_integrate,
-                                    metric_derivatives)
+from cheegerdef.tensor_calc import H_FD, integrate_geodesics
 from cheegerdef.verify import DEFAULT_L_GRID, SweepConfig, build_plan
 
 RANK_UPDATE_TAGS = (_k.RESCALED, _k.LIMIT, _k.CHEEGER_CLOSED)
+
+
+def _geodesic_starts(scenario):
+    return [scenario.start_from_transverse(c) for c in scenario.geodesic_transverse]
 # the limit metric is the identity in these charts
 FLAT_LIMIT = ("s2_band", "warped_s2", "t2_flat")
 
@@ -59,7 +62,7 @@ def test_christoffel_matches_index_loop(all_scenarios):
     for scenario in all_scenarios:
         code, par, d = scenario.code, scenario.params, scenario.dim
         for tag in (_k.ORIGINAL, _k.CHEEGER, _k.RESCALED, _k.LIMIT):
-            for x in scenario.geodesic_starts():
+            for x in _geodesic_starts(scenario):
                 G = _k.variant_metric(code, par, tag, 0.1, x, 1e-8)
                 dG = _k.variant_metric_dx(code, par, tag, 0.1, x, H_FD, True, 1e-8)
                 Gi = np.linalg.inv(G)
@@ -91,7 +94,7 @@ def test_killing_dx_matches_fd(sid):
 
 def test_killing_dx_nonzero_only_on_rotation_action(all_scenarios):
     for scenario in all_scenarios:
-        dK = scenario.killing_dx(scenario.params, scenario.geodesic_starts()[0])
+        dK = scenario.killing_dx(scenario.params, _geodesic_starts(scenario)[0])
         assert bool(np.any(dK)) == (scenario.scenario_id == "su2_s2")
 
 
@@ -111,11 +114,11 @@ def test_limit_geodesics_are_straight_lines(sid, request):
     # checks the same thing as the default one
     scenario = request.getfixturevalue(sid)
     lim = variant(scenario, "limit")
-    for x0 in scenario.geodesic_starts():
+    for x0 in _geodesic_starts(scenario):
         v0 = killing_data(scenario, x0).A[:, 0]
         v0 = v0 / np.linalg.norm(v0)
-        res = geodesic_integrate(lim, x0, v0, length=SweepConfig().geodesic_length,
-                                 step=1e-2)
+        (res,) = integrate_geodesics(lim, [x0], [v0], step=1e-2,
+                                     length=SweepConfig().geodesic_length)
         assert res.status == "ok"
         t = np.arange(res.steps + 1) * res.dt
         line = x0 + t[:, None] * v0
@@ -131,9 +134,4 @@ def test_degenerate_orbit_poisons_rank_update(s2_band):
         assert np.all(np.isnan(_k.variant_metric(code, par, tag, 0.1, x, 1e-8)))
         assert np.all(np.isnan(_k.variant_metric_dx(code, par, tag, 0.1, x, H_FD,
                                                     True, 1e-8)))
-    for tag in ("rescaled", "limit", "cheeger_closed_form"):
-        v = variant(s2_band, tag, 0.1)
-        with pytest.raises(NumericalFailure):
-            christoffel(v, x)
-        with pytest.raises(NumericalFailure):
-            metric_derivatives(v, x)
+        assert np.all(np.isnan(_k.christoffel(code, par, tag, 0.1, x, H_FD, True, 1e-8)))

@@ -4,6 +4,7 @@ agree with pointwise loops written here."""
 
 import numpy as np
 import pytest
+from oracles import pair_sup
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
@@ -11,7 +12,7 @@ from cheegerdef.gmanifold import NumericalFailure
 from cheegerdef.lie_core import GroupElement
 from cheegerdef.scenarios import (get_scenario, invariance_elements, list_scenarios,
                                   oracle_samples)
-from cheegerdef.tensor_calc import SamplePlan, cp_norm, cp_norm_callable
+from cheegerdef.tensor_calc import SamplePlan
 from cheegerdef.verify import (SweepConfig, build_plan, convergence_series, large_l_series,
                                t_scaling_series)
 
@@ -185,10 +186,8 @@ def _c0_loop(scenario, tag_a, l_a, tag_b, l_b, plan):
         return (_k.variant_metric(code, par, tag_a, l_a, x, TOL)
                 - _k.variant_metric(code, par, tag_b, l_b, x, TOL))
 
-    return np.array([
-        cp_norm_callable(delta, SamplePlan(scenario=scenario, points=plan.points[n:n + 1],
-                                           dirs=plan.dirs[n:n + 1]), 0)
-        for n in range(len(plan.points))])
+    return np.array([pair_sup(scenario, delta(x), x, dirs)
+                     for x, dirs in zip(plan.points, plan.dirs)])
 
 
 def _gap_loop(scenario, l, pts):
@@ -298,12 +297,12 @@ def test_failures_name_l_and_first_failing_point(s2_band):
 
 def test_cp_norm_failure_names_the_first_failing_point(s2_band):
     bad = _with_pole(SamplePlan.build(s2_band, n_points=16, n_dirs=4, seed=1))
-    va, vb = variant(s2_band, "rescaled", 0.1), variant(s2_band, "limit")
     for p in (0, 1):
+        cfg = SweepConfig(n_points=16, n_dirs=4, seed=1, cp_order=p, l_grid=(0.1, 0.05))
         with pytest.raises(NumericalFailure,
-                           match=rf"C\^0 norm of rescaled\(l=0.1\) - limit failed at "
-                                 rf"plan point {POLE} \[0.5, 0.0\]$"):
-            cp_norm(va, vb, bad, p)
+                           match=rf"convergence series \(C\^0\) failed at l=0.1 at "
+                                 rf"plan point {POLE} \[0.5, 0.0\] on s2_band$"):
+            convergence_series(s2_band, cfg, bad)
 
 
 def test_metric_variant_failure_names_the_failing_point(s2_band):

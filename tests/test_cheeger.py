@@ -5,7 +5,6 @@ import pytest
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import (
-    DeformationParams,
     MetricVariant,
     VARIANT_TAGS,
     definition_metric,
@@ -37,7 +36,7 @@ def _check_reparam(scenario, x, l, v, image, atol):
     metric gives g_l(Ch_l(v), Ch_l(v)) = |kappa(v)|^2 / l^2 + g_M(v, v),
     the product metric on the horizontal representative."""
     kd = killing_data(scenario, x)
-    G = scenario.metric_matrix(x)
+    G = scenario.metric(scenario.params, x)
     w = _reparam(kd, G, l, v)
     np.testing.assert_allclose(w, image, atol=atol)
     kv = kappa(kd, G, v)
@@ -46,17 +45,18 @@ def _check_reparam(scenario, x, l, v, image, atol):
         assert w @ route(x) @ w == pytest.approx(expected, rel=1e-12)
 
 
-def test_deformation_params_validation():
-    DeformationParams(0.5)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            DeformationParams(bad)
+def test_deformation_params_validation(s2_band):
+    for tag in ("cheeger", "rescaled", "cheeger_closed_form"):
+        MetricVariant(s2_band, tag, 0.5)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deformation parameter l must be positive"):
+                MetricVariant(s2_band, tag, bad)
 
 
 def test_kappa_band_spot(s2_band):
     x = np.array([0.7, np.pi / 4])
     kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
+    G = s2_band.metric(s2_band.params, x)
     kv = kappa(kd, G, np.array([1.0, 0.0]))
     assert kv.shape == (1,)
     assert kv[0] == pytest.approx(0.5, abs=1e-14)
@@ -65,7 +65,7 @@ def test_kappa_band_spot(s2_band):
 def test_kappa_hopf_unit_field(s3_hopf):
     x = np.array([0.4, 1.9, 0.8])
     kd = killing_data(s3_hopf, x)
-    G = s3_hopf.metric_matrix(x)
+    G = s3_hopf.metric(s3_hopf.params, x)
     v = kd.K[:, 0]
     assert v @ G @ v == pytest.approx(1.0, abs=1e-12)
     kv = kappa(kd, G, v)
@@ -76,7 +76,7 @@ def test_kappa_vanishes_on_horizontal(s2_band):
     # the polar direction is orthogonal to the orbit circles
     x = np.array([1.3, 0.9])
     kd = killing_data(s2_band, x)
-    G = s2_band.metric_matrix(x)
+    G = s2_band.metric(s2_band.params, x)
     kv = kappa(kd, G, np.array([0.0, 1.0]))
     np.testing.assert_allclose(kv, 0.0, atol=1e-14)
 
@@ -102,7 +102,7 @@ def test_vertical_lift_is_orthogonal_to_vertical_space(su2_s2):
     # the defining property: (l^2 g_bi + g_M)((kappa(v)/l^2, v), (-k, Kk)) = 0
     x = np.array([1.2, 1.4])
     kd = killing_data(su2_s2, x)
-    G = su2_s2.metric_matrix(x)
+    G = su2_s2.metric(su2_s2.params, x)
     rng = rng_for(31, 1)
     l = 0.4
     for _ in range(5):
@@ -134,7 +134,7 @@ def test_band_limit_metric_is_round_at_equator(s2_band):
 def test_hopf_rescaled_vertical_eigenvalue(s3_hopf):
     x = np.array([0.5, 1.7, 0.7])
     v = killing_data(s3_hopf, x).K[:, 0]
-    G = s3_hopf.metric_matrix(x)
+    G = s3_hopf.metric(s3_hopf.params, x)
     for l in (0.3, 0.1, 0.05):
         for route in _routes(s3_hopf, "rescaled", l):
             assert v @ route(x) @ v == pytest.approx(1.0 / (1.0 + l * l), abs=1e-12)
@@ -146,7 +146,7 @@ def test_su2_deformation_is_global_rescale(su2_s2):
     # transitive isometric action on the round sphere with P = identity:
     # the whole metric contracts by l^2/(1+l^2)
     x = np.array([0.8, 1.1])
-    G = su2_s2.metric_matrix(x)
+    G = su2_s2.metric(su2_s2.params, x)
     l = 0.7
     for route in _routes(su2_s2, "cheeger", l):
         np.testing.assert_allclose(route(x), (l * l / (1 + l * l)) * G, atol=1e-12)
@@ -210,7 +210,7 @@ def test_horizontal_block_is_static(warped_s2):
     # deformation changes nothing paired against orbit-orthogonal vectors
     x = np.array([1.0, 1.2])
     kd = killing_data(warped_s2, x)
-    G = warped_s2.metric_matrix(x)
+    G = warped_s2.metric(warped_s2.params, x)
     Gv = G @ kd.A
     h = np.array([0.0, 1.0])  # polar direction, orthogonal to the orbit
     assert abs(float(Gv[:, 0] @ h)) < 1e-15
@@ -249,7 +249,7 @@ def test_variant_raises_at_degenerate_point(s2_band):
 
 def test_large_l_returns_to_base(t2_flat):
     x = np.array([1.0, 2.0])
-    G = t2_flat.metric_matrix(x)
+    G = t2_flat.metric(t2_flat.params, x)
     for route in _routes(t2_flat, "cheeger", 1000.0):
         gl = route(x)
         np.testing.assert_allclose(gl, G, atol=1e-5)

@@ -12,17 +12,21 @@ import pytest
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import Chart, DomainError, NumericalFailure, killing_data
-from cheegerdef.tensor_calc import (GeodesicResult, geodesic_integrate,
-                                    integrate_geodesics, orbit_invariant_drift,
-                                    speed_drift)
+from cheegerdef.tensor_calc import (GeodesicResult, integrate_geodesics,
+                                    orbit_invariant_drift, speed_drift)
 
 NON_TRANSITIVE = ("s2_band", "warped_s2", "s3_hopf", "t2_flat")
 TOL = 1e-8
 H = 1e-4
 
 
+def _geodesic_starts(scenario):
+    return np.stack([scenario.start_from_transverse(c)
+                     for c in scenario.geodesic_transverse])
+
+
 def _starts(scenario):
-    x0s = np.stack(scenario.geodesic_starts())
+    x0s = _geodesic_starts(scenario)
     v0s = np.stack([killing_data(scenario, x0).A[:, 0] for x0 in x0s])
     return x0s, v0s
 
@@ -56,7 +60,7 @@ def test_stacked_geodesics_equal_single_starts(sid, tag, request):
     stacked = integrate_geodesics(v, x0s, v0s, length=3.0, step=1e-2)
     assert len(stacked) == len(x0s)
     for res, x0, v0 in zip(stacked, x0s, v0s):
-        _assert_same(res, geodesic_integrate(v, x0, v0, length=3.0, step=1e-2))
+        _assert_same(res, integrate_geodesics(v, [x0], [v0], length=3.0, step=1e-2)[0])
         assert res.status == "ok"
         assert res.steps == 300
 
@@ -81,7 +85,7 @@ def test_meridian_rows_leave_chart_alone(s2_band):
     for res in (up, down):
         np.testing.assert_array_equal(res.states[res.steps + 1:], 0.0)
     for res, x0, v0 in zip(results, x0s, v0s):
-        _assert_same(res, geodesic_integrate(v, x0, v0, length=3.0, step=1e-2))
+        _assert_same(res, integrate_geodesics(v, [x0], [v0], length=3.0, step=1e-2)[0])
 
 
 def test_degenerate_row_fails_alone(s2_band):
@@ -240,10 +244,10 @@ def test_stacked_steps_count_the_longest_row(s2_band):
 
 
 def test_geodesic_integrate_returns_one_result(s2_band):
-    res = geodesic_integrate(variant(s2_band, "limit"), np.array([0.3, 0.9]),
-                             np.array([1.0, 0.0]), length=0.5, step=1e-2)
-    assert isinstance(res, GeodesicResult)
-    assert res.states.shape == (51, 4)
+    results = integrate_geodesics(variant(s2_band, "limit"), [[0.3, 0.9]], [[1.0, 0.0]],
+                                  length=0.5, step=1e-2)
+    assert len(results) == 1 and isinstance(results[0], GeodesicResult)
+    assert results[0].states.shape == (51, 4)
 
 
 def test_rk4_is_fourth_order_on_great_circles(s2_band):
@@ -259,8 +263,7 @@ def test_rk4_is_fourth_order_on_great_circles(s2_band):
     v = variant(s2_band, "original")
     errs = []
     for dt in (0.025, 0.0125, 0.00625):
-        res = geodesic_integrate(v, np.array([th0, phi0]), np.array([1.0, 0.0]),
-                                 length=T, step=dt)
+        (res,) = integrate_geodesics(v, [[th0, phi0]], [[1.0, 0.0]], length=T, step=dt)
         assert res.status == "ok"
         errs.append(np.max(np.abs(res.positions[-1] - exact)))
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
@@ -275,7 +278,7 @@ def test_rk4_is_fourth_order_on_great_circles(s2_band):
 ))
 def test_orbit_invariants_on_stacks(sid, expected, request):
     scenario = request.getfixturevalue(sid)
-    x0s = np.stack(scenario.geodesic_starts())
+    x0s = _geodesic_starts(scenario)
     stacked = scenario.orbit_invariants(x0s)
     np.testing.assert_allclose(stacked, expected, rtol=0.0, atol=1e-15)
     for x, row in zip(x0s, stacked):
@@ -285,8 +288,8 @@ def test_orbit_invariants_on_stacks(sid, expected, request):
 @pytest.mark.parametrize("tag", ("limit", "original"))
 def test_drifts_match_pointwise_loops(warped_s2, tag):
     x0s, v0s = _starts(warped_s2)
-    res = geodesic_integrate(variant(warped_s2, tag), x0s[0], v0s[0],
-                             length=1.0, step=1e-2)
+    (res,) = integrate_geodesics(variant(warped_s2, tag), x0s[:1], v0s[:1],
+                                 length=1.0, step=1e-2)
     speeds = [w @ res.variant.matrix(x) @ w
               for x, w in zip(res.positions[::5], res.velocities[::5])]
     assert speed_drift(res, stride=5) == np.max(np.abs(np.array(speeds) - speeds[0]))
@@ -316,8 +319,8 @@ def test_speed_drift_of_a_short_run_compares_its_last_state(s2_band, tag):
     # 20 steps, fewer than the default stride of 50: the first and last
     # states are compared instead of the first state with itself
     x0s, v0s = _starts(s2_band)
-    res = geodesic_integrate(variant(s2_band, tag), x0s[0], v0s[0],
-                             length=0.02, step=1e-3)
+    (res,) = integrate_geodesics(variant(s2_band, tag), x0s[:1], v0s[:1],
+                                 length=0.02, step=1e-3)
     assert res.steps == 20
     assert speed_drift(res) == abs(_speed(res, 20) - _speed(res, 0))
     if tag == "original":
@@ -328,8 +331,8 @@ def test_speed_drift_of_a_long_run_keeps_its_stride(s2_band):
     # 70 steps: sampled at steps 0 and 50 on the stride and at step 70,
     # the last completed state, whose drift is the largest
     x0s, v0s = _starts(s2_band)
-    res = geodesic_integrate(variant(s2_band, "original"), x0s[0], v0s[0],
-                             length=0.07, step=1e-3)
+    (res,) = integrate_geodesics(variant(s2_band, "original"), x0s[:1], v0s[:1],
+                                 length=0.07, step=1e-3)
     assert res.steps == 70
     drifts = [abs(_speed(res, k) - _speed(res, 0)) for k in (50, 70)]
     assert drifts[1] > drifts[0]

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cheegerdef import _kernels as _k
+from cheegerdef.gmanifold import SIGMA_TOL
 from cheegerdef.scenarios import get_scenario, list_scenarios, oracle_samples
+from cheegerdef.tensor_calc import H_FD
 from cheegerdef.verify import (
     ALL_TESTS,
     SweepConfig,
@@ -17,7 +20,6 @@ from cheegerdef.verify import (
     oracle_results,
     rate_fit,
     run_suite,
-    spot_t_ratio,
     t_scaling_series,
 )
 
@@ -180,8 +182,10 @@ def test_t_scaling_series_vacuous_for_transitive(su2_s2):
 
 
 def test_spot_t_ratio_band(s2_band):
-    val = spot_t_ratio(s2_band, np.array([0.5, np.pi / 4]), 0.1)
-    assert val == pytest.approx(0.01 / 0.51, abs=1e-6)
+    # the stage's pair block at one point: rescaled norm over base norm
+    resc, base = _k.t_pair_block(s2_band, s2_band.params, _k.RESCALED, 0.1,
+                                 np.array([[0.5, np.pi / 4]]), H_FD, SIGMA_TOL)
+    assert resc[0] / base[0] == pytest.approx(0.01 / 0.51, abs=1e-6)
 
 
 def test_geodesic_results_band(s2_band):
