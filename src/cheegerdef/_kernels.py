@@ -7,14 +7,16 @@ metric).  The deformation parameter l is one value, one value per point
 (shape (...,)), or a column of L values with one unit axis per point
 axis ((L, 1) against an (N, d) plan), which adds a leading l axis to the
 result ((L, N, d, d)) while the orbit data, the frame and the limit
-metric are computed once on the points.  The c0, gap and c1 blocks take
-l as one value or as a 1-D grid of L values, build that column and
-return one value per plan point: (N,) for one l, (L, N) for a grid.  A
-point set's orbit data is computed once and passed down: variant_metric
-takes the orbit_data tuple of its points in place of x, the c0 and gap
-blocks take plan_geometry (orbit data and adapted frame) as a trailing
-argument and compute it once per call without it, and oracle_block
-shares one orbit_data call between its two routes.  The
+metric are computed once on the points.  The c0, gap, c1 and T-pair
+blocks take l as one value or as a 1-D grid of L values and return one
+value per plan point: (N,) for one l, (L, N) for a grid.  The c0, gap
+and c1 blocks build that column; t_pair_block loops over the grid and
+computes its l-free base-metric norms once per point.  A point set's
+orbit data is computed once and passed down: variant_metric takes the
+orbit_data tuple of its points in place of x, the c0, gap and c1 blocks
+take plan_geometry (orbit data and adapted frame) as a trailing
+argument and compute what they use of it once per call without it, and
+oracle_block shares one orbit_data call between its two routes.  The
 scenario argument scen is a scenarios.Scenario record,
 whose metric, Killing operator and their derivatives the kernels call;
 the metric variant is a small integer tag.  Matrices are tiny (manifold
@@ -347,13 +349,15 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     return _nan_rows(cond < 1e12, sym2(Ci.mT @ (inner @ Ci)))
 
 
-def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None):
+def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None, orbit=None):
     """Value and exact first chart derivatives of the rank update,
     (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, by the product
     rule with dP^{-1} = -P^{-1} dP P^{-1} and likewise for (l^2 + P)^{-1}.
     base is None or a boolean mask of the rows of x that take the base
     metric and its catalogued derivative instead, both evaluated here for
-    every row; the Cholesky gate of P does not act on those rows.
+    every row; the Cholesky gate of P does not act on those rows.  x are
+    the points, which the catalogued derivatives take; orbit is their
+    orbit_data tuple, computed here when not given.
 
     d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
     orthogonal projector Q onto the isotropy complement, so the basis
@@ -363,7 +367,8 @@ def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None):
     never differentiated.  All chart axes are differentiated in one
     stacked evaluation.
     """
-    G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l, x, sigma_tol)
+    G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l,
+                                              x if orbit is None else orbit, sigma_tol)
     Gv = _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
     dG = scen.metric_dx(par, x)
     # one extra axis for the derivative direction m
@@ -419,20 +424,21 @@ def _richardson(f, h):
     return (16.0 * d2 - d1) / 15.0
 
 
-def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
+def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol, orbit=None):
     """First chart derivatives dG[..., m, i, j] = d_m g_ij of a metric
     variant.
 
     With analytic set, ORIGINAL uses the catalogued derivative and the
     rank-update tags (CHEEGER_CLOSED, RESCALED, LIMIT) the exact product
-    rule of _rank_update_dx.  CHEEGER, and every tag when analytic is
-    unset, uses the Richardson stencil, one stacked variant_metric call
-    per stencil offset; that path is the oracle for the analytic one.
+    rule of _rank_update_dx, which takes orbit, the orbit_data tuple at
+    x, when it is given.  CHEEGER, and every tag when analytic is unset,
+    uses the Richardson stencil, one stacked variant_metric call per
+    stencil offset; that path is the oracle for the analytic one.
     """
     if analytic and tag == ORIGINAL:
         return scen.metric_dx(par, x)
     if analytic and tag != CHEEGER:
-        return _rank_update_dx(scen, par, tag, l, x, sigma_tol)[1]
+        return _rank_update_dx(scen, par, tag, l, x, sigma_tol, orbit=orbit)[1]
     d = x.shape[-1]
     ys = _stencil(x, h)
     f = None
@@ -616,13 +622,16 @@ def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol, geometry=N
     return np.where(fstatus == OK, _pair_sup(orbit[0], F, Delta, dirs), np.nan)
 
 
-def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol):
+def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol, geometry=None):
     """Derivative part of the C1 distance at each plan point: sup over
     chart coordinates and components of d_m (g_a - g_b)_ij, with the
     analytic derivatives of variant_metric_dx (Richardson FD for
-    CHEEGER); a grid adds a leading l axis."""
-    dA = variant_metric_dx(scen, par, tag_a, _l_column(l_a), pts, h, True, sigma_tol)
-    dB = variant_metric_dx(scen, par, tag_b, _l_column(l_b), pts, h, True, sigma_tol)
+    CHEEGER); a grid adds a leading l axis.  Of geometry (plan_geometry
+    at pts) only the orbit data is used; without it the orbit data is
+    computed here, once for both variants."""
+    orbit = orbit_data(scen, par, pts, sigma_tol) if geometry is None else geometry[0]
+    dA = variant_metric_dx(scen, par, tag_a, _l_column(l_a), pts, h, True, sigma_tol, orbit)
+    dB = variant_metric_dx(scen, par, tag_b, _l_column(l_b), pts, h, True, sigma_tol, orbit)
     return np.max(np.abs(dA - dB), axis=(-3, -2, -1))
 
 
@@ -703,14 +712,20 @@ def t_tensor_norm(scen, par, tag, l, x, h, sigma_tol):
 
 
 def t_pair_block(scen, par, tag, l, pts, h, sigma_tol):
-    """Per-point T-tensor norms for a variant and for the base metric."""
+    """Per-point T-tensor norms of a variant and of the base metric,
+    (vals_var, vals_orig).  l is one value, giving ((N,), (N,)), or a
+    1-D grid, giving the (L, N) variant norms and the (N,) base norms:
+    the base metric does not depend on l, so each base norm is computed
+    once per point."""
+    ls = np.atleast_1d(l).tolist()
     n = pts.shape[0]
-    vals_var = np.zeros(n)
+    vals_var = np.zeros((len(ls), n))
     vals_orig = np.zeros(n)
     for i in range(n):
-        vals_var[i] = t_tensor_norm(scen, par, tag, l, pts[i], h, sigma_tol)
         vals_orig[i] = t_tensor_norm(scen, par, ORIGINAL, 0.0, pts[i], h, sigma_tol)
-    return vals_var, vals_orig
+        for j, lj in enumerate(ls):
+            vals_var[j, i] = t_tensor_norm(scen, par, tag, lj, pts[i], h, sigma_tol)
+    return (vals_var if np.ndim(l) else vals_var[0]), vals_orig
 
 
 def oracle_block(scen, par, pts, ls, sigma_tol):

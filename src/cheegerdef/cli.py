@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -144,7 +145,7 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):

@@ -99,10 +99,6 @@ class KillingData:
         """Tangent basis of the orbit: K restricted to the m-basis."""
         return self.K @ self.m_basis
 
-    @property
-    def rank(self) -> int:
-        return self.m_basis.shape[-1]
-
 
 def killing_data(scenario, x: np.ndarray,
                  sigma_tol: float = SIGMA_TOL) -> KillingData:

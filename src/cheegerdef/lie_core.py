@@ -98,10 +98,6 @@ class LieGroupModel:
     group_id: str
     algebra: LieAlgebraBasis
 
-    def exp(self, coeffs: np.ndarray, t: float = 1.0) -> GroupElement:
-        M = closed_form_exp(t * self.algebra.element(coeffs))
-        return GroupElement(self.group_id, M)
-
     def random_algebra_vector(self, rng: np.random.Generator,
                               angle_scale: float | None = None) -> np.ndarray:
         """Coefficient vector of a random element of the algebra.

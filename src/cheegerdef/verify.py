@@ -235,7 +235,8 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
     ]
     if cfg.cp_order >= 1:
         series.append(("C^1 series", _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT,
-                                                 0.0, pts, cfg.h_fd, SIGMA_TOL)))
+                                                 0.0, pts, cfg.h_fd, SIGMA_TOL,
+                                                 plan.geometry)))
     c0, gap, *c1d = _sup_over_plan(scenario, cfg.l_grid, pts, series)
     c0s, gaps = c0.tolist(), gap.tolist()
     if cfg.cp_order >= 1:
@@ -264,31 +265,29 @@ def t_scaling_series(scenario: Scenario, cfg: SweepConfig,
     Points where the base norm is below the floor carry no information
     about the ratio and are excluded but counted.  Scenarios whose base
     norm vanishes everywhere report a vacuous series.  A NaN norm is a
-    numerical failure, never an excluded point.
+    numerical failure, never an excluded point.  One block call covers
+    the l grid and computes the base norms, which do not depend on l,
+    once per point.
     """
-    par = scenario.params
-    # (L, N) norms of the rescaled and of the base metric
-    rescaled, base = map(np.array, zip(*(
-        _k.t_pair_block(scenario, par, _k.RESCALED, l, plan.points, cfg.h_fd, SIGMA_TOL)
-        for l in cfg.l_grid)))
+    ls = np.asarray(cfg.l_grid)
+    # (L, N) norms of the rescaled metric, (N,) norms of the base metric
+    rescaled, base = _k.t_pair_block(scenario, scenario.params, _k.RESCALED, ls,
+                                     plan.points, cfg.h_fd, SIGMA_TOL)
+    # the base norms repeat at every l, so a NaN is named at the first l
     _sup_over_plan(scenario, cfg.l_grid, plan.points,
                    [("T-tensor series (rescaled)", rescaled),
-                    ("T-tensor series (base)", base)])
-    ratios, excluded = [], []
-    vacuous = scenario.transitive
-    for vals_var, vals_orig in zip(rescaled, base):
-        keep = vals_orig > cfg.t_floor
-        excluded.append(int(np.count_nonzero(~keep)))
-        if not np.any(keep):
-            ratios.append(float("nan"))
-            vacuous = True
-        else:
-            ratios.append(float(np.max(vals_var[keep] / vals_orig[keep])))
-    fit = rate_fit(np.asarray(cfg.l_grid), ratios) if not vacuous else None
+                    ("T-tensor series (base)", np.broadcast_to(base, rescaled.shape))])
+    keep = base > cfg.t_floor
+    vacuous = scenario.transitive or not np.any(keep)
+    if np.any(keep):
+        ratios = np.max(rescaled[:, keep] / base[keep], axis=-1).tolist()
+    else:
+        ratios = [float("nan")] * len(ls)
+    fit = rate_fit(ls, ratios) if not vacuous else None
     return {
         "l_grid": list(cfg.l_grid),
         "t_ratio_max": ratios,
-        "excluded_points": excluded,
+        "excluded_points": [int(np.count_nonzero(~keep))] * len(ls),
         "vacuous": vacuous,
         "t_fit": asdict(fit) if fit is not None else None,
     }

@@ -51,3 +51,21 @@ def test_traced_run_equals_untraced(name, tmp_path):
         traced = prep.collect(sid, prep.run_scenario(sid)).fingerprint()
     assert tracer.counts[TRACED_KERNEL[name]] > 0
     assert traced == untraced
+
+
+def test_t_scaling_makes_one_block_call_per_l_grid():
+    # one t_pair_block call per plan, and one base-metric T-tensor norm
+    # per plan point: N (L + 1) norms where one call per l made 2 N L
+    from cheegerdef import cli  # noqa: F401  (the tracer wraps the CLI too)
+    from cheegerdef.scenarios import get_scenario
+    from cheegerdef.verify import SweepConfig, build_plan, run_suite
+
+    scenario = get_scenario("s2_band")
+    cfg = SweepConfig(n_points=9, enabled=("t_scaling",))
+    n, n_l = len(build_plan(scenario, cfg).points), len(cfg.l_grid)
+    tracer = layertrace.Tracer()
+    with tracer:
+        layertrace.install(tracer)
+        run_suite(scenario, cfg)
+    assert tracer.counts["kernels.t_pair_block"] == 1
+    assert tracer.counts["kernels.t_tensor_norm"] == n * (n_l + 1)

@@ -58,6 +58,57 @@ def test_gap_and_c1_grids_equal_per_l_calls(planned):
                               pts, CFG.h_fd, TOL), CFG.l_grid, len(pts))
 
 
+def test_t_pair_grid_equals_per_l_calls(planned):
+    # every twelfth plan point keeps the finite-difference T-tensor cheap
+    scenario, plan = planned
+    par, pts = scenario.params, plan.points[::12]
+    rescaled, base = _k.t_pair_block(scenario, par, _k.RESCALED, np.asarray(CFG.l_grid),
+                                     pts, CFG.h_fd, TOL)
+    assert rescaled.shape == (len(CFG.l_grid), len(pts))
+    assert base.shape == (len(pts),)
+    for row, l in zip(rescaled, CFG.l_grid):
+        resc_l, base_l = _k.t_pair_block(scenario, par, _k.RESCALED, l, pts, CFG.h_fd, TOL)
+        assert resc_l.shape == base_l.shape == (len(pts),)
+        np.testing.assert_array_equal(row, resc_l)
+        np.testing.assert_array_equal(base, base_l)
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+def test_t_scaling_names_a_base_nan_at_the_first_l(s2_band, monkeypatch, reverse):
+    cfg = SweepConfig(n_points=16, n_dirs=4, enabled=("t_scaling",))
+    pts = build_plan(s2_band, cfg).points
+    bad, other = 5, 9
+    real_norm, real_sup = _k.t_tensor_norm, verify._sup_over_plan
+
+    def norm(scen, par, tag, l, x, h, sigma_tol, rescaled_nan=False):
+        if tag == _k.ORIGINAL and np.array_equal(x, pts[bad]):
+            return np.nan
+        if (rescaled_nan and tag == _k.RESCALED and l == cfg.l_grid[0]
+                and np.array_equal(x, pts[other])):
+            return np.nan
+        return real_norm(scen, par, tag, l, x, h, sigma_tol)
+
+    def message(what, i):
+        return re.escape(f"T-tensor series ({what}) failed at l={cfg.l_grid[0]} "
+                         f"at plan point {i} {pts[i].tolist()} on s2_band")
+
+    if reverse:
+        # the negative control scans the base series before the rescaled one
+        monkeypatch.setattr(verify, "_sup_over_plan",
+                            lambda sc, ls, points, series: real_sup(sc, ls, points,
+                                                                    series[::-1]))
+    # a base norm is the same at every l, so its NaN is named at the first l
+    monkeypatch.setattr(_k, "t_tensor_norm", norm)
+    with pytest.raises(NumericalFailure, match=f"^{message('base', bad)}$"):
+        verify.run_suite(s2_band, cfg)
+    # with a rescaled NaN at the same l, the scan order decides the name
+    monkeypatch.setattr(_k, "t_tensor_norm",
+                        lambda *args: norm(*args, rescaled_nan=True))
+    expected = message("base", bad) if reverse else message("rescaled", other)
+    with pytest.raises(NumericalFailure, match=f"^{expected}$"):
+        verify.run_suite(s2_band, cfg)
+
+
 def test_invariance_residuals_equal_per_l_evaluation(planned):
     scenario, plan = planned
     par = scenario.params

@@ -12,6 +12,7 @@ from oracles import (
     ad_invariance_residual,
     antisymmetry_residual,
     basis_rank,
+    group_exp,
     jacobi_residual,
     membership_residual,
     structure_constants_from_basis,
@@ -72,9 +73,9 @@ def test_exp_one_parameter_property(gid):
     g = get_group(gid)
     rng = np.random.default_rng(7)
     v = g.random_algebra_vector(rng)
-    a = g.exp(v, 0.4)
-    b = g.exp(v, 0.7)
-    c = g.exp(v, 1.1)
+    a = group_exp(g, v, 0.4)
+    b = group_exp(g, v, 0.7)
+    c = group_exp(g, v, 1.1)
     np.testing.assert_allclose(a.matrix @ b.matrix, c.matrix, atol=1e-10)
 
 
@@ -83,7 +84,7 @@ def test_exp_lands_in_group(gid):
     g = get_group(gid)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        el = g.exp(g.random_algebra_vector(rng))
+        el = group_exp(g, g.random_algebra_vector(rng))
         assert membership_residual(g, el.matrix) < 1e-10
 
 
@@ -93,14 +94,14 @@ def test_inverse_and_identity(gid):
     g = get_group(gid)
     v = g.random_algebra_vector(np.random.default_rng(3))
     identity = np.eye(g.algebra.matrices[0].shape[0])
-    np.testing.assert_allclose(g.exp(v).matrix @ g.exp(-v).matrix, identity, atol=1e-12)
-    np.testing.assert_array_equal(g.exp(np.zeros(g.algebra.dim)).matrix, identity)
+    np.testing.assert_allclose(group_exp(g, v).matrix @ group_exp(g, -v).matrix, identity, atol=1e-12)
+    np.testing.assert_array_equal(group_exp(g, np.zeros(g.algebra.dim)).matrix, identity)
 
 
 def test_su2_full_turn_is_minus_identity():
     g = get_group("su2")
     v = np.array([1.0, 0.0, 0.0])
-    el = g.exp(v, 2.0 * np.pi)
+    el = group_exp(g, v, 2.0 * np.pi)
     np.testing.assert_allclose(el.matrix, -np.eye(4), atol=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_su2_exp_rotation_angle():
     # x-axis; check through the quaternion double cover
     g = get_group("su2")
     t = 0.8
-    el = g.exp(np.array([1.0, 0.0, 0.0]), t)
+    el = group_exp(g, np.array([1.0, 0.0, 0.0]), t)
     q = el.matrix[:, 0]
     assert q[0] == pytest.approx(np.cos(t / 2.0), abs=1e-12)
     assert q[1] == pytest.approx(np.sin(t / 2.0), abs=1e-12)

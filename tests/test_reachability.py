@@ -1,10 +1,12 @@
-"""Every public module-level function of the package is one that a run
-executes, or the allowlist names it with its reason.  The run is one
-profiled `cheegerdef run` per catalogued scenario, in a fresh interpreter
-whose profile is installed before `import cheegerdef`, so calls made
-while the modules load count too.  Test oracles live in tests/oracles.py.
+"""Every public function of the package, at module level or in a class
+body (methods, properties, class methods), is one that a run executes,
+or the allowlist names it with its reason.  The run is one profiled
+`cheegerdef run` per catalogued scenario, in a fresh interpreter whose
+profile is installed before `import cheegerdef`, so calls made while
+the modules load count too.  Test oracles live in tests/oracles.py.
 """
 
+import functools
 import importlib
 import inspect
 import json
@@ -30,6 +32,11 @@ MODULES = ("_kernels", "cheeger", "gmanifold", "lie_core", "scenarios",
 ALLOWED = {
     "_kernels.oracle_block": "the benchmark's warm-up calls it (perfbench/workloads.py)",
     "lie_core.list_groups": "the group tests run over the catalogue it lists",
+    "cheeger.MetricVariant.reference_matrix": "the benchmark traces it "
+                                              "(perfbench/layertrace.py)",
+    "scenarios.Scenario.code": "the benchmark's warm-up passes it to the kernels "
+                               "(perfbench/workloads.py)",
+    "cheeger.MetricVariant.label": "only failure paths read it, to name the variant",
 }
 
 # prints the (file, first line, name) of every package function entered
@@ -52,18 +59,44 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
+def _functions(attr):
+    """The functions behind a class attribute: a plain function, the
+    function of a static or class method, or a property's accessors."""
+    if isinstance(attr, (staticmethod, classmethod)):
+        attr = attr.__func__
+    if isinstance(attr, property):
+        return [f for f in (attr.fget, attr.fset, attr.fdel) if f is not None]
+    if isinstance(attr, functools.cached_property):
+        return [attr.func]
+    return [attr] if inspect.isfunction(attr) else []
+
+
+def public_functions(short):
+    """(name, function) of each public function that a module defines,
+    methods named Class.method."""
+    mod = importlib.import_module(f"cheegerdef.{short}")
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_"):
+                    for fn in _functions(value):
+                        yield f"{name}.{attr}", fn
+
+
 def uncalled(called) -> set[str]:
-    """The public functions each module defines that no run entered."""
+    """The public functions and methods each module defines that no run
+    entered."""
     out = set()
     for short in MODULES:
-        mod = importlib.import_module(f"cheegerdef.{short}")
-        for name, fn in vars(mod).items():
-            if (not name.startswith("_") and inspect.isfunction(fn)
-                    and fn.__module__ == mod.__name__):
-                code = fn.__code__
-                key = (os.path.basename(code.co_filename), code.co_firstlineno, code.co_name)
-                if key not in called:
-                    out.add(f"{short}.{name}")
+        for name, fn in public_functions(short):
+            code = fn.__code__
+            key = (os.path.basename(code.co_filename), code.co_firstlineno, code.co_name)
+            if key not in called:
+                out.add(f"{short}.{name}")
     return out
 
 
@@ -110,3 +143,14 @@ def test_planted_public_function_fails_the_guard(called, monkeypatch):
     unreached_helper.__module__ = verify.__name__
     monkeypatch.setattr(verify, "unreached_helper", unreached_helper, raising=False)
     assert uncalled(called) - set(ALLOWED) == {"verify.unreached_helper"}
+
+
+def test_planted_method_fails_the_guard(called, monkeypatch):
+    # negative control: a public method that nothing calls
+    from cheegerdef.tensor_calc import SamplePlan
+
+    def unreached_method(self):
+        return None
+
+    monkeypatch.setattr(SamplePlan, "unreached_method", unreached_method, raising=False)
+    assert uncalled(called) - set(ALLOWED) == {"tensor_calc.SamplePlan.unreached_method"}

@@ -11,6 +11,7 @@ l-for-l^2 slip must break all three.  The evaluation counts of a
 sample-stage run pin the sharing itself.
 """
 
+import dataclasses
 import os
 import sys
 from collections import Counter
@@ -107,14 +108,18 @@ def test_blocks_compute_the_geometry_they_are_not_given(planned):
     np.testing.assert_array_equal(
         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL, plan.geometry),
         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL))
+    np.testing.assert_array_equal(
+        _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, CFG.h_fd, SIGMA_TOL,
+                    plan.geometry),
+        _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, CFG.h_fd, SIGMA_TOL))
 
 
 def test_sample_stages_compute_each_point_set_once(monkeypatch):
-    """At the benchmark's sample_norms config a run evaluates the orbit
-    data of its three point sets (plan, invariance images, oracle
-    samples) once each, builds one adapted frame, and acts with all
-    invariance elements in one call of the action and one of its
-    Jacobian."""
+    """At the benchmark's sample_norms config, and with the C1 block
+    turned on, a run evaluates the orbit data of its three point sets
+    (plan, invariance images, oracle samples) once each, builds one
+    adapted frame, and acts with all invariance elements in one call of
+    the action and one of its Jacobian."""
     counts = Counter()
 
     def counted(name, fn):
@@ -130,12 +135,14 @@ def test_sample_stages_compute_each_point_set_once(monkeypatch):
     workload = workloads.WORKLOADS["sample_norms"]
     for sid in workload.scenarios:
         text = workloads.config_text(workload, sid, seed=42)
-        cfg = cli.build_run_config(cli.parse_config(text)).sweep
-        counts.clear()
-        res = verify.run_suite(get_scenario(sid), cfg)
-        assert res["passed"], sid
-        assert counts == {"orbit_data": 3, "adapted_frame": 1, "act": 1,
-                          "action_jacobian": 1}, sid
+        sweep = cli.build_run_config(cli.parse_config(text)).sweep
+        for cp_order in (0, 1):
+            cfg = dataclasses.replace(sweep, cp_order=cp_order)
+            counts.clear()
+            res = verify.run_suite(get_scenario(sid), cfg)
+            assert res["passed"], (sid, cp_order)
+            assert counts == {"orbit_data": 3, "adapted_frame": 1, "act": 1,
+                              "action_jacobian": 1}, (sid, cp_order)
 
 
 def test_geodesic_only_run_computes_no_plan_geometry(monkeypatch):
