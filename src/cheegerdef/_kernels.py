@@ -33,7 +33,14 @@ are one rank update G - W Y(P) W^T of the base metric (W = G A,
 P = A^T G A), so their value and their exact first derivatives come from
 the same pieces; the reparametrisation route (CHEEGER) stays independent
 and keeps finite-difference derivatives, which also serve as the oracle
-for the analytic ones.
+for the analytic ones.  At orbit rank 1 (every circle action) P is a
+scalar p per point and the update is G - y(p) w w^T with w = G a, so
+_rank_update computes y and dy/dp per row in closed form, like the
+size-1 branches of inv_mat and _positive, and no 1 x 1 matrix algebra
+runs; rank 2 keeps the matrix route.  In a mixed geodesic stack the base
+rows of a rank-one update get y = dy/dp = 0, so they return the base
+metric and its derivative from the same arithmetic, with nothing to
+select afterwards.
 
 Failures are per point: a degenerate algebra split, an orbit tensor that
 fails the Cholesky gate or a blown-up conditioning turns that point's
@@ -288,21 +295,52 @@ def plan_geometry(scen, par, pts, sigma_tol):
     return orbit, adapted_frame(orbit[0], orbit[4])
 
 
-def _rank_update(scen, par, tag, l, x, sigma_tol):
-    """Shared pieces of the rank update G_v = G - W Y(P) W^T at x
-    (points or their orbit_data tuple).
+def _rank_update(scen, par, tag, l, x, sigma_tol, base=None):
+    """Value and shared pieces of the rank update G_v = G - W Y(P) W^T
+    at x (points or their orbit_data tuple).
 
     W = G A and P = A^T G A come from the orbit data; Y(P) is
     (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1} for
     RESCALED and P^{-1} - P^{-2} for LIMIT.  Returns
-    (G, A, mb, W, Y, Pi, Mi, ok) with Pi = P^{-1} and Mi = (l^2 + P)^{-1}
-    (Mi = Pi for LIMIT).  ok is False on the rows whose P fails the
-    Cholesky positivity gate, degenerate algebra splits included (their
-    P is NaN); the other outputs of those rows are meaningless and the
-    callers mask them.
+    (G_v, G, A, mb, W, coef).
+
+    At orbit rank 1 (a circle action) P is the per-row scalar p = a^T G a
+    and the update is G - y(p) w w^T with w = G a: coef is (y, dy/dp),
+    each shaped (..., 1, 1) to scale a matrix stack, in closed form like
+    the size-1 branches of inv_mat and _positive.  p goes through the
+    Cholesky gate, so a row that fails it (p <= 0 or NaN) has y = NaN and
+    an all-NaN G_v.  base is None or a boolean mask of the rows that take
+    the base metric (a mixed geodesic stack): those rows get y = dy/dp = 0,
+    so G_v = G there and no orbit piece can poison them.
+
+    At rank 2 coef is (Y, Pi, Mi, ok) with Pi = P^{-1} and
+    Mi = (l^2 + P)^{-1} (Mi = Pi for LIMIT), and base is not read here.
+    ok is False on the rows whose P fails the Cholesky positivity gate,
+    degenerate algebra splits included (their P is NaN); those rows of
+    G_v are NaN and the other outputs of those rows are meaningless.
     """
     G, K, mb, iso, A, P, status = _orbit(scen, par, x, sigma_tol)
     W = G @ A
+    if A.shape[-1] == 1:
+        p = np.where(_positive(P)[..., None, None], P, np.nan)
+        pi = 1.0 / p
+        pi2 = pi * pi
+        if tag == LIMIT:
+            Y = pi - pi2
+            dY = pi2 * (2.0 * pi - 1.0)
+        else:
+            mi = 1.0 / (p + _sq(l))
+            if tag == CHEEGER_CLOSED:
+                Y = mi
+                dY = -(mi * mi)
+            else:
+                Y = pi - mi * pi
+                dY = mi * pi * (mi + pi) - pi2
+        if base is not None:
+            Y = np.where(base[..., None, None], 0.0, Y)
+            dY = np.where(base[..., None, None], 0.0, dY)
+        # the products of the rank-2 path, so the values match it bit for bit
+        return sym2(G - W @ (Y * W.mT)), G, A, mb, W, (Y, dY)
     ok = _positive(P)
     Pi = inv_mat(P)
     if tag == LIMIT:
@@ -314,7 +352,8 @@ def _rank_update(scen, par, tag, l, x, sigma_tol):
             Y = Mi
         else:
             Y = Pi - Mi @ Pi
-    return G, A, mb, W, Y, Pi, Mi, ok
+    Gv = _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
+    return Gv, G, A, mb, W, (Y, Pi, Mi, ok)
 
 
 def variant_metric(scen, par, tag, l, x, sigma_tol):
@@ -336,8 +375,7 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     if tag == ORIGINAL:
         return x[0] if isinstance(x, tuple) else gm_metric(scen, par, x)
     if tag != CHEEGER:
-        G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l, x, sigma_tol)
-        return _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
+        return _rank_update(scen, par, tag, l, x, sigma_tol)[0]
     G, K, mb, iso, A, P, status = _orbit(scen, par, x, sigma_tol)
     d = G.shape[-1]
     l2 = _sq(l)
@@ -351,13 +389,21 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
 
 def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None, orbit=None):
     """Value and exact first chart derivatives of the rank update,
-    (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, by the product
-    rule with dP^{-1} = -P^{-1} dP P^{-1} and likewise for (l^2 + P)^{-1}.
-    base is None or a boolean mask of the rows of x that take the base
-    metric and its catalogued derivative instead, both evaluated here for
-    every row; the Cholesky gate of P does not act on those rows.  x are
-    the points, which the catalogued derivatives take; orbit is their
-    orbit_data tuple, computed here when not given.
+    (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij.  x are the
+    points, which the catalogued derivatives take; orbit is their
+    orbit_data tuple, computed here when not given.  base is None or a
+    boolean mask of the rows of x that take the base metric and its
+    catalogued derivative instead; the Cholesky gate of P does not act on
+    those rows.
+
+    At orbit rank 1 the derivative is
+    dG_v = dG - y (dw w^T + w dw^T) - (dy/dp) dp w w^T with dw = dG a
+    (plus G da when the algebra has dimension above 1) and
+    dp = a^T dw + da^T w, from the per-row scalars of _rank_update; the
+    base rows have y = dy/dp = 0 and so keep dG.  At rank 2 it is the
+    product rule with dP^{-1} = -P^{-1} dP P^{-1} and likewise for
+    (l^2 + P)^{-1}, and the base rows are selected from the base metric
+    and its derivative, both evaluated here for every row.
 
     d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
     orthogonal projector Q onto the isotropy complement, so the basis
@@ -367,21 +413,27 @@ def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None, orbit=None):
     never differentiated.  All chart axes are differentiated in one
     stacked evaluation.
     """
-    G, A, mb, W, Y, Pi, Mi, ok = _rank_update(scen, par, tag, l,
-                                              x if orbit is None else orbit, sigma_tol)
-    Gv = _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
+    Gv, G, A, mb, W, coef = _rank_update(scen, par, tag, l,
+                                         x if orbit is None else orbit, sigma_tol, base)
     dG = scen.metric_dx(par, x)
     # one extra axis for the derivative direction m
-    A, W, Y, Pi, Mi = (M[..., None, :, :] for M in (A, W, Y, Pi, Mi))
+    A, W = A[..., None, :, :], W[..., None, :, :]
     dW = dG @ A
     if scen.group.algebra.dim == 1:
         # every catalogued circle action shifts chart coordinates, so its
         # action field is constant: dA = 0
-        dP = sym2(A.mT @ dW)
+        dP = A.mT @ dW
     else:
         dA = scen.killing_dx(par, x) @ mb[..., None, :, :]
         dW = dW + G[..., None, :, :] @ dA
-        dP = sym2(A.mT @ dW + dA.mT @ W)
+        dP = A.mT @ dW + dA.mT @ W
+    if A.shape[-1] == 1:
+        Y, dY = (c[..., None, :, :] for c in coef)
+        B = dW @ W.mT
+        return Gv, dG - Y * (B + B.mT) - (dY * dP) * (W @ W.mT)
+    Y, Pi, Mi, ok = coef
+    Y, Pi, Mi = (M[..., None, :, :] for M in (Y, Pi, Mi))
+    dP = sym2(dP)
     dPi = -(Pi @ (dP @ Pi))
     if tag == LIMIT:
         dY = dPi - dPi @ Pi - Pi @ dPi

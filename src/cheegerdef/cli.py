@@ -135,11 +135,21 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def _jsonable(obj):
-    """Recursively convert to JSON-safe values; non-finite floats become
-    null so the report stays strict JSON."""
+    """Convert to JSON-safe values; non-finite floats become null so the
+    report stays strict JSON.  The plain Python values that make up a
+    report are matched by exact type first, and a list or tuple of floats
+    (an array's tolist() included) is converted in one pass instead of
+    one call per element."""
+    t = type(obj)
+    if t is float:
+        return obj if math.isfinite(obj) else None
+    if t is str or t is int or t is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return [v if math.isfinite(v) else None for v in obj]
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -149,7 +159,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())
     return obj
 
 

@@ -26,30 +26,38 @@ FLAT_LIMIT = ("s2_band", "warped_s2", "t2_flat")
 
 
 def _rel_err(exact, fd):
-    """Max deviation relative to the larger of 1 and the FD values.
+    """Worst point of the max deviation relative to the larger of 1 and
+    the FD values at that point.
 
     The catalogue's metrics are O(1), and the FD side carries rounding
     noise of about eps / h times the metric, so components that vanish
-    are measured against the metric's scale.
+    are measured against the metric's scale.  The last three axes are
+    one point's components; the leading axes index the points (and the
+    l values).
     """
-    return float(np.max(np.abs(exact - fd)) / max(1.0, float(np.max(np.abs(fd)))))
+    axes = (-3, -2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(fd), axis=axes))
+    return float(np.max(np.max(np.abs(exact - fd), axis=axes) / scale))
 
 
 @pytest.mark.parametrize("sid", list_scenarios())
 def test_analytic_derivatives_match_fd_oracle(sid):
+    # one call per tag on the whole plan: the derivatives take the l grid
+    # as an (L, 1) column, the symbols one l at a time on the (N, d) stack
     scenario = get_scenario(sid)
     code, par = scenario.code, scenario.params
-    plan = build_plan(scenario, SweepConfig())
+    pts = build_plan(scenario, SweepConfig()).points
+    column = np.reshape(DEFAULT_L_GRID, (-1, 1))
     worst_dx = worst_gam = 0.0
     for tag in RANK_UPDATE_TAGS:
+        exact = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, True, 1e-8)
+        fd = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, False, 1e-8)
+        assert exact.shape == fd.shape
+        worst_dx = max(worst_dx, _rel_err(exact, fd))
         for l in DEFAULT_L_GRID:
-            for x in plan.points:
-                exact = _k.variant_metric_dx(code, par, tag, l, x, H_FD, True, 1e-8)
-                fd = _k.variant_metric_dx(code, par, tag, l, x, H_FD, False, 1e-8)
-                worst_dx = max(worst_dx, _rel_err(exact, fd))
-                exact = _k.christoffel(code, par, tag, l, x, H_FD, True, 1e-8)
-                fd = _k.christoffel(code, par, tag, l, x, H_FD, False, 1e-8)
-                worst_gam = max(worst_gam, _rel_err(exact, fd))
+            exact = _k.christoffel(code, par, tag, l, pts, H_FD, True, 1e-8)
+            fd = _k.christoffel(code, par, tag, l, pts, H_FD, False, 1e-8)
+            worst_gam = max(worst_gam, _rel_err(exact, fd))
     assert worst_dx <= 1e-8
     # the FD side of the symbols is amplified by the inverse metric,
     # about 1/l^2 on the vertical block of the deformed metric

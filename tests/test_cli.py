@@ -339,6 +339,22 @@ def test_vacuous_series_serializes_as_null(tmp_path, capsys):
     assert "nan" in csv_text.splitlines()[1]
 
 
+def test_report_values_convert_to_strict_json():
+    # every kind of value a report can hold, with non-finite floats in
+    # plain lists, tuples, arrays and dict values alike
+    nan, inf = float("nan"), float("inf")
+    payload = {1: np.float64(nan), "a": (np.int64(3), np.bool_(True), None, "s"),
+               "floats": [0.5, nan, -0.0], "pair": (inf, 2.0), "mixed": [1, 0.5, True],
+               "grid": np.array([[1.5, -inf], [nan, 0.25]]), "ints": np.arange(2),
+               "empty": [], "nested": {"x": [{"y": np.float32(0.5)}]}}
+    assert cli._jsonable(payload) == {
+        "1": None, "a": [3, True, None, "s"], "floats": [0.5, None, -0.0],
+        "pair": [None, 2.0], "mixed": [1, 0.5, True], "grid": [[1.5, None], [None, 0.25]],
+        "ints": [0, 1], "empty": [], "nested": {"x": [{"y": 0.5}]}}
+    text = json.dumps(cli._jsonable(payload), sort_keys=True, allow_nan=False)
+    assert '"mixed": [1, 0.5, true]' in text
+
+
 def test_failing_criterion_exits_one(tmp_path, capsys):
     p = _tiny_config(tmp_path, extra="tol.gap_ratio = 1.0000001\n"
                                      "only = convergence\n")

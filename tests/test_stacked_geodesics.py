@@ -174,6 +174,24 @@ def test_mixed_stack_base_meridian_row_leaves_chart_alone(s2_band):
         _assert_same(res, one)
 
 
+@pytest.mark.parametrize("sid", NON_TRANSITIVE)
+def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, request):
+    # a mixed call gives its base rows the coefficients y = dy/dp = 0 of
+    # the rank-one update, which must leave the base metric's symbols
+    # exactly; the rank-update rows equal a call of their own tag
+    scenario = request.getfixturevalue(sid)
+    code, par = scenario.code, scenario.params
+    x = _geodesic_starts(scenario)
+    base = np.array([False] * len(x) + [True] * len(x))
+    for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
+        mixed = _k.christoffel(code, par, tag, 0.1, np.vstack([x, x]), H, True, TOL,
+                               base=base)
+        np.testing.assert_array_equal(
+            mixed[base], _k.christoffel(code, par, _k.ORIGINAL, 0.1, x, H, True, TOL))
+        np.testing.assert_array_equal(
+            mixed[~base], _k.christoffel(code, par, tag, 0.1, x, H, True, TOL))
+
+
 def test_mixed_stack_keeps_the_gate_of_p_off_the_base_rows(s2_band, monkeypatch):
     # with every orbit tensor failing the Cholesky gate, the limit rows
     # are NaN at the first step and the base rows still equal their
