@@ -11,27 +11,34 @@ metric are computed once on the points.  The c0, gap, c1 and T-pair
 blocks take l as one value or as a 1-D grid of L values and return one
 value per plan point: (N,) for one l, (L, N) for a grid.  The c0, gap
 and c1 blocks build that column; t_pair_block loops over the grid and
-computes its l-free base-metric norms once per point.  A point set's
-orbit data is computed once and passed down: variant_metric takes the
-orbit_data tuple of its points in place of x, the c0, gap and c1 blocks
-take plan_geometry (orbit data and adapted frame) as a trailing
-argument and compute what they use of it once per call without it, and
-oracle_block shares one orbit_data call between its two routes.  The
-scenario argument scen is a scenarios.Scenario record,
-whose metric, Killing operator and their derivatives the kernels call;
-the metric variant is a small integer tag.  Matrices are tiny (manifold
-dimension <= 3, orbit rank <= 2), so inverses and the Cholesky gate are
-closed forms for sizes 1, 2 and 3 written over the stack: a LAPACK call
-per evaluation costs more than the whole algebra.  Geodesics are
-stacked too: RK4 advances a stack of starts as one state, so a step
-makes four stacked Christoffel calls however many starts it carries.  A
-geodesic stack may mix the base metric with one rank-update variant: its
-base rows take the base metric's values from the same Christoffel call.
+computes its l-free base-metric norms once per point.
+
+The orbit data of a point set is one OrbitData record, made by
+orbit_data and read by name.  adapted_frame and the rank update take the
+record; variant_metric, its derivative, the Christoffel symbols and the
+variant vertical frame take x as bare points or as their record, so
+that calls on the same points share one record (the base metric needs
+none).  The c0, gap and c1 blocks take
+plan_geometry (orbit data and adapted frame) as a trailing argument and
+compute what they use of it once per call without it, and oracle_block
+shares one record between its two routes.  The scenario argument scen
+is a scenarios.Scenario record, whose metric, Killing operator and their
+derivatives the kernels call; the metric variant is a small integer tag.
+Matrices are tiny (manifold dimension <= 3, orbit rank <= 2), and
+inverses and the Cholesky gate are closed forms for sizes 1, 2 and 3
+written over the stack, so that a singular row turns NaN alone where
+np.linalg.inv raises LinAlgError for the whole stack.  Speed is not the
+reason: np.linalg.inv is faster on a few rows (a geodesic stack) and
+slower on a 200-point plan.  Geodesics are stacked too: RK4
+advances a stack of starts as one state, so a step makes four stacked
+Christoffel calls however many starts it carries.  A geodesic stack may
+mix the base metric with one rank-update variant: its base rows take
+the base metric's values from the same Christoffel call.
 
 The closed-form deformed metric, its vertical rescaling and their limit
-are one rank update G - W Y(P) W^T of the base metric (W = G A,
-P = A^T G A), so their value and their exact first derivatives come from
-the same pieces; the reparametrisation route (CHEEGER) stays independent
+are one rank update G - W Y(P) W^T of the base metric, so their value
+and their exact first derivatives come from the record's W and P; the
+reparametrisation route (CHEEGER) stays independent, reads only G and A,
 and keeps finite-difference derivatives, which also serve as the oracle
 for the analytic ones.  At orbit rank 1 (every circle action) P is a
 scalar p per point and the update is G - y(p) w w^T with w = G a, so
@@ -49,6 +56,9 @@ the first NaN point of a block's values in a typed exception.  Frame
 construction and geodesic integration also return explicit per-row
 status codes.
 """
+
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,24 +189,32 @@ def sym2(A):
 _FIRST_WEIGHTS = tuple(2.0 ** np.arange(n - 1, -1, -1.0) for n in range(4))
 
 
+@lru_cache(maxsize=64)
+def _circle_split(lead):
+    """(mb, iso, status) of a circle action over points of leading shape
+    lead: read-only broadcast views of constants, made once per shape."""
+    return (np.broadcast_to(1.0, lead + (1, 1)),
+            np.broadcast_to(np.empty((1, 0)), lead + (1, 0)),
+            np.broadcast_to(np.int64(OK), lead))
+
+
 def m_basis(scen, K, sigma_tol):
     """Split the algebra into isotropy and its complement at each point.
 
     Returns (mb, iso, status): mb has orthonormal columns spanning the
     complement of the kernel of K (coefficient space), iso spans the
     kernel.  The circle actions have a constant, nonzero action field,
-    so their split is trivial.  On the SVD path the orbit rank is the
-    record's rank; status is DEGENERATE, and the row of mb and iso NaN,
-    where K is not finite or vanishes, where a singular value sits
-    inside the ambiguity band [0.1, 10] * sigma_tol * sigma_max, or
-    where the numerical rank is below the scenario's.
-    The NaN rows carry through A and P, so the Cholesky gate and the
-    conditioning cap downstream reject them.
+    so their split is trivial and shared (read-only views).  On the SVD
+    path the orbit rank is the record's rank; status is DEGENERATE, and
+    the row of mb and iso NaN, where K is not finite or vanishes, where a
+    singular value sits inside the ambiguity band
+    [0.1, 10] * sigma_tol * sigma_max, or where the numerical rank is
+    below the scenario's.  The NaN rows carry through A, W and P, so the
+    Cholesky gate and the conditioning cap downstream reject them.
     """
     ng = K.shape[-1]
-    lead = K.shape[:-2]
     if ng == 1:
-        return np.ones(lead + (1, 1)), np.zeros(lead + (1, 0)), np.zeros(lead, np.int64)
+        return _circle_split(K.shape[:-2])
     r = scen.rank
     if not np.isfinite(K).all():
         # a zeroed row fails the rank test below
@@ -214,20 +232,48 @@ def m_basis(scen, K, sigma_tol):
     return V[..., :, :r], V[..., :, r:], DEGENERATE * ~good
 
 
+@dataclass(frozen=True, slots=True)
+class OrbitData:
+    """Orbit data of the action at the points x (..., d), every array
+    with the points' leading shape: the base metric G, the Killing
+    operator K (columns are the action fields of the algebra basis), the
+    split of the algebra (mb spans the isotropy complement and iso the
+    isotropy, both orthonormal in coefficient space), the orbit fields
+    A = K mb, their metric duals W = G A, the orbit tensor P = A^T G A and
+    the per-point status of the split (rows of mb, A, W and P are NaN
+    where it is DEGENERATE)."""
+
+    x: np.ndarray
+    G: np.ndarray
+    K: np.ndarray
+    mb: np.ndarray
+    iso: np.ndarray
+    A: np.ndarray
+    W: np.ndarray
+    P: np.ndarray
+    status: np.ndarray
+
+    def rows(self, index) -> "OrbitData":
+        """The record at the points x[index] (index selects along the
+        first point axis)."""
+        return OrbitData(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+
 def orbit_data(scen, par, x, sigma_tol):
-    """Metric, Killing operator, algebra split and orbit tensor at x:
-    the tuple (G, K, mb, iso, A, P, status)."""
+    """The OrbitData record of the action at the points x."""
     G = gm_metric(scen, par, x)
     K = scen.killing(par, x)
     mb, iso, status = m_basis(scen, K, sigma_tol)
     A = K if K.shape[-1] == 1 else K @ mb
-    P = sym2(A.mT @ (G @ A))
-    return G, K, mb, iso, A, P, status
+    W = G @ A
+    P = sym2(A.mT @ W)
+    return OrbitData(x=x, G=G, K=K, mb=mb, iso=iso, A=A, W=W, P=P, status=status)
 
 
-def _orbit(scen, par, x, sigma_tol):
-    """Orbit data at x, where x is points or their orbit_data tuple."""
-    return x if isinstance(x, tuple) else orbit_data(scen, par, x, sigma_tol)
+def _record(scen, par, x, sigma_tol):
+    """x as an OrbitData record: x itself, or the orbit data at the bare
+    points x."""
+    return x if isinstance(x, OrbitData) else orbit_data(scen, par, x, sigma_tol)
 
 
 # gram-schmidt acceptance threshold for squared residual norms; metrics in
@@ -236,25 +282,31 @@ def _orbit(scen, par, x, sigma_tol):
 _GS_EPS = 1e-12
 
 
-def adapted_frame(G, A):
+def _vertical_frame(A, P):
+    """Frame A L^{-T} of the orbit directions, orthonormal in the metric
+    whose orbit tensor is P (L the lower Cholesky factor of P).  Returns
+    (frame, L); both are all NaN on the rows whose P fails the gate."""
+    L = chol_lower(P)
+    return solve_lin(L, A.mT).mT, L
+
+
+def adapted_frame(orbit):
     """Orthonormal frame adapted to the orbit: columns 0..r-1 span the
-    vertical space (G-orthonormal, derived from A by Cholesky), the rest
-    complete it with G-orthonormalised chart directions taken in fixed
-    order with a deterministic sign.
+    vertical space (G-orthonormal, derived from A by the Cholesky factor
+    of the record's P), the rest complete it with G-orthonormalised chart
+    directions taken in fixed order with a deterministic sign.
 
     Returns (F, L, status) with L the Cholesky factor of the orbit tensor;
     rows whose frame fails are NaN with status FRAME_FAIL.
     """
-    lead = G.shape[:-2]
-    d = G.shape[-1]
-    r = A.shape[-1]
-    G = G.reshape((-1, d, d))
-    A = A.reshape((-1, d, r))
+    lead = orbit.G.shape[:-2]
+    d = orbit.G.shape[-1]
+    r = orbit.A.shape[-1]
+    G = orbit.G.reshape((-1, d, d))
     n = G.shape[0]
-    P = sym2(A.mT @ (G @ A))
-    L = chol_lower(P)
+    V, L = _vertical_frame(orbit.A.reshape((-1, d, r)), orbit.P.reshape((-1, r, r)))
     F = np.zeros((n, d, d))
-    F[:, :, :r] = solve_lin(L, A.mT).mT
+    F[:, :, :r] = V
     ok = ~np.isnan(L[:, 0, 0])
     rows = np.arange(n)
     nacc = np.zeros(n, dtype=np.int64)
@@ -290,19 +342,17 @@ def adapted_frame(G, A):
 
 def plan_geometry(scen, par, pts, sigma_tol):
     """The geometry of a point set that the c0 and gap blocks take:
-    (orbit_data tuple, adapted_frame (F, L, status)) at pts."""
+    (OrbitData record, adapted_frame (F, L, status)) at pts."""
     orbit = orbit_data(scen, par, pts, sigma_tol)
-    return orbit, adapted_frame(orbit[0], orbit[4])
+    return orbit, adapted_frame(orbit)
 
 
-def _rank_update(scen, par, tag, l, x, sigma_tol, base=None):
-    """Value and shared pieces of the rank update G_v = G - W Y(P) W^T
-    at x (points or their orbit_data tuple).
+def _rank_update(tag, l, orbit, base=None):
+    """Value and coefficients of the rank update G_v = G - W Y(P) W^T
+    of the record orbit.
 
-    W = G A and P = A^T G A come from the orbit data; Y(P) is
-    (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1} for
-    RESCALED and P^{-1} - P^{-2} for LIMIT.  Returns
-    (G_v, G, A, mb, W, coef).
+    Y(P) is (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1}
+    for RESCALED and P^{-1} - P^{-2} for LIMIT.  Returns (G_v, coef).
 
     At orbit rank 1 (a circle action) P is the per-row scalar p = a^T G a
     and the update is G - y(p) w w^T with w = G a: coef is (y, dy/dp),
@@ -319,9 +369,8 @@ def _rank_update(scen, par, tag, l, x, sigma_tol, base=None):
     degenerate algebra splits included (their P is NaN); those rows of
     G_v are NaN and the other outputs of those rows are meaningless.
     """
-    G, K, mb, iso, A, P, status = _orbit(scen, par, x, sigma_tol)
-    W = G @ A
-    if A.shape[-1] == 1:
+    G, W, P = orbit.G, orbit.W, orbit.P
+    if P.shape[-1] == 1:
         p = np.where(_positive(P)[..., None, None], P, np.nan)
         pi = 1.0 / p
         pi2 = pi * pi
@@ -340,7 +389,7 @@ def _rank_update(scen, par, tag, l, x, sigma_tol, base=None):
             Y = np.where(base[..., None, None], 0.0, Y)
             dY = np.where(base[..., None, None], 0.0, dY)
         # the products of the rank-2 path, so the values match it bit for bit
-        return sym2(G - W @ (Y * W.mT)), G, A, mb, W, (Y, dY)
+        return sym2(G - W @ (Y * W.mT)), (Y, dY)
     ok = _positive(P)
     Pi = inv_mat(P)
     if tag == LIMIT:
@@ -353,30 +402,32 @@ def _rank_update(scen, par, tag, l, x, sigma_tol, base=None):
         else:
             Y = Pi - Mi @ Pi
     Gv = _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
-    return Gv, G, A, mb, W, (Y, Pi, Mi, ok)
+    return Gv, (Y, Pi, Mi, ok)
 
 
 def variant_metric(scen, par, tag, l, x, sigma_tol):
-    """Chart components of the selected metric variant at x.
+    """Chart components of the selected metric variant at x, a point
+    stack or its OrbitData record: calls on the same points share one
+    record, and bare points get theirs here (the base metric needs
+    none).
 
     ORIGINAL is the base metric.  CHEEGER goes through the deformation
     reparametrisation (inverse of the Cheeger map applied to the product
-    metric).  CHEEGER_CLOSED, RESCALED and LIMIT share the independent
-    closed rank update G_v = G - W Y(P) W^T of _rank_update.  ORIGINAL
-    and LIMIT do not depend on l and keep the points' leading shape.
-
-    x is the points or their orbit_data tuple, so that calls on the same
-    points share one orbit_data evaluation.
+    metric), from G and A alone.  CHEEGER_CLOSED, RESCALED and LIMIT
+    share the independent closed rank update G_v = G - W Y(P) W^T of
+    _rank_update.  ORIGINAL and LIMIT do not depend on l and keep the
+    points' leading shape.
 
     Failures (degenerate orbit rank, an orbit tensor that fails the
     Cholesky gate, blown-up conditioning) poison that point's row with
     NaN.
     """
     if tag == ORIGINAL:
-        return x[0] if isinstance(x, tuple) else gm_metric(scen, par, x)
+        return x.G if isinstance(x, OrbitData) else gm_metric(scen, par, x)
+    orbit = _record(scen, par, x, sigma_tol)
     if tag != CHEEGER:
-        return _rank_update(scen, par, tag, l, x, sigma_tol)[0]
-    G, K, mb, iso, A, P, status = _orbit(scen, par, x, sigma_tol)
+        return _rank_update(tag, l, orbit)[0]
+    G, A = orbit.G, orbit.A
     d = G.shape[-1]
     l2 = _sq(l)
     kap = A.mT @ G
@@ -387,14 +438,13 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     return _nan_rows(cond < 1e12, sym2(Ci.mT @ (inner @ Ci)))
 
 
-def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None, orbit=None):
+def _rank_update_dx(scen, par, tag, l, orbit, base=None):
     """Value and exact first chart derivatives of the rank update,
-    (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij.  x are the
-    points, which the catalogued derivatives take; orbit is their
-    orbit_data tuple, computed here when not given.  base is None or a
-    boolean mask of the rows of x that take the base metric and its
-    catalogued derivative instead; the Cholesky gate of P does not act on
-    those rows.
+    (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, at the points
+    orbit.x of the record, which the catalogued derivatives take.  base
+    is None or a boolean mask of the rows that take the base metric and
+    its catalogued derivative instead; the Cholesky gate of P does not
+    act on those rows.
 
     At orbit rank 1 the derivative is
     dG_v = dG - y (dw w^T + w dw^T) - (dy/dp) dp w w^T with dw = dG a
@@ -413,18 +463,18 @@ def _rank_update_dx(scen, par, tag, l, x, sigma_tol, base=None, orbit=None):
     never differentiated.  All chart axes are differentiated in one
     stacked evaluation.
     """
-    Gv, G, A, mb, W, coef = _rank_update(scen, par, tag, l,
-                                         x if orbit is None else orbit, sigma_tol, base)
-    dG = scen.metric_dx(par, x)
+    Gv, coef = _rank_update(tag, l, orbit, base)
+    G = orbit.G
+    dG = scen.metric_dx(par, orbit.x)
     # one extra axis for the derivative direction m
-    A, W = A[..., None, :, :], W[..., None, :, :]
+    A, W = orbit.A[..., None, :, :], orbit.W[..., None, :, :]
     dW = dG @ A
     if scen.group.algebra.dim == 1:
         # every catalogued circle action shifts chart coordinates, so its
         # action field is constant: dA = 0
         dP = A.mT @ dW
     else:
-        dA = scen.killing_dx(par, x) @ mb[..., None, :, :]
+        dA = scen.killing_dx(par, orbit.x) @ orbit.mb[..., None, :, :]
         dW = dW + G[..., None, :, :] @ dA
         dP = A.mT @ dW + dA.mT @ W
     if A.shape[-1] == 1:
@@ -476,23 +526,24 @@ def _richardson(f, h):
     return (16.0 * d2 - d1) / 15.0
 
 
-def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol, orbit=None):
+def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
     """First chart derivatives dG[..., m, i, j] = d_m g_ij of a metric
-    variant.
+    variant at x, a point stack or its OrbitData record.
 
     With analytic set, ORIGINAL uses the catalogued derivative and the
     rank-update tags (CHEEGER_CLOSED, RESCALED, LIMIT) the exact product
-    rule of _rank_update_dx, which takes orbit, the orbit_data tuple at
-    x, when it is given.  CHEEGER, and every tag when analytic is unset,
-    uses the Richardson stencil, one stacked variant_metric call per
-    stencil offset; that path is the oracle for the analytic one.
+    rule of _rank_update_dx.  CHEEGER, and every tag when analytic is
+    unset, uses the Richardson stencil around the points, one stacked
+    variant_metric call per stencil offset; that path is the oracle for
+    the analytic one.
     """
+    pts = x.x if isinstance(x, OrbitData) else x
     if analytic and tag == ORIGINAL:
-        return scen.metric_dx(par, x)
+        return scen.metric_dx(par, pts)
     if analytic and tag != CHEEGER:
-        return _rank_update_dx(scen, par, tag, l, x, sigma_tol, orbit=orbit)[1]
-    d = x.shape[-1]
-    ys = _stencil(x, h)
+        return _rank_update_dx(scen, par, tag, l, _record(scen, par, x, sigma_tol))[1]
+    d = pts.shape[-1]
+    ys = _stencil(pts, h)
     f = None
     for m in range(d):
         for k in range(6):
@@ -505,13 +556,14 @@ def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol, orbit=None):
 
 
 def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=None):
-    """Christoffel symbols Gamma[..., k, i, j] of a metric variant at x.
+    """Christoffel symbols Gamma[..., k, i, j] of a metric variant at x,
+    a point stack or its OrbitData record.
 
     The rank-update tags take the value and the derivative from one
     evaluation of _rank_update_dx; on that path base may mask the rows
     of x that take the base metric instead (see _rank_update_dx)."""
     if analytic and tag != ORIGINAL and tag != CHEEGER:
-        G, dG = _rank_update_dx(scen, par, tag, l, x, sigma_tol, base)
+        G, dG = _rank_update_dx(scen, par, tag, l, _record(scen, par, x, sigma_tol), base)
     else:
         G = variant_metric(scen, par, tag, l, x, sigma_tol)
         dG = variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol)
@@ -521,7 +573,7 @@ def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=None):
     # then one matrix product raises the index
     S = np.swapaxes(dG, -3, -2)
     T = S + S.mT - dG
-    lead = x.shape[:-1]
+    lead = G.shape[:-2]
     return 0.5 * (Gi @ T.reshape(lead + (d, d * d))).reshape(lead + (d, d, d))
 
 
@@ -671,7 +723,7 @@ def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol, geometry=N
     orbit, (F, L, fstatus) = geometry
     Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), orbit, sigma_tol)
              - variant_metric(scen, par, tag_b, _l_column(l_b), orbit, sigma_tol))
-    return np.where(fstatus == OK, _pair_sup(orbit[0], F, Delta, dirs), np.nan)
+    return np.where(fstatus == OK, _pair_sup(orbit.G, F, Delta, dirs), np.nan)
 
 
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol, geometry=None):
@@ -682,8 +734,8 @@ def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol, geometry=None
     at pts) only the orbit data is used; without it the orbit data is
     computed here, once for both variants."""
     orbit = orbit_data(scen, par, pts, sigma_tol) if geometry is None else geometry[0]
-    dA = variant_metric_dx(scen, par, tag_a, _l_column(l_a), pts, h, True, sigma_tol, orbit)
-    dB = variant_metric_dx(scen, par, tag_b, _l_column(l_b), pts, h, True, sigma_tol, orbit)
+    dA = variant_metric_dx(scen, par, tag_a, _l_column(l_a), orbit, h, True, sigma_tol)
+    dB = variant_metric_dx(scen, par, tag_b, _l_column(l_b), orbit, h, True, sigma_tol)
     return np.max(np.abs(dA - dB), axis=(-3, -2, -1))
 
 
@@ -698,19 +750,21 @@ def gap_block(scen, par, l, pts, sigma_tol, geometry=None):
     orbit data is computed here.
     """
     orbit = orbit_data(scen, par, pts, sigma_tol) if geometry is None else geometry[0]
-    G, K, mb, iso, A, P, status = orbit
+    A = orbit.A
     Gr = variant_metric(scen, par, RESCALED, _l_column(l), orbit, sigma_tol)
     M = A.mT @ (Gr @ A)
     dev = np.abs(M - _EYE[A.shape[-1]]).max(axis=(-2, -1))
-    return np.where(status == OK, dev, np.nan)
+    return np.where(orbit.status == OK, dev, np.nan)
 
 
 def variant_vertical_frame(scen, par, tag, l, x, sigma_tol):
-    """Vertical frame columns, orthonormal in the selected variant."""
-    G, K, mb, iso, A, P, status = orbit_data(scen, par, x, sigma_tol)
-    Gt = variant_metric(scen, par, tag, l, x, sigma_tol)
-    L = chol_lower(sym2(A.mT @ (Gt @ A)))
-    return _nan_rows(~np.isnan(L[..., 0, 0]), solve_lin(L, A.mT).mT)
+    """Vertical frame columns at x, a point stack or its OrbitData
+    record, orthonormal in the selected variant; NaN rows where the
+    variant's orbit tensor fails the Cholesky gate."""
+    orbit = _record(scen, par, x, sigma_tol)
+    A = orbit.A
+    Gt = variant_metric(scen, par, tag, l, orbit, sigma_tol)
+    return _vertical_frame(A, sym2(A.mT @ (Gt @ A)))[0]
 
 
 def t_tensor_norm(scen, par, tag, l, x, h, sigma_tol):
@@ -723,14 +777,15 @@ def t_tensor_norm(scen, par, tag, l, x, h, sigma_tol):
     of full dimension have no horizontal space and give exactly 0.
     """
     d = scen.dim
-    V = variant_vertical_frame(scen, par, tag, l, x, sigma_tol)
+    orbit = orbit_data(scen, par, x, sigma_tol)
+    V = variant_vertical_frame(scen, par, tag, l, orbit, sigma_tol)
     r = V.shape[1]
     if np.isnan(V[0, 0]):
         return np.nan
     if d == r:
         return 0.0
-    Gt = variant_metric(scen, par, tag, l, x, sigma_tol)
-    Gam = christoffel(scen, par, tag, l, x, h, False, sigma_tol)
+    Gt = variant_metric(scen, par, tag, l, orbit, sigma_tol)
+    Gam = christoffel(scen, par, tag, l, orbit, h, False, sigma_tol)
     dV = _richardson(
         variant_vertical_frame(scen, par, tag, l, _stencil(x, h), sigma_tol), h)
     best = 0.0
@@ -783,7 +838,7 @@ def t_pair_block(scen, par, tag, l, pts, h, sigma_tol):
 def oracle_block(scen, par, pts, ls, sigma_tol):
     """Max componentwise disagreement between the two deformation routes
     at each paired sample (point pts[n], deformation parameter ls[n]);
-    the two routes share one orbit_data evaluation."""
+    the two routes share one orbit_data record."""
     orbit = orbit_data(scen, par, pts, sigma_tol)
     G1 = variant_metric(scen, par, CHEEGER, ls, orbit, sigma_tol)
     G2 = variant_metric(scen, par, CHEEGER_CLOSED, ls, orbit, sigma_tol)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure
+from .gmanifold import SIGMA_TOL, NumericalFailure
 from .scenarios import Scenario
 
 __all__ = [
@@ -48,13 +48,14 @@ _TAG_CODES = {
 }
 
 
-def kappa(kd: KillingData, G: np.ndarray, v: np.ndarray) -> np.ndarray:
+def kappa(orbit: _k.OrbitData, v: np.ndarray) -> np.ndarray:
     """Algebra coefficients of the metric dual of v along the orbit:
     the unique kappa(v) in the isotropy complement with
-    <kappa(v), k> = g_M(v, K k) for all algebra vectors k.  Orbit data,
-    G and v may also be stacks over points (v of shape (..., dim))."""
-    Gv = G @ np.asarray(v, dtype=float)[..., None]
-    return (kd.m_basis @ (kd.A.mT @ Gv))[..., 0]
+    <kappa(v), k> = g_M(v, K k) for all algebra vectors k.  orbit is the
+    OrbitData record at the points of v, a vector or a stack
+    (..., dim) of them."""
+    Gv = orbit.G @ np.asarray(v, dtype=float)[..., None]
+    return (orbit.mb @ (orbit.A.mT @ Gv))[..., 0]
 
 
 def definition_metric(scenario: Scenario, tag: str, l, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import GEODESIC_MARGIN
 from .config import echo, knob, table_keys, values_from
-from .gmanifold import DegeneratePointError, DomainError, NumericalFailure
+from .gmanifold import DomainError, NumericalFailure
 from .scenarios import (DEFAULT_ORBIT_LENGTH, DEFAULT_WARP_AMPLITUDE, Scenario,
                         get_scenario, list_scenarios, sampling_box)
 from .verify import ALL_TESTS, SweepConfig, run_suite
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, DegeneratePointError, DomainError) as exc:
+    except (NumericalFailure, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -7,9 +7,9 @@ count.  Its Christoffel symbols are exact for every variant but the
 deformed metric of the reparametrisation route, which takes fourth-order
 central differences with one Richardson extrapolation level (step h_fd).
 A sample plan carries its points, its seeded direction pairs and the
-orbit data and adapted frame of its points, each computed on first use,
-and the verification stages pass them to every C^0 and gap block they
-evaluate on the plan.
+geometry of its points (the kernels' OrbitData record and adapted frame),
+each computed on first use, and the verification stages pass them to
+every C^0, C^1 and gap block they evaluate on the plan.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ _GEO_STATUS = {_k.OK: "ok", _k.LEFT_DOMAIN: "left_domain", _k.NUMERIC_FAIL: "num
 
 def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
                         x0s: np.ndarray, v0s: np.ndarray,
-                        length: float = 3.0, step: float = 1e-3,
+                        length: float, step: float,
                         unit_speed: bool = True,
                         h: float = H_FD) -> list[GeodesicResult]:
     """Integrate the geodesic equation from each start (x0s[s], v0s[s])
@@ -166,24 +166,20 @@ class SamplePlan:
     """Fixed evaluation plan for sup-norm estimates: grid points plus a
     batch of seeded direction pairs per point.
 
-    The pairs are drawn on first read, from their own stream of the seed,
-    unless the plan is given them; a stage that reads neither the pairs
-    nor the geometry pays for neither.
+    The pairs are drawn on first read, from their own stream of the seed;
+    a stage that reads neither the pairs nor the geometry pays for
+    neither.
     """
 
-    def __init__(self, scenario: Scenario, points: np.ndarray,
-                 dirs: np.ndarray | None = None, n_dirs: int = 50, seed: int = 42):
+    def __init__(self, scenario: Scenario, points: np.ndarray, n_dirs: int, seed: int):
         self.scenario = scenario
         self.points = points
         self.n_dirs = n_dirs
         self.seed = seed
-        if dirs is not None:
-            # a given batch takes the place of the cached draw
-            vars(self)["dirs"] = dirs
 
     @classmethod
-    def build(cls, scenario: Scenario, n_points: int = 200, n_dirs: int = 50,
-              seed: int = 42, margin: float | None = None) -> "SamplePlan":
+    def build(cls, scenario: Scenario, n_points: int, n_dirs: int, seed: int,
+              margin: float | None = None) -> "SamplePlan":
         """The plan on the sample grid; its direction pairs and geometry
         are computed by the first stage that reads them."""
         return cls(scenario, sample_grid(scenario, n_points, margin),
@@ -196,7 +192,7 @@ class SamplePlan:
 
     @cached_property
     def geometry(self) -> tuple:
-        """Orbit data and adapted frame at the plan points
+        """The OrbitData record and adapted frame at the plan points
         (_kernels.plan_geometry), computed once per plan."""
         sc = self.scenario
         return _k.plan_geometry(sc, sc.params, self.points, SIGMA_TOL)

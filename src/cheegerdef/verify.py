@@ -34,7 +34,7 @@ from . import _kernels as _k
 from .cheeger import definition_metric, kappa, variant
 from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
                      parse_int, positive, validate)
-from .gmanifold import SIGMA_TOL, KillingData, NumericalFailure, killing_data
+from .gmanifold import SIGMA_TOL, NumericalFailure
 from .lie_core import GroupElement
 from .scenarios import Scenario, invariance_elements, oracle_samples
 from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
@@ -300,7 +300,9 @@ def geodesic_results(scenario: Scenario, cfg: SweepConfig) -> dict:
         return {"vacuous": True, "starts": []}
     transverse = cfg.geodesic_transverse or scenario.geodesic_transverse
     x0s = np.stack([scenario.start_from_transverse(c) for c in transverse])
-    v0s = np.stack([killing_data(scenario, x0).A[:, 0] for x0 in x0s])
+    # each start moves along its first orbit field; a degenerate start's
+    # NaN field fails the integration (NumericalFailure)
+    v0s = _k.orbit_data(scenario, scenario.params, x0s, SIGMA_TOL).A[:, :, 0]
     # one stack: the limit starts, then the same starts under the base metric
     n = len(x0s)
     res = integrate_geodesics(
@@ -332,13 +334,14 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     The invariance points are a stride slice of the plan, so their orbit
     data and frame are rows of the plan's geometry.  All sampled
     elements act in one stacked call, and the images get one orbit_data
-    evaluation that every variant shares.  A NaN residual is located
+    record that every variant shares.  A NaN residual is located
     (variant, l, element, plan point) from the residuals themselves.
     """
     stride = max(1, len(plan.points) // cfg.invariance_points)
-    pts = plan.points[::stride]
-    orbit, (F, L, fstatus) = (tuple(a[::stride] for a in part) for part in plan.geometry)
-    G, K, mb, iso, A, P, status = orbit
+    plan_orbit, plan_frame = plan.geometry
+    orbit = plan_orbit.rows(slice(None, None, stride))
+    F, _, fstatus = (a[::stride] for a in plan_frame)
+    pts = orbit.x
     elements = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
     stack = GroupElement(scenario.group.group_id, np.stack([g.matrix for g in elements]))
     par = scenario.params
@@ -382,22 +385,21 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
             break
 
     # horizontal block of the deformed family versus the base metric
-    failed = np.flatnonzero((status != _k.OK) | (fstatus != _k.OK))
+    failed = np.flatnonzero((orbit.status != _k.OK) | (fstatus != _k.OK))
     if failed.size:
         return {"error": f"frame failed at {pts[failed[0]].tolist()}"}
-    H = F[..., :, A.shape[-1]:]
+    H = F[..., :, orbit.A.shape[-1]:]
     horiz_worst = 0.0
     if H.size:
-        horiz_worst = _worst([np.max(np.abs((Gv - G).mT @ H)) for Gv in local])
+        horiz_worst = _worst([np.max(np.abs((Gv - orbit.G).mT @ H)) for Gv in local])
     # duality identity of the orbit projection against the raw pairing
-    kd = KillingData(x=pts, K=K, m_basis=mb, isotropy_basis=iso, orbit_tensor=P)
     v = plan.dirs[np.minimum(np.arange(len(pts)) * stride, len(plan.dirs) - 1), 0, 0]
-    raw = (K.mT @ (G @ v[..., None]))[..., 0]
-    kappa_worst = float(np.max(np.abs(kappa(kd, G, v) - raw)))
+    raw = (orbit.K.mT @ (orbit.G @ v[..., None]))[..., 0]
+    kappa_worst = float(np.max(np.abs(kappa(orbit, v) - raw)))
     # the solved vector must carry no isotropy component
     kappa_iso_worst = 0.0
-    if iso.size:
-        kappa_iso_worst = float(np.max(np.abs((iso.mT @ raw[..., None])[..., 0])))
+    if orbit.iso.size:
+        kappa_iso_worst = float(np.max(np.abs((orbit.iso.mT @ raw[..., None])[..., 0])))
 
     overall = _worst([*static.values(),
                       *(row[tag] for row in by_l for tag in ("cheeger", "rescaled"))])

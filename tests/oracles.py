@@ -121,9 +121,10 @@ def pair_sup(scenario, delta, x, dirs) -> float:
     """C^0 value of the difference matrix delta at one point x: the sup
     of |delta(u, v)| over the pairs of the adapted frame and over the
     seeded pairs dirs (p, 2, d), each vector of unit base-metric length."""
-    G, _K, _mb, _iso, A, _P, status = _k.orbit_data(scenario, scenario.params, x, SIGMA_TOL)
-    F, _L, fstatus = _k.adapted_frame(G, A)
-    assert status == _k.OK and fstatus == _k.OK, f"adapted frame failed at {x.tolist()}"
+    orbit = _k.orbit_data(scenario, scenario.params, x, SIGMA_TOL)
+    G = orbit.G
+    F, _L, fstatus = _k.adapted_frame(orbit)
+    assert orbit.status == _k.OK and fstatus == _k.OK, f"adapted frame failed at {x.tolist()}"
     best = float(np.max(np.abs(F.T @ delta @ F)))
     for u, v in dirs:
         best = max(best, abs(u @ delta @ v) / np.sqrt((u @ G @ u) * (v @ G @ v)))

@@ -11,7 +11,7 @@ import pytest
 from cheegerdef import _kernels as _k
 from cheegerdef import cli
 from cheegerdef.cheeger import variant
-from cheegerdef.gmanifold import SIGMA_TOL, killing_data
+from cheegerdef.gmanifold import SIGMA_TOL
 from cheegerdef.scenarios import sample_grid
 from cheegerdef.tensor_calc import (
     H_FD,
@@ -66,7 +66,7 @@ def test_criterion_2_hopf_spot_value(capsys, s3_hopf):
     limit = variant(s3_hopf, "limit")
     for x in sample_grid(s3_hopf, 12):
         G = s3_hopf.metric(s3_hopf.params, x)
-        v = killing_data(s3_hopf, x).K[:, 0]  # unit vertical field
+        v = _k.orbit_data(s3_hopf, s3_hopf.params, x, SIGMA_TOL).K[:, 0]  # unit vertical field
         # kernel route and definition route
         for gr, gl in ((rescaled.matrix(x), limit.matrix(x)),
                        (rescaled.reference_matrix(x), limit.reference_matrix(x))):

@@ -11,7 +11,6 @@ import pytest
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
-from cheegerdef.gmanifold import killing_data
 from cheegerdef.scenarios import get_scenario, list_scenarios
 from cheegerdef.tensor_calc import H_FD, integrate_geodesics
 from cheegerdef.verify import DEFAULT_L_GRID, SweepConfig, build_plan
@@ -123,7 +122,7 @@ def test_limit_geodesics_are_straight_lines(sid, request):
     scenario = request.getfixturevalue(sid)
     lim = variant(scenario, "limit")
     for x0 in _geodesic_starts(scenario):
-        v0 = killing_data(scenario, x0).A[:, 0]
+        v0 = _k.orbit_data(scenario.code, scenario.params, x0, 1e-8).A[:, 0]
         v0 = v0 / np.linalg.norm(v0)
         (res,) = integrate_geodesics(lim, [x0], [v0], step=1e-2,
                                      length=SweepConfig().geodesic_length)

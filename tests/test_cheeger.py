@@ -11,7 +11,7 @@ from cheegerdef.cheeger import (
     kappa,
     variant,
 )
-from cheegerdef.gmanifold import SIGMA_TOL, NumericalFailure, killing_data
+from cheegerdef.gmanifold import SIGMA_TOL, NumericalFailure
 from cheegerdef.scenarios import list_scenarios, oracle_samples, rng_for, sample_grid
 from cheegerdef.verify import SweepConfig, build_plan
 
@@ -25,21 +25,26 @@ def _routes(scenario, tag, l=0.0):
     return kernels + [lambda x: definition_metric(scenario, tag, l, x)]
 
 
-def _reparam(kd, G, l, v):
+def _at(scenario, x):
+    """The orbit data record at x."""
+    return _k.orbit_data(scenario, scenario.params, x, SIGMA_TOL)
+
+
+def _reparam(orbit, l, v):
     """Image of v under the deformation reparametrisation
     Ch_l(v) = K(kappa(v)) / l^2 + v."""
-    return kd.K @ kappa(kd, G, v) / (l * l) + v
+    return orbit.K @ kappa(orbit, v) / (l * l) + v
 
 
 def _check_reparam(scenario, x, l, v, image, atol):
     """Ch_l(v) has the given image, and every route of the deformed
     metric gives g_l(Ch_l(v), Ch_l(v)) = |kappa(v)|^2 / l^2 + g_M(v, v),
     the product metric on the horizontal representative."""
-    kd = killing_data(scenario, x)
+    orbit = _at(scenario, x)
     G = scenario.metric(scenario.params, x)
-    w = _reparam(kd, G, l, v)
+    w = _reparam(orbit, l, v)
     np.testing.assert_allclose(w, image, atol=atol)
-    kv = kappa(kd, G, v)
+    kv = kappa(orbit, v)
     expected = float(kv @ kv) / (l * l) + float(v @ G @ v)
     for route in _routes(scenario, "cheeger", l):
         assert w @ route(x) @ w == pytest.approx(expected, rel=1e-12)
@@ -55,29 +60,27 @@ def test_deformation_params_validation(s2_band):
 
 def test_kappa_band_spot(s2_band):
     x = np.array([0.7, np.pi / 4])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric(s2_band.params, x)
-    kv = kappa(kd, G, np.array([1.0, 0.0]))
+    orbit = _at(s2_band, x)
+    kv = kappa(orbit, np.array([1.0, 0.0]))
     assert kv.shape == (1,)
     assert kv[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_kappa_hopf_unit_field(s3_hopf):
     x = np.array([0.4, 1.9, 0.8])
-    kd = killing_data(s3_hopf, x)
+    orbit = _at(s3_hopf, x)
     G = s3_hopf.metric(s3_hopf.params, x)
-    v = kd.K[:, 0]
+    v = orbit.K[:, 0]
     assert v @ G @ v == pytest.approx(1.0, abs=1e-12)
-    kv = kappa(kd, G, v)
+    kv = kappa(orbit, v)
     assert kv[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kappa_vanishes_on_horizontal(s2_band):
     # the polar direction is orthogonal to the orbit circles
     x = np.array([1.3, 0.9])
-    kd = killing_data(s2_band, x)
-    G = s2_band.metric(s2_band.params, x)
-    kv = kappa(kd, G, np.array([0.0, 1.0]))
+    orbit = _at(s2_band, x)
+    kv = kappa(orbit, np.array([0.0, 1.0]))
     np.testing.assert_allclose(kv, 0.0, atol=1e-14)
 
 
@@ -89,7 +92,7 @@ def test_reparam_band_spot(s2_band):
 
 def test_reparam_hopf_spot(s3_hopf):
     x = np.array([0.4, 1.9, 0.8])
-    v = killing_data(s3_hopf, x).K[:, 0]
+    v = _at(s3_hopf, x).K[:, 0]
     _check_reparam(s3_hopf, x, 0.1, v, 101.0 * v, 1e-9)
 
 
@@ -101,14 +104,14 @@ def test_reparam_fixes_horizontal(s2_band):
 def test_vertical_lift_is_orthogonal_to_vertical_space(su2_s2):
     # the defining property: (l^2 g_bi + g_M)((kappa(v)/l^2, v), (-k, Kk)) = 0
     x = np.array([1.2, 1.4])
-    kd = killing_data(su2_s2, x)
+    orbit = _at(su2_s2, x)
     G = su2_s2.metric(su2_s2.params, x)
     rng = rng_for(31, 1)
     l = 0.4
     for _ in range(5):
         v = rng.normal(size=2)
-        kv = kappa(kd, G, v)
-        for a, Ka in zip(kd.m_basis.T, kd.A.T):
+        kv = kappa(orbit, v)
+        for a, Ka in zip(orbit.mb.T, orbit.A.T):
             resid = l * l * float((kv / (l * l)) @ (-a)) + float(v @ G @ Ka)
             assert abs(resid) < 1e-12
 
@@ -133,7 +136,7 @@ def test_band_limit_metric_is_round_at_equator(s2_band):
 
 def test_hopf_rescaled_vertical_eigenvalue(s3_hopf):
     x = np.array([0.5, 1.7, 0.7])
-    v = killing_data(s3_hopf, x).K[:, 0]
+    v = _at(s3_hopf, x).K[:, 0]
     G = s3_hopf.metric(s3_hopf.params, x)
     for l in (0.3, 0.1, 0.05):
         for route in _routes(s3_hopf, "rescaled", l):
@@ -209,9 +212,9 @@ def test_kernel_matches_reference(tag, s2_band):
 def test_horizontal_block_is_static(warped_s2):
     # deformation changes nothing paired against orbit-orthogonal vectors
     x = np.array([1.0, 1.2])
-    kd = killing_data(warped_s2, x)
+    orbit = _at(warped_s2, x)
     G = warped_s2.metric(warped_s2.params, x)
-    Gv = G @ kd.A
+    Gv = G @ orbit.A
     h = np.array([0.0, 1.0])  # polar direction, orthogonal to the orbit
     assert abs(float(Gv[:, 0] @ h)) < 1e-15
     for tag in ("cheeger", "rescaled", "limit"):
@@ -221,7 +224,7 @@ def test_horizontal_block_is_static(warped_s2):
 
 def test_pullback_identity_exact_value(s2_band):
     x = np.array([0.4, 0.5])
-    A = killing_data(s2_band, x).A
+    A = _at(s2_band, x).A
     l = 0.2
     lam = np.sin(0.5) ** 2
     for route in _routes(s2_band, "rescaled", l):

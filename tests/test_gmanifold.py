@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 from oracles import action_pullback_metric, fd_action_jacobian, group_exp, killing_operator
 
-from cheegerdef.gmanifold import DomainError, killing_data
+from cheegerdef import _kernels as _k
+from cheegerdef.gmanifold import SIGMA_TOL, DomainError
 from cheegerdef.scenarios import list_scenarios, rng_for, sample_grid
 
 
 def _interior_points(scenario, n=24):
     return sample_grid(scenario, n)
+
+
+def _at(scenario, x):
+    """The orbit data record at x."""
+    return _k.orbit_data(scenario, scenario.params, x, SIGMA_TOL)
 
 
 @pytest.mark.parametrize("sid", list_scenarios())
@@ -30,20 +36,21 @@ def test_orbit_rank_constant_on_chart(sid, all_scenarios):
     rng = rng_for(123, 9)
     lo, hi = scenario.region_lo, scenario.region_hi
     pts = lo + (hi - lo) * rng.random((100, scenario.dim))
-    ranks = {killing_data(scenario, x).m_basis.shape[-1] for x in pts}
-    assert len(ranks) == 1
+    orbit = _at(scenario, pts)
+    assert np.all(orbit.status == _k.OK)
+    assert orbit.mb.shape[-1] == scenario.rank
 
 
 @pytest.mark.parametrize("sid", list_scenarios())
 def test_isotropy_is_annihilated(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     for x in _interior_points(scenario, 12):
-        kd = killing_data(scenario, x)
-        if kd.isotropy_basis.size:
-            np.testing.assert_allclose(kd.K @ kd.isotropy_basis, 0.0, atol=1e-12)
+        orbit = _at(scenario, x)
+        if orbit.iso.size:
+            np.testing.assert_allclose(orbit.K @ orbit.iso, 0.0, atol=1e-12)
         # m-basis and isotropy are mutually orthonormal
-        full = np.hstack([kd.m_basis, kd.isotropy_basis]) \
-            if kd.isotropy_basis.size else kd.m_basis
+        full = np.hstack([orbit.mb, orbit.iso]) \
+            if orbit.iso.size else orbit.mb
         np.testing.assert_allclose(full.T @ full, np.eye(full.shape[1]),
                                    atol=1e-12)
 
@@ -52,41 +59,41 @@ def test_isotropy_is_annihilated(sid, all_scenarios):
 def test_orbit_tensor_is_spd(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
     for x in _interior_points(scenario, 12):
-        kd = killing_data(scenario, x)
-        P = kd.orbit_tensor
+        orbit = _at(scenario, x)
+        P = orbit.P
         np.testing.assert_allclose(P, P.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
 
 def test_s2_band_orbit_tensor_value(s2_band):
     for x in [np.array([1.1, 0.8]), np.array([0.5, 1.0]), *_interior_points(s2_band)]:
-        kd = killing_data(s2_band, x)
-        assert kd.orbit_tensor[0, 0] == pytest.approx(np.sin(x[1]) ** 2, abs=1e-14)
+        orbit = _at(s2_band, x)
+        assert orbit.P[0, 0] == pytest.approx(np.sin(x[1]) ** 2, abs=1e-14)
 
 
 def test_hopf_field_is_unit(s3_hopf):
     for x in _interior_points(s3_hopf, 8):
-        kd = killing_data(s3_hopf, x)
-        P = kd.orbit_tensor
+        orbit = _at(s3_hopf, x)
+        P = orbit.P
         assert P.shape == (1, 1)
         assert P[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_su2_orbit_tensor_is_identity(su2_s2):
     for x in [np.array([1.2, 1.4]), *_interior_points(su2_s2, 8)]:
-        kd = killing_data(su2_s2, x)
-        assert kd.orbit_tensor.shape == (2, 2)
-        np.testing.assert_allclose(kd.orbit_tensor, np.eye(2), atol=1e-12)
-        assert kd.m_basis.shape[-1] == 2
-        assert kd.isotropy_basis.shape == (3, 1)
+        orbit = _at(su2_s2, x)
+        assert orbit.P.shape == (2, 2)
+        np.testing.assert_allclose(orbit.P, np.eye(2), atol=1e-12)
+        assert orbit.mb.shape[-1] == 2
+        assert orbit.iso.shape == (3, 1)
         # the isotropy is the rotation about the point's own axis, and the
         # complement its orthogonal plane
         theta, phi = x
         p = np.array([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
                       np.cos(phi)])
-        np.testing.assert_allclose(kd.isotropy_basis @ kd.isotropy_basis.T,
+        np.testing.assert_allclose(orbit.iso @ orbit.iso.T,
                                    np.outer(p, p), atol=1e-12)
-        np.testing.assert_allclose(kd.m_basis @ kd.m_basis.T,
+        np.testing.assert_allclose(orbit.mb @ orbit.mb.T,
                                    np.eye(3) - np.outer(p, p), atol=1e-12)
 
 
@@ -94,15 +101,15 @@ def test_t2_orbit_tensor_matches_scale():
     from cheegerdef.scenarios import get_scenario
     scenario = get_scenario("t2_flat", orbit_length=1.7)
     x = np.array([2.0, 4.0])
-    kd = killing_data(scenario, x)
-    assert kd.orbit_tensor[0, 0] == pytest.approx(1.7 ** 2, abs=1e-12)
+    orbit = _at(scenario, x)
+    assert orbit.P[0, 0] == pytest.approx(1.7 ** 2, abs=1e-12)
 
 
 def test_chart_rejects_outside_point(s2_band):
     with pytest.raises(DomainError):
-        killing_data(s2_band, np.array([0.3, 0.05]))
+        s2_band.chart.require_inside(np.array([0.3, 0.05]))
     with pytest.raises(DomainError):
-        killing_data(s2_band, np.array([0.3, np.pi - 0.05]))
+        s2_band.chart.require_inside(np.array([0.3, np.pi - 0.05]))
 
 
 @pytest.mark.parametrize("sid", list_scenarios())

@@ -7,8 +7,10 @@ rescaled family differs from its limit by -l^2 W (l^2 + P)^{-1} P^{-2} W^T
 (W = G A) and the deformed metric from the base metric by
 -W (l^2 + P)^{-1} W^T.  The blocks, fed the plan's shared geometry, must
 reproduce these forms with P taken from a fresh orbit_data call, and the
-l-for-l^2 slip must break all three.  The evaluation counts of a
-sample-stage run pin the sharing itself.
+l-for-l^2 slip must break all three.  At orbit rank 1 the T-tensor series
+has closed forms too: the ratio of the rescaled norm to the base norm is
+l^2 / (l^2 + p), and the base norm is 1/2 |grad^h log p|.  The evaluation
+counts of a sample-stage run pin the sharing itself.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ REL = 1e-11
 def planned(request):
     scenario = get_scenario(request.param)
     plan = build_plan(scenario, CFG)
-    P = _k.orbit_data(scenario, scenario.params, plan.points, SIGMA_TOL)[5]
+    P = _k.orbit_data(scenario, scenario.params, plan.points, SIGMA_TOL).P
     return scenario, plan, P
 
 
@@ -93,6 +95,44 @@ def test_l_for_l_squared_breaks_every_closed_form(planned, error, monkeypatch):
     monkeypatch.setattr(_k, "_sq",
                         lambda l: l[..., None, None] if isinstance(l, np.ndarray) else l)
     assert error(*planned) > 1e-2
+
+
+# the surfaces of revolution: p = g_theta,theta depends on phi alone and
+# g_phi,phi = 1, so grad^h log p = (d_phi log p) e_phi
+T_SCENARIOS = ("s2_band", "warped_s2")
+
+
+def _t_errors(scenario, plan):
+    """Relative errors of the FD T-tensor block on the plan at the
+    default l grid: (ratio against l^2 / (l^2 + p), base norm against
+    1/2 |d_phi log p| with d_phi p from the catalogued derivative)."""
+    ls = np.asarray(CFG.l_grid)
+    rescaled, base = _k.t_pair_block(scenario, scenario.params, _k.RESCALED, ls,
+                                     plan.points, CFG.h_fd, SIGMA_TOL)
+    p = _k.orbit_data(scenario, scenario.params, plan.points, SIGMA_TOL).P[:, 0, 0]
+    dp = scenario.metric_dx(scenario.params, plan.points)[:, 1, 0, 0]
+    l2 = ls[:, None] ** 2
+    return (_rel_error(rescaled / base, l2 / (l2 + p)),
+            _rel_error(base, 0.5 * np.abs(dp / p)))
+
+
+@pytest.mark.parametrize("sid", T_SCENARIOS)
+def test_t_block_equals_its_closed_forms(sid):
+    scenario = get_scenario(sid)
+    ratio_error, base_error = _t_errors(scenario, build_plan(scenario, CFG))
+    # the ratio carries the error of the finite-difference T-tensor
+    assert ratio_error <= 1e-7
+    assert base_error <= 1e-10
+
+
+@pytest.mark.parametrize("sid", T_SCENARIOS)
+def test_l_for_l_squared_breaks_the_t_ratio(sid, monkeypatch):
+    """Negative control: l in place of l^2 in the kernels."""
+    scenario = get_scenario(sid)
+    plan = build_plan(scenario, CFG)
+    monkeypatch.setattr(_k, "_sq",
+                        lambda l: l[..., None, None] if isinstance(l, np.ndarray) else l)
+    assert _t_errors(scenario, plan)[0] > 1e-2
 
 
 def test_blocks_compute_the_geometry_they_are_not_given(planned):

@@ -11,7 +11,7 @@ import pytest
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
-from cheegerdef.gmanifold import Chart, DomainError, NumericalFailure, killing_data
+from cheegerdef.gmanifold import Chart, DomainError, NumericalFailure
 from cheegerdef.tensor_calc import (GeodesicResult, integrate_geodesics,
                                     orbit_invariant_drift, speed_drift)
 
@@ -27,8 +27,7 @@ def _geodesic_starts(scenario):
 
 def _starts(scenario):
     x0s = _geodesic_starts(scenario)
-    v0s = np.stack([killing_data(scenario, x0).A[:, 0] for x0 in x0s])
-    return x0s, v0s
+    return x0s, _k.orbit_data(scenario.code, scenario.params, x0s, TOL).A[:, :, 0]
 
 
 def _rk4(scenario, tag, x0, v0, n_steps, dt, chart=None):
@@ -321,9 +320,10 @@ def test_start_inside_the_integration_margin_is_refused(s2_band):
     lim = variant(s2_band, "limit")
     v0 = np.array([1.0, 0.0])
     with pytest.raises(DomainError, match="margin"):
-        integrate_geodesics(lim, [[0.3, 0.9], [0.3, 0.2001]], [v0, v0], h=H)
+        integrate_geodesics(lim, [[0.3, 0.9], [0.3, 0.2001]], [v0, v0], length=3.0,
+                            step=1e-3, h=H)
     (res,) = integrate_geodesics(lim, [[0.3, 0.2 + _k.GEODESIC_MARGIN * H]], [v0],
-                                 length=0.01, h=H)
+                                 length=0.01, step=1e-3, h=H)
     assert res.status == "ok" and res.steps == 10
 
 

@@ -80,7 +80,7 @@ def test_geodesic_great_circle_oracle(s2_band):
     phi0 = 0.9
     v = variant(s2_band, "original")
     x0 = np.array([0.3, phi0])
-    (res,) = integrate_geodesics(v, [x0], [[1.0, 0.0]], length=3.0)
+    (res,) = integrate_geodesics(v, [x0], [[1.0, 0.0]], length=3.0, step=1e-3)
     assert res.status == "ok"
     drift = orbit_invariant_drift(res)
     oracle = np.arccos(np.cos(phi0) * np.cos(3.0)) - phi0
@@ -89,7 +89,7 @@ def test_geodesic_great_circle_oracle(s2_band):
 
 def test_geodesic_meridian_leaves_chart(s2_band):
     v = variant(s2_band, "original")
-    (res,) = integrate_geodesics(v, [[0.3, 0.9]], [[0.0, 1.0]], length=3.0)
+    (res,) = integrate_geodesics(v, [[0.3, 0.9]], [[0.0, 1.0]], length=3.0, step=1e-3)
     assert res.status == "left_domain"
     assert res.steps * res.dt < 3.0
     # a meridian is a geodesic: the heading angle never moves
@@ -98,20 +98,21 @@ def test_geodesic_meridian_leaves_chart(s2_band):
 
 def test_geodesic_speed_is_conserved(warped_s2):
     v = variant(warped_s2, "rescaled", 0.2)
-    (res,) = integrate_geodesics(v, [[0.5, 1.0]], [[1.0, 0.7]], length=2.0)
+    (res,) = integrate_geodesics(v, [[0.5, 1.0]], [[1.0, 0.7]], length=2.0, step=1e-3)
     assert speed_drift(res) < 1e-8
 
 
 def test_limit_geodesic_stays_on_fiber(s2_band):
     v = variant(s2_band, "limit")
-    (res,) = integrate_geodesics(v, [[0.3, 0.9]], [[1.0, 0.0]], length=3.0)
+    (res,) = integrate_geodesics(v, [[0.3, 0.9]], [[1.0, 0.0]], length=3.0, step=1e-3)
     assert res.status == "ok"
     assert orbit_invariant_drift(res) < 1e-9
 
 
 def test_flat_torus_geodesic_is_straight(t2_flat):
     v = variant(t2_flat, "original")
-    (res,) = integrate_geodesics(v, [[0.7, 2.0]], [[1.0, 0.0]], length=4.0, unit_speed=False)
+    (res,) = integrate_geodesics(v, [[0.7, 2.0]], [[1.0, 0.0]], length=4.0, step=1e-3,
+                                 unit_speed=False)
     assert res.status == "ok"
     assert orbit_invariant_drift(res) == 0.0
     assert speed_drift(res) < 1e-12
@@ -120,15 +121,15 @@ def test_flat_torus_geodesic_is_straight(t2_flat):
 def test_geodesic_rejects_outside_start(s2_band):
     v = variant(s2_band, "original")
     with pytest.raises(DomainError):
-        integrate_geodesics(v, [[0.3, 0.05]], [[1.0, 0.0]])
+        integrate_geodesics(v, [[0.3, 0.05]], [[1.0, 0.0]], length=3.0, step=1e-3)
 
 
 def test_geodesic_rejects_bad_step(s2_band):
     v = variant(s2_band, "original")
     with pytest.raises(ValueError):
-        integrate_geodesics(v, [[0.3, 0.9]], [[1.0, 0.0]], step=-1e-3)
+        integrate_geodesics(v, [[0.3, 0.9]], [[1.0, 0.0]], length=3.0, step=-1e-3)
     with pytest.raises(ValueError):
-        integrate_geodesics(v, [[0.3, 0.9]], [[0.0, 0.0]])
+        integrate_geodesics(v, [[0.3, 0.9]], [[0.0, 0.0]], length=3.0, step=1e-3)
 
 
 def test_t_tensor_round_band_oracle(s2_band):

@@ -1,12 +1,13 @@
 """Sweep assembly: rate fits, residual collectors, verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cheegerdef import _kernels as _k
-from cheegerdef.gmanifold import SIGMA_TOL
+from cheegerdef.gmanifold import SIGMA_TOL, NumericalFailure
 from cheegerdef.scenarios import get_scenario, list_scenarios, oracle_samples
 from cheegerdef.tensor_calc import H_FD
 from cheegerdef.verify import (
@@ -204,6 +205,15 @@ def test_geodesic_results_vacuous_for_transitive(su2_s2):
     cfg = SweepConfig(**SMALL)
     geo = geodesic_results(su2_s2, cfg)
     assert geo["vacuous"]
+
+
+def test_degenerate_geodesic_start_is_a_numerical_failure(s2_band):
+    # a start whose orbit field is NaN (a degenerate orbit) fails as a
+    # numerical breakdown, which the command line exits 3 on
+    nan_field = dataclasses.replace(
+        s2_band, killing=lambda par, x: np.full(x.shape[:-1] + (2, 1), np.nan))
+    with pytest.raises(NumericalFailure):
+        geodesic_results(nan_field, SweepConfig(**SMALL))
 
 
 def test_invariance_results_fields(su2_s2):
