@@ -688,18 +688,16 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     return traj, status.reshape(lead), int(done.max()), done.reshape(lead)
 
 
-def _pair_sup(G, F, Delta, dirs):
-    """Per-point sup of |Delta(u, v)| over g_M-unit pairs: all
-    adapted-frame pairs plus the supplied seeded pairs dirs[..., p, 2, d]
-    (normalised in G).  NaN where any input row is NaN."""
-    frame = np.abs(F.mT @ Delta @ F).max(axis=(-2, -1))
-    u = dirs[..., 0, :]
-    v = dirs[..., 1, :]
-    nu = (u * (u @ G)).sum(axis=-1)
-    nv = (v * (v @ G)).sum(axis=-1)
-    s = (u * (v @ Delta.mT)).sum(axis=-1)
-    seeded = (np.abs(s) / np.sqrt(nu * nv)).max(axis=-1)
-    return np.maximum(frame, seeded)
+def _pair_sup(F, Delta):
+    """Per-point sup of |Delta(u, v)| over g_M-unit u, v: the spectral
+    norm of the symmetric F^T Delta F, F being g_M-orthonormal.  One
+    stacked eigvalsh on the finite rows; eigvalsh raises for the whole
+    stack on a row that is not finite, so such a row is NaN on its own."""
+    B = F.mT @ Delta @ F
+    finite = np.isfinite(B).all(axis=(-2, -1))
+    out = np.full(finite.shape, np.nan)
+    out[finite] = np.abs(np.linalg.eigvalsh(B[finite])).max(axis=-1)
+    return out
 
 
 def _l_column(l):
@@ -711,19 +709,20 @@ def _l_column(l):
 def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol, geometry=None):
     """C0 distance of two variants at each point of a sample plan.
 
-    Sup over unit direction pairs (adapted frame plus the point's seeded
-    pairs) of |(g_a - g_b)(u, v)| with unit length and the frame both
-    measured in g_M.  l_a and l_b are one value or a 1-D grid, which
-    adds a leading l axis.  geometry is plan_geometry at pts, computed
-    here when not given.  NaN at a point whose pipeline evaluation
-    fails.
+    Exact sup over g_M-unit u, v of |(g_a - g_b)(u, v)|: the spectral
+    norm of F^T (g_a - g_b) F in the g_M-orthonormal adapted frame F.
+    l_a and l_b are one value or a 1-D grid, which adds a leading l
+    axis.  geometry is plan_geometry at pts, computed here when not
+    given.  NaN at a point whose pipeline evaluation fails.  dirs is
+    ignored: it stays in the signature only because the benchmark's
+    warm-up call passes it.
     """
     if geometry is None:
         geometry = plan_geometry(scen, par, pts, sigma_tol)
     orbit, (F, L, fstatus) = geometry
     Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), orbit, sigma_tol)
              - variant_metric(scen, par, tag_b, _l_column(l_b), orbit, sigma_tol))
-    return np.where(fstatus == OK, _pair_sup(orbit.G, F, Delta, dirs), np.nan)
+    return np.where(fstatus == OK, _pair_sup(F, Delta), np.nan)
 
 
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol, geometry=None):

@@ -19,8 +19,6 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 
-import numpy as np
-
 from ._kernels import GEODESIC_MARGIN
 from .config import echo, knob, table_keys, values_from
 from .gmanifold import DomainError, NumericalFailure
@@ -32,7 +30,7 @@ __all__ = ["ConfigError", "RunConfig", "build_run_config", "main", "parse_config
            "render_csv", "render_report", "run_from_config"]
 
 CSV_HEADER = "l,c0_diff,c1_diff,t_ratio_max,gap_residual,invariance_residual"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -136,10 +134,9 @@ def render_csv(rows: list[dict]) -> str:
 
 def _jsonable(obj):
     """Convert to JSON-safe values; non-finite floats become null so the
-    report stays strict JSON.  The plain Python values that make up a
-    report are matched by exact type first, and a list or tuple of floats
-    (an array's tolist() included) is converted in one pass instead of
-    one call per element."""
+    report stays strict JSON.  A report holds plain Python values only
+    (float, int, bool, str, None, list, tuple, dict); a list or tuple of
+    floats is converted in one pass instead of one call per element."""
     t = type(obj)
     if t is float:
         return obj if math.isfinite(obj) else None
@@ -151,15 +148,6 @@ def _jsonable(obj):
         if all(type(v) is float for v in obj):
             return [v if math.isfinite(v) else None for v in obj]
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     return obj
 
 

@@ -4,9 +4,9 @@ Each catalogued scenario is one Scenario record: a chart, a group with
 its action and the action's chart Jacobian, the invariant base metric
 g_M and the Killing operator K with their first chart derivatives, the
 orbit rank, the orbit invariants, a sampling region for the
-verification sweeps and catalogued defaults (geodesic starts, sampling
-margin).  The kernels take the record as their scenario argument and
-call its functions, so adding a scenario is one entry of _CATALOGUE.
+verification sweeps and the catalogued geodesic starts.  The kernels
+take the record as their scenario argument and call its functions, so
+adding a scenario is one entry of _CATALOGUE.
 
 Catalogued scenarios:
 
@@ -45,6 +45,8 @@ __all__ = [
 DEFAULT_WARP_AMPLITUDE = 0.3
 DEFAULT_ORBIT_LENGTH = 1.0
 DEFAULT_SAMPLE_MARGIN = 0.1
+# range of the log-uniform deformation parameters of the oracle samples
+_ORACLE_L_RANGE = (0.05, 5.0)
 
 # sub-streams of the run seed for the counter-based generator
 _STREAM_DIRECTIONS = 1
@@ -96,7 +98,6 @@ class Scenario:
     # the get_scenario keyword that sets params[0], if any
     parameter: str | None = None
     params: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    sample_margin: float = DEFAULT_SAMPLE_MARGIN
 
     def act(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Image of a chart point, or of a stack (..., dim) of them, under g
@@ -393,19 +394,15 @@ def list_scenarios() -> tuple[str, ...]:
 
 
 def get_scenario(scenario_id: str, warp_amplitude: float = DEFAULT_WARP_AMPLITUDE,
-                 orbit_length: float = DEFAULT_ORBIT_LENGTH,
-                 sample_margin: float = DEFAULT_SAMPLE_MARGIN) -> Scenario:
-    """A catalogued scenario with its parameter and sampling margin set.
+                 orbit_length: float = DEFAULT_ORBIT_LENGTH) -> Scenario:
+    """A catalogued scenario with its parameter set.
 
     warp_amplitude applies to warped_s2 only, orbit_length to t2_flat
-    only; both are ignored elsewhere.  sample_margin shrinks the sampling
-    region away from non-periodic boundaries.
+    only; both are ignored elsewhere.
     """
-    if not sample_margin >= 0:
-        raise ValueError(f"sample_margin must be nonnegative, got {sample_margin}")
     if scenario_id not in _CATALOGUE:
         raise KeyError(f"unknown scenario '{scenario_id}'")
-    record = replace(_CATALOGUE[scenario_id], sample_margin=sample_margin)
+    record = _CATALOGUE[scenario_id]
     if record.parameter is None:
         return record
     value = {"warp_amplitude": warp_amplitude, "orbit_length": orbit_length}[record.parameter]
@@ -416,12 +413,10 @@ def get_scenario(scenario_id: str, warp_amplitude: float = DEFAULT_WARP_AMPLITUD
 
 
 def sampling_box(scenario: Scenario,
-                 margin: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 margin: float = DEFAULT_SAMPLE_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) of the sampling region with the non-periodic axes
-    shrunk by the margin (default: the scenario's).  Raises ValueError
-    naming the first coordinate whose interval the margin empties."""
-    if margin is None:
-        margin = scenario.sample_margin
+    shrunk by the margin.  Raises ValueError naming the first coordinate
+    whose interval the margin empties."""
     shrink = np.where(scenario.chart.periodic, 0.0, margin)
     lo, hi = scenario.region_lo + shrink, scenario.region_hi - shrink
     empty = np.flatnonzero(lo >= hi)
@@ -433,7 +428,7 @@ def sampling_box(scenario: Scenario,
 
 
 def sample_grid(scenario: Scenario, n_points: int,
-                margin: float | None = None) -> np.ndarray:
+                margin: float = DEFAULT_SAMPLE_MARGIN) -> np.ndarray:
     """Deterministic product grid over the sampling region.
 
     Periodic axes get evenly spaced open intervals, non-periodic axes
@@ -452,10 +447,10 @@ def sample_grid(scenario: Scenario, n_points: int,
 
 def direction_pairs(scenario: Scenario, n_points: int, n_pairs: int,
                     seed: int) -> np.ndarray:
-    """Seeded direction pairs for the sup-norm plan, one batch per point.
-
-    Raw (unnormalised) directions; consumers normalise in the metric they
-    measure with.
+    """Seeded raw (unnormalised) direction pairs, (n_points, n_pairs, 2,
+    dim).  The invariance stage's kappa duality check reads the first
+    vector of one pair per point; the benchmark's warm-up draws pairs to
+    pass to c0_block, which ignores them.
     """
     rng = rng_for(seed, _STREAM_DIRECTIONS)
     dirs = rng.standard_normal((n_points, n_pairs, 2, scenario.dim))
@@ -475,14 +470,13 @@ def invariance_elements(scenario: Scenario, count: int,
 
 
 def oracle_samples(scenario: Scenario, count: int, seed: int,
-                   margin: float | None = None,
-                   l_range: tuple[float, float] = (0.05, 5.0)) -> tuple[np.ndarray, np.ndarray]:
+                   margin: float = DEFAULT_SAMPLE_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (points, deformation parameters) for route-agreement checks,
-    drawn from the sampling region shrunk by the margin (default: the
-    scenario's) on non-periodic axes."""
+    drawn from the sampling region shrunk by the margin on non-periodic
+    axes, l log-uniform over _ORACLE_L_RANGE."""
     lo, hi = sampling_box(scenario, margin)
     rng = rng_for(seed, _STREAM_ORACLE)
     # drawn axis by axis; the draw order fixes which samples a seed gives
     pts = rng.uniform(lo[:, None], hi[:, None], size=(scenario.dim, count)).T
-    ls = np.exp(rng.uniform(np.log(l_range[0]), np.log(l_range[1]), size=count))
+    ls = np.exp(rng.uniform(*np.log(_ORACLE_L_RANGE), size=count))
     return np.ascontiguousarray(pts), ls

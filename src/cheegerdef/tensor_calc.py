@@ -6,10 +6,10 @@ rank-update variant; each start keeps its own variant, status and step
 count.  Its Christoffel symbols are exact for every variant but the
 deformed metric of the reparametrisation route, which takes fourth-order
 central differences with one Richardson extrapolation level (step h_fd).
-A sample plan carries its points, its seeded direction pairs and the
-geometry of its points (the kernels' OrbitData record and adapted frame),
-each computed on first use, and the verification stages pass them to
-every C^0, C^1 and gap block they evaluate on the plan.
+A sample plan carries its points and the geometry of its points (the
+kernels' OrbitData record and adapted frame), computed on first use, and
+the verification stages pass them to every C^0, C^1 and gap block they
+evaluate on the plan.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels as _k
 from .cheeger import MetricVariant
 from .gmanifold import SIGMA_TOL, NumericalFailure
-from .scenarios import Scenario, direction_pairs, sample_grid
+from .scenarios import DEFAULT_SAMPLE_MARGIN, Scenario, sample_grid
 
 __all__ = [
     "GeodesicResult",
@@ -163,32 +163,20 @@ def orbit_invariant_drift(res: GeodesicResult) -> float:
 
 
 class SamplePlan:
-    """Fixed evaluation plan for sup-norm estimates: grid points plus a
-    batch of seeded direction pairs per point.
+    """Fixed evaluation plan for sup-norm estimates: the grid points and
+    their geometry.  The geometry is computed on first read, so a stage
+    that does not read it does not pay for it."""
 
-    The pairs are drawn on first read, from their own stream of the seed;
-    a stage that reads neither the pairs nor the geometry pays for
-    neither.
-    """
-
-    def __init__(self, scenario: Scenario, points: np.ndarray, n_dirs: int, seed: int):
+    def __init__(self, scenario: Scenario, points: np.ndarray):
         self.scenario = scenario
         self.points = points
-        self.n_dirs = n_dirs
-        self.seed = seed
 
     @classmethod
-    def build(cls, scenario: Scenario, n_points: int, n_dirs: int, seed: int,
-              margin: float | None = None) -> "SamplePlan":
-        """The plan on the sample grid; its direction pairs and geometry
-        are computed by the first stage that reads them."""
-        return cls(scenario, sample_grid(scenario, n_points, margin),
-                   n_dirs=n_dirs, seed=seed)
-
-    @cached_property
-    def dirs(self) -> np.ndarray:
-        """Seeded direction pairs, (points, n_dirs, 2, dim)."""
-        return direction_pairs(self.scenario, len(self.points), self.n_dirs, self.seed)
+    def build(cls, scenario: Scenario, n_points: int,
+              margin: float = DEFAULT_SAMPLE_MARGIN) -> "SamplePlan":
+        """The plan on the sample grid; its geometry is computed by the
+        first stage that reads it."""
+        return cls(scenario, sample_grid(scenario, n_points, margin))
 
     @cached_property
     def geometry(self) -> tuple:

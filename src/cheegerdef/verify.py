@@ -36,7 +36,8 @@ from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
                      parse_int, positive, validate)
 from .gmanifold import SIGMA_TOL, NumericalFailure
 from .lie_core import GroupElement
-from .scenarios import Scenario, invariance_elements, oracle_samples
+from .scenarios import (DEFAULT_SAMPLE_MARGIN, Scenario, direction_pairs,
+                        invariance_elements, oracle_samples)
 from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
                           orbit_invariant_drift, speed_drift)
 
@@ -105,11 +106,8 @@ class SweepConfig:
     large_l_grid: tuple[float, ...] = knob((10.0, 30.0, 100.0), "large_l_grid",
                                            parse=parse_float_list, check=_grid(2, False))
     n_points: int = knob(200, "samples.points", parse=parse_int, check=at_least(4))
-    n_dirs: int = knob(50, "samples.directions", parse=parse_int, check=at_least(1))
-    # None: the scenario's catalogued margin
-    margin: float | None = knob(None, "samples.margin", fallback="sample_margin",
-                                check=bound(lambda m: m is None or m >= 0,
-                                            "must be nonnegative"))
+    margin: float = knob(DEFAULT_SAMPLE_MARGIN, "samples.margin",
+                         check=bound(lambda m: m >= 0, "must be nonnegative"))
     seed: int = knob(42, "seed", parse=parse_int,
                      check=bound(lambda s: 0 <= s < 2**64,
                                  "must fit an unsigned 64-bit integer"))
@@ -194,8 +192,7 @@ def _worst(values) -> float:
 
 
 def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
-    return SamplePlan.build(scenario, n_points=cfg.n_points, n_dirs=cfg.n_dirs,
-                            seed=cfg.seed, margin=cfg.margin)
+    return SamplePlan.build(scenario, n_points=cfg.n_points, margin=cfg.margin)
 
 
 def _sup_over_plan(scenario: Scenario, l_grid, points: np.ndarray,
@@ -228,7 +225,7 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
     ls = np.asarray(cfg.l_grid)
     series = [
         ("convergence series (C^0)",
-         _k.c0_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, plan.dirs,
+         _k.c0_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, None,
                      SIGMA_TOL, plan.geometry)),
         ("convergence series (gap)",
          _k.gap_block(scenario, par, ls, pts, SIGMA_TOL, plan.geometry)),
@@ -392,8 +389,9 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     horiz_worst = 0.0
     if H.size:
         horiz_worst = _worst([np.max(np.abs((Gv - orbit.G).mT @ H)) for Gv in local])
-    # duality identity of the orbit projection against the raw pairing
-    v = plan.dirs[np.minimum(np.arange(len(pts)) * stride, len(plan.dirs) - 1), 0, 0]
+    # duality identity of the orbit projection against the raw pairing,
+    # at one seeded vector per point
+    v = direction_pairs(scenario, len(pts), 1, cfg.seed)[:, 0, 0]
     raw = (orbit.K.mT @ (orbit.G @ v[..., None]))[..., 0]
     kappa_worst = float(np.max(np.abs(kappa(orbit, v) - raw)))
     # the solved vector must carry no isotropy component
@@ -424,7 +422,7 @@ def large_l_series(scenario: Scenario, cfg: SweepConfig,
     l, with the rate fit of the decay."""
     par = scenario.params
     c0 = _k.c0_block(scenario, par, _k.CHEEGER, np.asarray(cfg.large_l_grid), _k.ORIGINAL,
-                     0.0, plan.points, plan.dirs, SIGMA_TOL, plan.geometry)
+                     0.0, plan.points, None, SIGMA_TOL, plan.geometry)
     c0s = _sup_over_plan(scenario, cfg.large_l_grid, plan.points,
                          [("large-l series", c0)])[0].tolist()
     return {
@@ -486,7 +484,6 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
     results: dict = {
         "scenario": scenario.scenario_id,
         "plan_points": len(plan.points),
-        "plan_dirs": int(cfg.n_dirs),
     }
     timings: dict[str, float] = {}
     # built per call, so the stage functions are looked up as module

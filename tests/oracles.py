@@ -3,7 +3,8 @@ computes in stacks or in closed form, each with one code path: the
 Lie-algebra identities of a basis, group membership, the exponential of
 one algebra vector, finite-difference
 derivatives of the action and of matrix fields, the pullback of a metric
-field and the C^0 sup of a metric difference at one point.
+field, and the C^0 sup of a metric difference at one point with a
+lower bound of it from seeded direction pairs.
 """
 
 import numpy as np
@@ -117,14 +118,28 @@ def action_pullback_metric(scenario, g, matrix_fn, x):
     return J.T @ matrix_fn(scenario.act(g, x)) @ J
 
 
-def pair_sup(scenario, delta, x, dirs) -> float:
-    """C^0 value of the difference matrix delta at one point x: the sup
-    of |delta(u, v)| over the pairs of the adapted frame and over the
-    seeded pairs dirs (p, 2, d), each vector of unit base-metric length."""
+def _base_frame(scenario, x):
+    """Base metric G and adapted frame F (G-orthonormal) at one point x."""
     orbit = _k.orbit_data(scenario, scenario.params, x, SIGMA_TOL)
-    G = orbit.G
     F, _L, fstatus = _k.adapted_frame(orbit)
     assert orbit.status == _k.OK and fstatus == _k.OK, f"adapted frame failed at {x.tolist()}"
+    return orbit.G, F
+
+
+def spectral_sup(scenario, delta, x) -> float:
+    """C^0 value of the difference matrix delta at one point x: the sup of
+    |delta(u, v)| over u, v of unit base-metric length, the largest
+    singular value of F^T delta F (an SVD, not the blocks' eigvalsh)."""
+    _G, F = _base_frame(scenario, x)
+    return float(np.linalg.norm(F.T @ delta @ F, 2))
+
+
+def pair_sup(scenario, delta, x, dirs) -> float:
+    """Lower bound of the C^0 value of delta at one point x: the sup of
+    |delta(u, v)| over the pairs of the adapted frame and over the
+    seeded pairs dirs (p, 2, d), each vector of unit base-metric length.
+    Exact only where F^T delta F attains its spectral norm in one entry."""
+    G, F = _base_frame(scenario, x)
     best = float(np.max(np.abs(F.T @ delta @ F)))
     for u, v in dirs:
         best = max(best, abs(u @ delta @ v) / np.sqrt((u @ G @ u) * (v @ G @ v)))

@@ -187,7 +187,6 @@ def test_criterion_9_deterministic_outputs(capsys, tmp_path):
         "scenario = s2_band",
         "seed = 42",
         "samples.points = 40",
-        "samples.directions = 8",
         "invariance.points = 6",
         "invariance.elements = 4",
         "oracle.samples = 30",

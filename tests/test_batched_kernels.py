@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import group_exp, pair_sup
+from oracles import group_exp, spectral_sup
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
@@ -188,8 +188,7 @@ def _c0_loop(scenario, tag_a, l_a, tag_b, l_b, plan):
         return (_k.variant_metric(code, par, tag_a, l_a, x, TOL)
                 - _k.variant_metric(code, par, tag_b, l_b, x, TOL))
 
-    return np.array([pair_sup(scenario, delta(x), x, dirs)
-                     for x, dirs in zip(plan.points, plan.dirs)])
+    return np.array([spectral_sup(scenario, delta(x), x) for x in plan.points])
 
 
 def _gap_loop(scenario, l, pts):
@@ -220,10 +219,10 @@ def _oracle_loop(scenario, pts, ls):
 
 def test_blocks_match_pointwise_loops(scenario):
     code, par = scenario.code, scenario.params
-    plan = SamplePlan.build(scenario, n_points=36, n_dirs=10, seed=5)
+    plan = SamplePlan.build(scenario, n_points=36)
     pts = plan.points
     for l in (0.2, 0.025):
-        c0 = _k.c0_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0, pts, plan.dirs, TOL)
+        c0 = _k.c0_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0, pts, None, TOL)
         assert c0 == pytest.approx(_c0_loop(scenario, _k.RESCALED, l, _k.LIMIT, 0.0, plan),
                                    rel=1e-14)
         gap = _k.gap_block(code, par, l, pts, TOL)
@@ -231,7 +230,7 @@ def test_blocks_match_pointwise_loops(scenario):
         c1 = _k.c1_block(code, par, _k.RESCALED, l, _k.LIMIT, 0.0, pts, 1e-4, TOL)
         assert c1 == pytest.approx(_c1_loop(scenario, _k.RESCALED, l, _k.LIMIT, 0.0, pts),
                                    rel=1e-14, abs=1e-15)
-    c0 = _k.c0_block(code, par, _k.CHEEGER, 30.0, _k.ORIGINAL, 0.0, pts, plan.dirs, TOL)
+    c0 = _k.c0_block(code, par, _k.CHEEGER, 30.0, _k.ORIGINAL, 0.0, pts, None, TOL)
     assert c0 == pytest.approx(_c0_loop(scenario, _k.CHEEGER, 30.0, _k.ORIGINAL, 0.0, plan),
                                rel=1e-14)
     opts, ols = oracle_samples(scenario, 60, 5)
@@ -247,15 +246,12 @@ POLE = 3
 def _with_pole(plan):
     pts = plan.points.copy()
     pts[POLE] = [0.5, 0.0]
-    bad = SamplePlan(plan.scenario, pts, plan.n_dirs, plan.seed)
-    # the same direction pairs, in place of the cached draw
-    bad.dirs = plan.dirs
-    return bad
+    return SamplePlan(plan.scenario, pts)
 
 
 def test_pole_row_is_nan_and_other_rows_unchanged(s2_band):
     code, par = s2_band.code, s2_band.params
-    plan = SamplePlan.build(s2_band, n_points=16, n_dirs=4, seed=1)
+    plan = SamplePlan.build(s2_band, n_points=16)
     bad = _with_pole(plan)
     others = np.arange(len(plan.points)) != POLE
     for tag in RANK_UPDATE_TAGS:
@@ -271,9 +267,9 @@ def test_pole_row_is_nan_and_other_rows_unchanged(s2_band):
     ls = np.full(len(bad.points), 0.5)
     for block in (
             lambda p: _k.c0_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0,
-                                  p.points, p.dirs, TOL),
+                                  p.points, None, TOL),
             lambda p: _k.c0_block(code, par, _k.CHEEGER, 10.0, _k.ORIGINAL, 0.0,
-                                  p.points, p.dirs, TOL),
+                                  p.points, None, TOL),
             lambda p: _k.gap_block(code, par, 0.1, p.points, TOL),
             lambda p: _k.c1_block(code, par, _k.RESCALED, 0.1, _k.LIMIT, 0.0,
                                   p.points, 1e-4, TOL),
@@ -285,7 +281,7 @@ def test_pole_row_is_nan_and_other_rows_unchanged(s2_band):
 
 
 def test_failures_name_l_and_first_failing_point(s2_band):
-    cfg = SweepConfig(n_points=16, n_dirs=4, cp_order=0)
+    cfg = SweepConfig(n_points=16, cp_order=0)
     bad = _with_pole(build_plan(s2_band, cfg))
     with pytest.raises(NumericalFailure,
                        match=rf"l=0.2 at plan point {POLE} \[0.5, 0.0\] on s2_band"):
@@ -300,9 +296,9 @@ def test_failures_name_l_and_first_failing_point(s2_band):
 
 
 def test_cp_norm_failure_names_the_first_failing_point(s2_band):
-    bad = _with_pole(SamplePlan.build(s2_band, n_points=16, n_dirs=4, seed=1))
+    bad = _with_pole(SamplePlan.build(s2_band, n_points=16))
     for p in (0, 1):
-        cfg = SweepConfig(n_points=16, n_dirs=4, seed=1, cp_order=p, l_grid=(0.1, 0.05))
+        cfg = SweepConfig(n_points=16, seed=1, cp_order=p, l_grid=(0.1, 0.05))
         with pytest.raises(NumericalFailure,
                            match=rf"convergence series \(C\^0\) failed at l=0.1 at "
                                  rf"plan point {POLE} \[0.5, 0.0\] on s2_band$"):

@@ -69,3 +69,22 @@ def test_t_scaling_makes_one_block_call_per_l_grid():
         run_suite(scenario, cfg)
     assert tracer.counts["kernels.t_pair_block"] == 1
     assert tracer.counts["kernels.t_tensor_norm"] == n * (n_l + 1)
+
+
+def test_c0_block_ignores_the_warm_up_direction_pairs():
+    # the warm-up still draws direction pairs and passes them to c0_block,
+    # whose sup is exact without them: the pinned call equals the same
+    # call with None in their place, bit for bit
+    import numpy as np
+
+    from cheegerdef import _kernels as k
+    from cheegerdef import scenarios
+
+    sc = scenarios.get_scenario(workloads.ALL_SCENARIOS[0])
+    code, par = sc.code, sc.params
+    pts = scenarios.sample_grid(sc, 4)[:2]
+    dirs = scenarios.direction_pairs(sc, len(pts), 2, SEED)
+    pinned = k.c0_block(code, par, k.RESCALED, 0.1, k.LIMIT, 0.0, pts, dirs, 1e-8)
+    assert pinned.shape == (2,) and np.isfinite(pinned).all()
+    np.testing.assert_array_equal(
+        pinned, k.c0_block(code, par, k.RESCALED, 0.1, k.LIMIT, 0.0, pts, None, 1e-8))

@@ -39,9 +39,3 @@ def test_record_rank_is_the_killing_rank(sid):
     pts = build_plan(scenario, SweepConfig()).points
     K = scenario.killing(scenario.params, pts)
     assert np.all(np.linalg.matrix_rank(K) == scenario.rank)
-
-
-@pytest.mark.parametrize("margin", (-0.1, float("nan")))
-def test_get_scenario_refuses_bad_sample_margin(margin):
-    with pytest.raises(ValueError, match="sample_margin"):
-        get_scenario("s2_band", sample_margin=margin)

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from cheegerdef import cli
-from cheegerdef.config import table_keys
+from cheegerdef import verify
+from cheegerdef.config import echo, table_keys
 from cheegerdef.gmanifold import NumericalFailure
-from cheegerdef.scenarios import get_scenario
+from cheegerdef.scenarios import get_scenario, list_scenarios
+from cheegerdef.tensor_calc import SamplePlan
 from cheegerdef.verify import SweepConfig
 
 TINY = """
 scenario = s2_band
 seed = 7
 samples.points = 40
-samples.directions = 8
 invariance.points = 6
 invariance.elements = 4
 oracle.samples = 30
@@ -62,6 +63,13 @@ def test_unknown_key_rejected(tmp_path, capsys):
     p = _write(tmp_path, "scenario = s2_band\nfoo.bar = 1\n")
     assert cli.main(["run", str(p)]) == 2
     assert "unknown key 'foo.bar'" in capsys.readouterr().err
+
+
+def test_retired_directions_key_rejected(tmp_path, capsys):
+    # the C^0 sup is exact, so no config sets a number of direction pairs
+    p = _write(tmp_path, "scenario = s2_band\nsamples.directions = 50\n")
+    assert cli.main(["run", str(p)]) == 2
+    assert "unknown key 'samples.directions'" in capsys.readouterr().err
 
 
 def test_duplicate_key_rejected(tmp_path, capsys):
@@ -143,7 +151,6 @@ _EVERY_KEY_WARPED = {
     "only": ("oracle, convergence", "sweep.enabled", "enabled",
              ("convergence", "oracle")),
     "samples.points": ("64", "sweep.n_points", "samples_points", 64),
-    "samples.directions": ("10", "sweep.n_dirs", "samples_directions", 10),
     "samples.margin": ("0.15", "sweep.margin", "samples_margin", 0.15),
     "fd.step": ("2e-4", "sweep.h_fd", "fd_step", 2e-4),
     "cp.order": ("0", "sweep.cp_order", "cp_order", 0),
@@ -212,7 +219,7 @@ def test_every_key_reaches_its_field_and_echo():
             expected = list(value) if isinstance(value, tuple) else value
             assert _at(echo, entry) == expected, key
     keys = set(_EVERY_KEY_WARPED) | set(_EVERY_KEY_T2)
-    assert len(keys) == 36
+    assert len(keys) == 35
     assert keys == table_keys(cli.RunConfig, SweepConfig)
     for other in ("tol.t_floor", "samples_points", "margin", "enabled", "sweep"):
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -267,7 +274,9 @@ def test_end_to_end_tiny_run(tmp_path, capsys):
     assert csv_text.endswith("\n")
 
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
+    assert "plan_dirs" not in report["report"]
+    assert "samples_directions" not in report["config"]
     assert set(report["report"]["oracle"]) == {"n_samples", "kernel_max_diff",
                                                "definition_max_diff"}
     assert report["config"]["scenario"] == "s2_band"
@@ -341,18 +350,82 @@ def test_vacuous_series_serializes_as_null(tmp_path, capsys):
 
 def test_report_values_convert_to_strict_json():
     # every kind of value a report can hold, with non-finite floats in
-    # plain lists, tuples, arrays and dict values alike
+    # plain lists, tuples and dict values alike
     nan, inf = float("nan"), float("inf")
-    payload = {1: np.float64(nan), "a": (np.int64(3), np.bool_(True), None, "s"),
+    payload = {1: nan, "a": (3, True, None, "s"),
                "floats": [0.5, nan, -0.0], "pair": (inf, 2.0), "mixed": [1, 0.5, True],
-               "grid": np.array([[1.5, -inf], [nan, 0.25]]), "ints": np.arange(2),
-               "empty": [], "nested": {"x": [{"y": np.float32(0.5)}]}}
+               "grid": [[1.5, -inf], [nan, 0.25]], "empty": [],
+               "nested": {"x": [{"y": 0.5}]}}
     assert cli._jsonable(payload) == {
         "1": None, "a": [3, True, None, "s"], "floats": [0.5, None, -0.0],
         "pair": [None, 2.0], "mixed": [1, 0.5, True], "grid": [[1.5, None], [None, 0.25]],
-        "ints": [0, 1], "empty": [], "nested": {"x": [{"y": 0.5}]}}
+        "empty": [], "nested": {"x": [{"y": 0.5}]}}
     text = json.dumps(cli._jsonable(payload), sort_keys=True, allow_nan=False)
     assert '"mixed": [1, 0.5, true]' in text
+
+
+_PLAIN = (float, int, bool, str, type(None))
+
+
+def _non_plain(obj, path="payload"):
+    """Paths of the values in obj that are not plain Python values:
+    float, int, bool, str, None, or a list, tuple or str-keyed dict of
+    them (numpy scalars and arrays included, exact types compared)."""
+    if type(obj) in _PLAIN:
+        return []
+    if type(obj) in (list, tuple):
+        return [p for i, v in enumerate(obj) for p in _non_plain(v, f"{path}[{i}]")]
+    if type(obj) is dict:
+        return ([f"{path} key {k!r}" for k in obj if type(k) is not str]
+                + [p for k, v in obj.items() for p in _non_plain(v, f"{path}.{k}")])
+    return [f"{path}: {type(obj).__name__}"]
+
+
+def _report_parts(rc, results, scenario):
+    """What render_report serialises: both config echoes and the body."""
+    return {"config": {**echo(rc, scenario), **echo(rc.sweep, scenario)},
+            "report": {k: v for k, v in results.items() if not k.startswith("_")}}
+
+
+SMALL_SUITE = """
+samples.points = 9
+invariance.points = 10
+invariance.elements = 10
+oracle.samples = 60
+geodesic.length = 0.1
+geodesic.step = 2e-3
+"""
+
+
+@pytest.mark.parametrize("sid", list_scenarios())
+@pytest.mark.parametrize("cp_order", [0, 1])
+def test_report_holds_only_plain_values(sid, cp_order):
+    """_jsonable converts plain Python values only, so every value of a
+    report body and of its config echoes is one; t2_flat's T series is
+    vacuous."""
+    rc = cli.build_run_config(cli.parse_config(
+        f"scenario = {sid}\ncp.order = {cp_order}\n" + SMALL_SUITE))
+    results, _, _ = cli.run_from_config(rc)
+    assert results["t_scaling"]["vacuous"] is (sid in ("su2_s2", "t2_flat", "s3_hopf"))
+    assert _non_plain(_report_parts(rc, results, get_scenario(sid))) == []
+
+
+def test_frame_failure_report_holds_only_plain_values(monkeypatch):
+    """The invariance stage's error entry (an adapted frame failing at the
+    s2_band pole) is plain too; a numpy value is caught."""
+    rc = cli.build_run_config(cli.parse_config(
+        "scenario = s2_band\nonly = invariance\n" + SMALL_SUITE))
+    scenario = get_scenario("s2_band")
+    plan = verify.build_plan(scenario, rc.sweep)
+    pts = plan.points.copy()
+    pts[0] = [0.5, 0.0]
+    monkeypatch.setattr(verify, "build_plan", lambda sc, cfg: SamplePlan(sc, pts))
+    results = verify.run_suite(scenario, rc.sweep)
+    assert results["invariance"] == {"error": "frame failed at [0.5, 0.0]"}
+    parts = _report_parts(rc, results, scenario)
+    assert _non_plain(parts) == []
+    parts["report"]["invariance"]["error"] = np.float64(1.0)
+    assert _non_plain(parts) == ["payload.report.invariance.error: float64"]
 
 
 def test_failing_criterion_exits_one(tmp_path, capsys):

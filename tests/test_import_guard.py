@@ -19,7 +19,7 @@ SCRIPT = textwrap.dedent("""
     from cheegerdef import cli, verify
     from cheegerdef.scenarios import get_scenario, list_scenarios
 
-    cfg = verify.SweepConfig(n_points=16, n_dirs=4, invariance_points=6,
+    cfg = verify.SweepConfig(n_points=16, invariance_points=6,
                              invariance_elements=3, oracle_count=10,
                              geodesic_length=0.1, geodesic_step=2e-3)
     assert cfg.enabled == verify.ALL_TESTS
@@ -33,7 +33,6 @@ SCRIPT = textwrap.dedent("""
 CONFIG = """
 scenario = su2_s2
 samples.points = 16
-samples.directions = 4
 invariance.points = 6
 invariance.elements = 3
 oracle.samples = 10

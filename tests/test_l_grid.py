@@ -39,13 +39,13 @@ def _assert_grid_equals_per_l(block, ls, n):
 
 def test_c0_grid_equals_per_l_calls(planned):
     scenario, plan = planned
-    par, pts, dirs = scenario.params, plan.points, plan.dirs
+    par, pts = scenario.params, plan.points
     _assert_grid_equals_per_l(
         lambda l: _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                              pts, dirs, TOL), CFG.l_grid, len(pts))
+                              pts, None, TOL), CFG.l_grid, len(pts))
     _assert_grid_equals_per_l(
         lambda l: _k.c0_block(scenario, par, _k.CHEEGER, l, _k.ORIGINAL, 0.0,
-                              pts, dirs, TOL), CFG.large_l_grid, len(pts))
+                              pts, None, TOL), CFG.large_l_grid, len(pts))
 
 
 def test_gap_and_c1_grids_equal_per_l_calls(planned):
@@ -75,7 +75,7 @@ def test_t_pair_grid_equals_per_l_calls(planned):
 
 @pytest.mark.parametrize("reverse", (False, True))
 def test_t_scaling_names_a_base_nan_at_the_first_l(s2_band, monkeypatch, reverse):
-    cfg = SweepConfig(n_points=16, n_dirs=4, enabled=("t_scaling",))
+    cfg = SweepConfig(n_points=16, enabled=("t_scaling",))
     pts = build_plan(s2_band, cfg).points
     bad, other = 5, 9
     real_norm, real_sup = _k.t_tensor_norm, verify._sup_over_plan
@@ -133,7 +133,7 @@ def test_invariance_residuals_equal_per_l_evaluation(planned):
 
 
 def test_l_column_adds_a_leading_axis(s2_band):
-    plan = build_plan(s2_band, SweepConfig(n_points=16, n_dirs=4))
+    plan = build_plan(s2_band, SweepConfig(n_points=16))
     column = np.array([[0.2], [0.05]])
     for tag in (_k.CHEEGER, _k.RESCALED, _k.CHEEGER_CLOSED):
         G = _k.variant_metric(s2_band, s2_band.params, tag, column, plan.points, TOL)
@@ -153,16 +153,16 @@ def test_conditioning_failure_at_the_smallest_l_stays_in_its_entry(s2_band, monk
     # more, which an orbit tensor of order one reaches at l = 1e-7
     par = s2_band.params
     grid = (10.0, 1.0, 1e-7)
-    cfg = SweepConfig(n_points=16, n_dirs=4)
+    cfg = SweepConfig(n_points=16)
     plan = build_plan(s2_band, cfg)
     c0 = _k.c0_block(s2_band, par, _k.CHEEGER, np.asarray(grid), _k.ORIGINAL, 0.0,
-                     plan.points, plan.dirs, TOL)
+                     plan.points, None, TOL)
     assert c0.shape == (3, len(plan.points))
     assert np.isfinite(c0[:2]).all() and np.isnan(c0[2]).any()
     for j in range(2):
         np.testing.assert_array_equal(
             c0[j], _k.c0_block(s2_band, par, _k.CHEEGER, grid[j], _k.ORIGINAL, 0.0,
-                               plan.points, plan.dirs, TOL))
+                               plan.points, None, TOL))
     # the failing rows, found without the blocks, are the NaN entries
     failing = np.isnan(_k.variant_metric(s2_band, par, _k.CHEEGER, grid[2], plan.points,
                                          TOL)).any(axis=(-2, -1))
@@ -170,7 +170,7 @@ def test_conditioning_failure_at_the_smallest_l_stays_in_its_entry(s2_band, monk
     first = int(np.flatnonzero(failing)[0])
     # the config refuses l below MIN_L, so lower it to reach the series
     monkeypatch.setattr(verify, "MIN_L", 1e-9)
-    cfg = SweepConfig(n_points=16, n_dirs=4, large_l_grid=grid)
+    cfg = SweepConfig(n_points=16, large_l_grid=grid)
     where = re.escape(f"l=1e-07 at plan point {first} {plan.points[first].tolist()}")
     with pytest.raises(NumericalFailure, match=rf"large-l series failed at {where} on s2_band"):
         large_l_series(s2_band, cfg, plan)

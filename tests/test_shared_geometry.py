@@ -54,7 +54,7 @@ def _c0_error(scenario, plan, P):
     """C^0 (rescaled - limit) against l^2 / (p_min (l^2 + p_min))."""
     ls = np.asarray(CFG.l_grid)
     c0 = _k.c0_block(scenario, scenario.params, _k.RESCALED, ls, _k.LIMIT, 0.0,
-                     plan.points, plan.dirs, SIGMA_TOL, plan.geometry)
+                     plan.points, None, SIGMA_TOL, plan.geometry)
     p_min = np.linalg.eigvalsh(P)[:, 0]
     l2 = ls[:, None] ** 2
     return _rel_error(c0, l2 / (p_min * (l2 + p_min)))
@@ -75,7 +75,7 @@ def _large_l_error(scenario, plan, P):
     p_max / (l^2 + p_max)."""
     ls = np.asarray(CFG.large_l_grid)
     c0 = _k.c0_block(scenario, scenario.params, _k.CHEEGER, ls, _k.ORIGINAL, 0.0,
-                     plan.points, plan.dirs, SIGMA_TOL, plan.geometry)
+                     plan.points, None, SIGMA_TOL, plan.geometry)
     p_max = np.linalg.eigvalsh(P)[:, -1]
     l2 = ls[:, None] ** 2
     return _rel_error(c0, p_max / (l2 + p_max))
@@ -137,14 +137,14 @@ def test_l_for_l_squared_breaks_the_t_ratio(sid, monkeypatch):
 
 def test_blocks_compute_the_geometry_they_are_not_given(planned):
     scenario, plan, P = planned
-    par, pts, dirs = scenario.params, plan.points, plan.dirs
+    par, pts = scenario.params, plan.points
     ls = np.asarray(CFG.l_grid)
     for tag_a, grid, tag_b in ((_k.RESCALED, ls, _k.LIMIT),
                                (_k.CHEEGER, np.asarray(CFG.large_l_grid), _k.ORIGINAL)):
         np.testing.assert_array_equal(
-            _k.c0_block(scenario, par, tag_a, grid, tag_b, 0.0, pts, dirs, SIGMA_TOL,
+            _k.c0_block(scenario, par, tag_a, grid, tag_b, 0.0, pts, None, SIGMA_TOL,
                         plan.geometry),
-            _k.c0_block(scenario, par, tag_a, grid, tag_b, 0.0, pts, dirs, SIGMA_TOL))
+            _k.c0_block(scenario, par, tag_a, grid, tag_b, 0.0, pts, None, SIGMA_TOL))
     np.testing.assert_array_equal(
         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL, plan.geometry),
         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL))
@@ -205,41 +205,3 @@ def test_geodesic_only_run_computes_no_plan_geometry(monkeypatch):
         cfg = cli.build_run_config(cli.parse_config(text)).sweep
         assert verify.run_suite(get_scenario(sid), cfg)["passed"], sid
     assert counts == {}
-
-
-def test_geodesic_only_run_draws_no_direction_pairs(monkeypatch):
-    """The plan's direction pairs are drawn on first read, so a run of the
-    geodesic stage alone draws none, and its CSV and report equal those
-    of a run whose plan draws them up front."""
-    from cheegerdef import scenarios, tensor_calc
-    calls = Counter()
-    draw = scenarios.direction_pairs
-
-    def counted(*args, **kwargs):
-        calls["direction_pairs"] += 1
-        return draw(*args, **kwargs)
-
-    for module in (scenarios, tensor_calc):
-        monkeypatch.setattr(module, "direction_pairs", counted)
-    workload = workloads.WORKLOADS["fiber_geodesics"]
-    for sid in workload.scenarios:
-        rc = cli.build_run_config(cli.parse_config(
-            workloads.config_text(workload, sid, seed=42)))
-        scenario = get_scenario(sid)
-        calls.clear()
-        lazy = verify.run_suite(scenario, rc.sweep)
-        assert lazy["passed"] and calls == {}, sid
-        with monkeypatch.context() as m:
-            # the plan of the parent: pairs drawn when it is built
-            m.setattr(verify, "build_plan",
-                      lambda sc, cfg, build=verify.build_plan: _drawn(build(sc, cfg)))
-            eager = verify.run_suite(scenario, rc.sweep)
-        assert calls == {"direction_pairs": 1}, sid
-        assert cli.render_csv(lazy["rows"]) == cli.render_csv(eager["rows"])
-        assert (cli.render_report(rc, lazy, scenario)
-                == cli.render_report(rc, eager, scenario)), sid
-
-
-def _drawn(plan):
-    plan.dirs
-    return plan

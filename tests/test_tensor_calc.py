@@ -8,7 +8,7 @@ oracles of tests/oracles.py.
 
 import numpy as np
 import pytest
-from oracles import central_difference, pair_sup, richardson_dx
+from oracles import central_difference, richardson_dx, spectral_sup
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import definition_metric, variant
@@ -180,17 +180,17 @@ def test_t_tensor_vacuous_when_orbit_fills(su2_s2):
 
 
 def test_cp_norm_closed_form_value(s2_band):
-    plan = SamplePlan.build(s2_band, n_points=40, n_dirs=10, seed=1)
+    plan = SamplePlan.build(s2_band, n_points=40)
     l = 0.1
     c0 = _k.c0_block(s2_band, s2_band.params, _k.RESCALED, l, _k.LIMIT, 0.0,
-                     plan.points, plan.dirs, SIGMA_TOL).max()
+                     plan.points, None, SIGMA_TOL).max()
     lam = np.sin(plan.points[:, 1]) ** 2
     expected = np.max(l * l / (lam * (l * l + lam)))
     assert c0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_cp_norm_order_one_dominates(s2_band):
-    cfg = SweepConfig(n_points=30, n_dirs=8, seed=2, cp_order=1)
+    cfg = SweepConfig(n_points=30, seed=2, cp_order=1)
     conv = convergence_series(s2_band, cfg, build_plan(s2_band, cfg))
     assert all(c1 >= c0 for c0, c1 in zip(conv["c0"], conv["c1"]))
 
@@ -200,15 +200,15 @@ def _reference_errors(scenario, l=0.15):
     from the pointwise oracles applied to the difference of Cheeger's
     definition (definition_metric), relative to the oracle's sup over
     the plan, with that C^1 sup."""
-    plan = SamplePlan.build(scenario, n_points=25, n_dirs=6, seed=4)
+    plan = SamplePlan.build(scenario, n_points=25)
     par, pts = scenario.params, plan.points
 
     def delta(x):
         return (definition_metric(scenario, "rescaled", l, x)
                 - definition_metric(scenario, "limit", 0.0, x))
 
-    c0 = _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0, pts, plan.dirs, SIGMA_TOL)
-    c0_ref = np.array([pair_sup(scenario, delta(x), x, d) for x, d in zip(pts, plan.dirs)])
+    c0 = _k.c0_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0, pts, None, SIGMA_TOL)
+    c0_ref = np.array([spectral_sup(scenario, delta(x), x) for x in pts])
     c1 = _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0, pts, H_FD, SIGMA_TOL)
     c1_ref = np.array([np.max(np.abs(richardson_dx(delta, x))) for x in pts])
     c1_scale = float(np.max(c1_ref))

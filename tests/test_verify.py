@@ -24,7 +24,7 @@ from cheegerdef.verify import (
     t_scaling_series,
 )
 
-SMALL = dict(n_points=40, n_dirs=8, invariance_points=8,
+SMALL = dict(n_points=40, invariance_points=8,
              invariance_elements=5, oracle_count=30, geodesic_length=1.5)
 
 
@@ -93,11 +93,12 @@ def test_sweep_config_rejects_negative_margin():
     with pytest.raises(ValueError, match="margin must be nonnegative"):
         SweepConfig(margin=-0.5)
     assert SweepConfig(margin=0.0).margin == 0.0
+    assert SweepConfig().margin == 0.1
 
 
 @pytest.mark.parametrize("field, value", [
     ("n_points", 3),  # used to run silently on a 4-point plan
-    ("n_dirs", 0),
+    ("margin", float("nan")),
     ("oracle_count", 0),
     ("c0_slope_window", (2.1, 1.9)),
     ("l_grid", (0.1, 0.0005)),
@@ -122,11 +123,11 @@ def test_run_suite_and_cli_draw_the_same_oracle_samples(s2_band, tmp_path,
         return pts, ls
 
     monkeypatch.setattr(verify, "oracle_samples", recording)
-    small = dict(n_points=9, n_dirs=2, oracle_count=10)
+    small = dict(n_points=9, oracle_count=10)
     run_suite(s2_band, SweepConfig(margin=0.3, enabled=("oracle",), **small))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = s2_band\nsamples.margin = 0.3\nonly = oracle\n"
-                   "samples.points = 9\nsamples.directions = 2\noracle.samples = 10\n"
+                   "samples.points = 9\noracle.samples = 10\n"
                    f"out.csv = {tmp_path}/sweep.csv\nout.report = {tmp_path}/report.json\n",
                    encoding="utf-8")
     assert cli.main(["run", str(cfg)]) == 0
@@ -415,7 +416,7 @@ def test_all_tests_tuple_is_canonical():
                          "invariance", "large_l", "oracle")
 
 
-EDGE = dict(n_points=16, n_dirs=8, invariance_points=8, invariance_elements=5,
+EDGE = dict(n_points=16, invariance_points=8, invariance_elements=5,
             oracle_count=30, geodesic_length=0.1, geodesic_step=2e-3)
 FINE_GRID = (0.01, 0.005, 0.002, 0.001)
 
