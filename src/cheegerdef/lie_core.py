@@ -32,6 +32,7 @@ __all__ = [
     "LieAlgebraBasis",
     "LieGroupModel",
     "anticommutator_residual",
+    "box_muller",
     "closed_form_exp",
     "get_group",
     "list_groups",
@@ -48,6 +49,12 @@ def anticommutator_residual(basis: tuple[np.ndarray, ...]) -> float:
             S = a @ b + b @ a
             worst = max(worst, float(np.max(np.abs(S - np.diag(np.diag(S))))))
     return worst
+
+
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from two blocks of uniforms in [0, 1), one normal
+    per entry pair (Box and Muller 1958)."""
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def closed_form_exp(X: np.ndarray) -> np.ndarray:
@@ -98,20 +105,28 @@ class LieGroupModel:
     group_id: str
     algebra: LieAlgebraBasis
 
-    def random_algebra_vector(self, rng: np.random.Generator,
-                              angle_scale: float | None = None) -> np.ndarray:
-        """Coefficient vector of a random element of the algebra.
+    @property
+    def draws_per_vector(self) -> int:
+        """Width of the uniform rows that algebra_vectors maps."""
+        return 2 * self.algebra.dim + 1
 
-        For circle factors the angle is uniform over a full turn; when
-        angle_scale is given the vector norm is capped by it (used to keep
-        transformed sample points inside a chart).
+    def algebra_vectors(self, u: np.ndarray,
+                        angle_scale: float | None = None) -> np.ndarray:
+        """Coefficient vectors (..., n) of random algebra elements, one per
+        row of uniforms u (..., draws_per_vector) in [0, 1).
+
+        Without angle_scale each coefficient is uniform over a full turn
+        (first n columns).  With it the direction is uniform (Box-Muller
+        normals of the first 2n columns) and the norm uniform below
+        angle_scale (last column), which keeps transformed sample points
+        inside a chart.
         """
         n = self.algebra.dim
         if angle_scale is None:
-            return rng.uniform(-np.pi, np.pi, size=n)
-        direction = rng.normal(size=n)
-        direction /= np.linalg.norm(direction)
-        return direction * rng.uniform(0.0, angle_scale)
+            return np.pi * (2.0 * u[..., :n] - 1.0)
+        direction = box_muller(u[..., :n], u[..., n:2 * n])
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        return direction * (angle_scale * u[..., 2 * n:])
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])

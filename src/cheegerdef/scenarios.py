@@ -17,6 +17,12 @@ Catalogued scenarios:
   round 2-sphere (isotropy a circle at every point).
 - t2_flat: circle acting on the first factor of a flat 2-torus with
   orbit length parameter a.
+
+The seeded draws (direction pairs, invariance elements, oracle samples)
+come from counter-based streams of the run seed (uniform_draws): each
+entry is a pure function of (seed, stream, index), so reruns repeat
+them, and each draw is prefix-stable, a smaller count giving the first
+rows of a larger one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .gmanifold import Chart
-from .lie_core import GroupElement, LieGroupModel, closed_form_exp, get_group
+from .lie_core import (GroupElement, LieGroupModel, box_muller, closed_form_exp,
+                       get_group)
 
 __all__ = [
     "Scenario",
@@ -36,9 +43,9 @@ __all__ = [
     "invariance_elements",
     "list_scenarios",
     "oracle_samples",
-    "rng_for",
     "sample_grid",
     "sampling_box",
+    "uniform_draws",
 ]
 
 # catalogued scenario parameters
@@ -53,10 +60,34 @@ _STREAM_DIRECTIONS = 1
 _STREAM_ELEMENTS = 2
 _STREAM_ORACLE = 3
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the counter increment
+# and the two multipliers of its finaliser.  All arithmetic runs on uint64
+# arrays, which wrap modulo 2**64 without a warning (numpy scalars warn).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
-def rng_for(seed: int, stream: int) -> np.random.Generator:
-    """Independent deterministic generator for (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + stream))
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of a uint64 array, a bijection of 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform_draws(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Deterministic uniforms in [0, 1) for (seed, stream), of the given
+    shape.
+
+    Counter-based: row-major entry i is the top 53 bits of the SplitMix64
+    finaliser of key + (i + 1) * gamma, with key the finaliser of the
+    seed's finaliser plus the stream, so every entry depends on its index
+    alone and a block of n entries is the first n of any longer block.
+    """
+    key = _mix64(_mix64(np.array([seed], dtype=np.uint64)) + np.uint64(stream))
+    counter = np.arange(1, int(np.prod(shape)) + 1, dtype=np.uint64)
+    bits = _mix64(key + counter * _GAMMA)
+    return ((bits >> np.uint64(11)) * 2.0 ** -53).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -448,23 +479,22 @@ def sample_grid(scenario: Scenario, n_points: int,
 def direction_pairs(scenario: Scenario, n_points: int, n_pairs: int,
                     seed: int) -> np.ndarray:
     """Seeded raw (unnormalised) direction pairs, (n_points, n_pairs, 2,
-    dim).  The invariance stage's kappa duality check reads the first
-    vector of one pair per point; the benchmark's warm-up draws pairs to
-    pass to c0_block, which ignores them.
+    dim), standard normal entries.  The invariance stage's kappa duality
+    check reads the first vector of one pair per point; the benchmark's
+    warm-up draws pairs to pass to c0_block, which ignores them.
     """
-    rng = rng_for(seed, _STREAM_DIRECTIONS)
-    dirs = rng.standard_normal((n_points, n_pairs, 2, scenario.dim))
-    return np.ascontiguousarray(dirs)
+    u = uniform_draws(seed, _STREAM_DIRECTIONS, (n_points, n_pairs, 2, scenario.dim, 2))
+    return box_muller(u[..., 0], u[..., 1])
 
 
 def invariance_elements(scenario: Scenario, count: int,
                         seed: int) -> list[GroupElement]:
     """Seeded group elements: the exponentials of random algebra vectors,
-    drawn one after another and exponentiated in one stacked call."""
-    rng = rng_for(seed, _STREAM_ELEMENTS)
+    one row of uniforms each, all mapped and exponentiated in one stacked
+    call."""
     group = scenario.group
-    vecs = [group.random_algebra_vector(rng, scenario.element_scale)
-            for _ in range(count)]
+    u = uniform_draws(seed, _STREAM_ELEMENTS, (count, group.draws_per_vector))
+    vecs = group.algebra_vectors(u, scenario.element_scale)
     mats = closed_form_exp(np.stack([group.algebra.element(v) for v in vecs]))
     return [GroupElement(group.group_id, M) for M in mats]
 
@@ -473,10 +503,12 @@ def oracle_samples(scenario: Scenario, count: int, seed: int,
                    margin: float = DEFAULT_SAMPLE_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (points, deformation parameters) for route-agreement checks,
     drawn from the sampling region shrunk by the margin on non-periodic
-    axes, l log-uniform over _ORACLE_L_RANGE."""
+    axes, l log-uniform over _ORACLE_L_RANGE.  Each sample is one row of
+    uniforms, point coordinates first, so a smaller count draws a prefix
+    of a larger one."""
     lo, hi = sampling_box(scenario, margin)
-    rng = rng_for(seed, _STREAM_ORACLE)
-    # drawn axis by axis; the draw order fixes which samples a seed gives
-    pts = rng.uniform(lo[:, None], hi[:, None], size=(scenario.dim, count)).T
-    ls = np.exp(rng.uniform(*np.log(_ORACLE_L_RANGE), size=count))
-    return np.ascontiguousarray(pts), ls
+    u = uniform_draws(seed, _STREAM_ORACLE, (count, scenario.dim + 1))
+    pts = lo + (hi - lo) * u[:, :-1]
+    log_lo, log_hi = np.log(_ORACLE_L_RANGE)
+    ls = np.exp(log_lo + (log_hi - log_lo) * u[:, -1])
+    return pts, ls

@@ -316,13 +316,13 @@ def test_metric_variant_failure_names_the_failing_point(s2_band):
 
 @pytest.mark.parametrize("seed", (42, 7, 2**64 - 1))
 def test_invariance_elements_equal_per_element_exp(scenario, seed):
-    # the same algebra vectors, drawn in the same order, exponentiated
+    # the same uniform rows, mapped to algebra vectors and exponentiated
     # one at a time
-    from cheegerdef.scenarios import _STREAM_ELEMENTS, rng_for
-    rng = rng_for(seed, _STREAM_ELEMENTS)
+    from cheegerdef.scenarios import _STREAM_ELEMENTS, uniform_draws
     group = scenario.group
-    expected = [group_exp(group, group.random_algebra_vector(rng, scenario.element_scale))
-                for _ in range(12)]
+    rows = uniform_draws(seed, _STREAM_ELEMENTS, (12, group.draws_per_vector))
+    expected = [group_exp(group, group.algebra_vectors(row, scenario.element_scale))
+                for row in rows]
     elements = invariance_elements(scenario, 12, seed)
     assert len(elements) == 12
     for g, e in zip(elements, expected):

@@ -12,7 +12,7 @@ from cheegerdef.cheeger import (
     variant,
 )
 from cheegerdef.gmanifold import SIGMA_TOL, NumericalFailure
-from cheegerdef.scenarios import list_scenarios, oracle_samples, rng_for, sample_grid
+from cheegerdef.scenarios import direction_pairs, list_scenarios, oracle_samples, sample_grid
 from cheegerdef.verify import SweepConfig, build_plan
 
 
@@ -106,10 +106,8 @@ def test_vertical_lift_is_orthogonal_to_vertical_space(su2_s2):
     x = np.array([1.2, 1.4])
     orbit = _at(su2_s2, x)
     G = su2_s2.metric(su2_s2.params, x)
-    rng = rng_for(31, 1)
     l = 0.4
-    for _ in range(5):
-        v = rng.normal(size=2)
+    for v in direction_pairs(su2_s2, 5, 1, 31)[:, 0, 0]:
         kv = kappa(orbit, v)
         for a, Ka in zip(orbit.mb.T, orbit.A.T):
             resid = l * l * float((kv / (l * l)) @ (-a)) + float(v @ G @ Ka)

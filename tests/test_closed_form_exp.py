@@ -58,8 +58,8 @@ def test_basis_anticommutators_are_diagonal(gid):
 def test_closed_form_matches_expm(gid):
     expm = _expm()
     group = get_group(gid)
-    rng = np.random.default_rng(20261018)
-    vecs = [group.random_algebra_vector(rng) for _ in range(50)]
+    rows = np.random.default_rng(20261018).random((50, group.draws_per_vector))
+    vecs = list(group.algebra_vectors(rows))
     vecs += [np.zeros(group.algebra.dim)] + _near_pi_vectors(group)
     worst = 0.0
     for v in vecs:
@@ -73,9 +73,8 @@ def test_closed_form_matches_expm(gid):
 @pytest.mark.parametrize("gid", list_groups())
 def test_stack_equals_elements_one_at_a_time(gid):
     group = get_group(gid)
-    rng = np.random.default_rng(3)
-    X = np.stack([group.algebra.element(group.random_algebra_vector(rng))
-                  for _ in range(9)])
+    rows = np.random.default_rng(3).random((9, group.draws_per_vector))
+    X = np.stack([group.algebra.element(v) for v in group.algebra_vectors(rows)])
     stacked = closed_form_exp(X)
     for Xe, Me in zip(X, stacked):
         np.testing.assert_array_equal(closed_form_exp(Xe), Me)

@@ -9,7 +9,7 @@ from oracles import action_pullback_metric, fd_action_jacobian, group_exp, killi
 
 from cheegerdef import _kernels as _k
 from cheegerdef.gmanifold import SIGMA_TOL, DomainError
-from cheegerdef.scenarios import list_scenarios, rng_for, sample_grid
+from cheegerdef.scenarios import list_scenarios, sample_grid, uniform_draws
 
 
 def _interior_points(scenario, n=24):
@@ -33,9 +33,8 @@ def test_killing_fd_matches_analytic(sid, all_scenarios):
 @pytest.mark.parametrize("sid", list_scenarios())
 def test_orbit_rank_constant_on_chart(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
-    rng = rng_for(123, 9)
     lo, hi = scenario.region_lo, scenario.region_hi
-    pts = lo + (hi - lo) * rng.random((100, scenario.dim))
+    pts = lo + (hi - lo) * uniform_draws(123, 9, (100, scenario.dim))
     orbit = _at(scenario, pts)
     assert np.all(orbit.status == _k.OK)
     assert orbit.mb.shape[-1] == scenario.rank
@@ -115,20 +114,22 @@ def test_chart_rejects_outside_point(s2_band):
 @pytest.mark.parametrize("sid", list_scenarios())
 def test_fd_jacobian_matches_analytic(sid, all_scenarios):
     scenario = {s.scenario_id: s for s in all_scenarios}[sid]
-    rng = rng_for(5, 2)
-    for x in _interior_points(scenario, 6):
-        g = group_exp(
-            scenario.group, scenario.group.random_algebra_vector(rng, scenario.element_scale))
+    group = scenario.group
+    points = _interior_points(scenario, 6)
+    vecs = group.algebra_vectors(uniform_draws(5, 2, (len(points), group.draws_per_vector)),
+                                 scenario.element_scale)
+    for x, v in zip(points, vecs):
+        g = group_exp(group, v)
         Ja = scenario.action_jacobian(g, x)
         Jf = fd_action_jacobian(scenario, g, x)
         np.testing.assert_allclose(Jf, Ja, atol=5e-6)
 
 
 def test_pullback_invariance_of_base_metric(su2_s2):
-    rng = rng_for(17, 2)
+    group = su2_s2.group
     x = np.array([1.0, 1.3])
     metric = lambda y: su2_s2.metric(su2_s2.params, y)
-    for _ in range(10):
-        g = group_exp(su2_s2.group, su2_s2.group.random_algebra_vector(rng, 0.5))
+    for v in group.algebra_vectors(uniform_draws(17, 2, (10, group.draws_per_vector)), 0.5):
+        g = group_exp(group, v)
         pulled = action_pullback_metric(su2_s2, g, metric, x)
         np.testing.assert_allclose(pulled, metric(x), atol=1e-10)

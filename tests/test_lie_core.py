@@ -71,8 +71,7 @@ def test_su2_brackets_cyclic():
 @pytest.mark.parametrize("gid", list_groups())
 def test_exp_one_parameter_property(gid):
     g = get_group(gid)
-    rng = np.random.default_rng(7)
-    v = g.random_algebra_vector(rng)
+    v = g.algebra_vectors(np.random.default_rng(7).random(g.draws_per_vector))
     a = group_exp(g, v, 0.4)
     b = group_exp(g, v, 0.7)
     c = group_exp(g, v, 1.1)
@@ -82,9 +81,8 @@ def test_exp_one_parameter_property(gid):
 @pytest.mark.parametrize("gid", list_groups())
 def test_exp_lands_in_group(gid):
     g = get_group(gid)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        el = group_exp(g, g.random_algebra_vector(rng))
+    for v in g.algebra_vectors(np.random.default_rng(11).random((20, g.draws_per_vector))):
+        el = group_exp(g, v)
         assert membership_residual(g, el.matrix) < 1e-10
 
 
@@ -92,7 +90,7 @@ def test_exp_lands_in_group(gid):
 def test_inverse_and_identity(gid):
     # exp(-v) inverts exp(v), and exp(0) is the identity
     g = get_group(gid)
-    v = g.random_algebra_vector(np.random.default_rng(3))
+    v = g.algebra_vectors(np.random.default_rng(3).random(g.draws_per_vector))
     identity = np.eye(g.algebra.matrices[0].shape[0])
     np.testing.assert_allclose(group_exp(g, v).matrix @ group_exp(g, -v).matrix, identity, atol=1e-12)
     np.testing.assert_array_equal(group_exp(g, np.zeros(g.algebra.dim)).matrix, identity)
