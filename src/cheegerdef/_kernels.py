@@ -51,10 +51,10 @@ select afterwards.
 
 Failures are per point: a degenerate algebra split, an orbit tensor that
 fails the Cholesky gate or a blown-up conditioning turns that point's
-row into NaN and leaves the other rows alone; the Python layer names
-the first NaN point of a block's values in a typed exception.  Frame
-construction and geodesic integration also return explicit per-row
-status codes.
+row into NaN and leaves the other rows alone, the adapted frame's
+included; the Python layer names the first NaN point of a block's values
+in a typed exception.  The algebra split and geodesic integration also
+return explicit per-row status codes.
 """
 
 from dataclasses import dataclass, fields
@@ -72,12 +72,16 @@ CHEEGER_CLOSED = 4
 # status codes
 OK = 0
 DEGENERATE = 1
-FRAME_FAIL = 2
 LEFT_DOMAIN = 1
 NUMERIC_FAIL = 2
 
-# chart-box margin of geodesic integration, in finite-difference steps h:
-# the Richardson stencil of a point reaches 2 h past it
+# chart-box margin of geodesic integration, in finite-difference steps h.
+# A stack on finite-difference Christoffel symbols (the CHEEGER tag, or
+# analytic unset) evaluates the metric on a Richardson stencil that
+# reaches 2 h past each point.  The stages' stacks take analytic
+# derivatives, but the margin also fixes where a start raises DomainError
+# and where the CLI refuses a geodesic start (exit code 2), so it does not
+# move with the derivative path.
 GEODESIC_MARGIN = 3.0
 
 
@@ -276,73 +280,39 @@ def _record(scen, par, x, sigma_tol):
     return x if isinstance(x, OrbitData) else orbit_data(scen, par, x, sigma_tol)
 
 
-# gram-schmidt acceptance threshold for squared residual norms; metrics in
-# the catalogue are O(1) so this cleanly separates consumed basis vectors
-# (residual ~1e-16) from genuinely horizontal ones (residual ~1)
-_GS_EPS = 1e-12
-
-
 def _vertical_frame(A, P):
     """Frame A L^{-T} of the orbit directions, orthonormal in the metric
-    whose orbit tensor is P (L the lower Cholesky factor of P).  Returns
-    (frame, L); both are all NaN on the rows whose P fails the gate."""
-    L = chol_lower(P)
-    return solve_lin(L, A.mT).mT, L
+    whose orbit tensor is P (L the lower Cholesky factor of P); all NaN
+    on the rows whose P fails the gate."""
+    return solve_lin(chol_lower(P), A.mT).mT
 
 
 def adapted_frame(orbit):
-    """Orthonormal frame adapted to the orbit: columns 0..r-1 span the
-    vertical space (G-orthonormal, derived from A by the Cholesky factor
-    of the record's P), the rest complete it with G-orthonormalised chart
-    directions taken in fixed order with a deterministic sign.
+    """G-orthonormal frame F (..., d, d) adapted to the orbit: columns
+    0..r-1 are the vertical frame of the record's A and P, the rest
+    complete it with horizontal columns.
 
-    Returns (F, L, status) with L the Cholesky factor of the orbit tensor;
-    rows whose frame fails are NaN with status FRAME_FAIL.
+    With G = L L^T, the coordinates L^T x carry G to the Euclidean inner
+    product, so the columns past r of the complete QR of L^T A are an
+    orthonormal complement of the orbit there, and L^{-T} maps them to
+    G-orthonormal horizontal columns.  No threshold enters, so the frame
+    of c G is the frame of G divided by sqrt(c).  A row whose G or P
+    fails the Cholesky gate, or whose orbit data is not finite, is all
+    NaN.  The QR is one stacked call; the entries of L^T A that are not
+    finite are zeroed first, and their rows turn NaN through L or A.
     """
-    lead = orbit.G.shape[:-2]
-    d = orbit.G.shape[-1]
     r = orbit.A.shape[-1]
-    G = orbit.G.reshape((-1, d, d))
-    n = G.shape[0]
-    V, L = _vertical_frame(orbit.A.reshape((-1, d, r)), orbit.P.reshape((-1, r, r)))
-    F = np.zeros((n, d, d))
-    F[:, :, :r] = V
-    ok = ~np.isnan(L[:, 0, 0])
-    rows = np.arange(n)
-    nacc = np.zeros(n, dtype=np.int64)
-    for j in range(d):
-        need = nacc < d - r
-        if not need.any():
-            break
-        w = np.zeros((n, d))
-        w[:, j] = 1.0
-        # project out the accepted columns twice for numerical
-        # orthogonality; the columns not yet filled are zero and leave w
-        # unchanged
-        cols = min(d, r + j)
-        GF = G @ F
-        for _ in range(2):
-            for c in range(cols):
-                coef = (w * GF[:, :, c]).sum(axis=-1)
-                w = w - coef[:, None] * F[:, :, c]
-        nn = (w * (G @ w[:, :, None])[:, :, 0]).sum(axis=-1)
-        take = need & (nn > _GS_EPS)
-        if take.any():
-            inv = 1.0 / np.sqrt(np.where(take, nn, 1.0))
-            first = np.argmax(np.abs(w) * inv[:, None] > 1e-12, axis=-1)
-            flip = np.where(w[rows, first] < 0.0, -1.0, 1.0)
-            col = np.where(take, r + nacc, 0)
-            F[rows[take], :, col[take]] = ((flip * inv)[:, None] * w)[take]
-            nacc = nacc + take
-    ok = ok & (nacc == d - r)
-    F = _nan_rows(ok, F).reshape(lead + (d, d))
-    status = np.where(ok, OK, FRAME_FAIL).reshape(lead)
-    return F, L.reshape(lead + (r, r)), status
+    L = chol_lower(orbit.G)
+    B = L.mT @ orbit.A
+    Q = np.linalg.qr(np.where(np.isfinite(B), B, 0.0), mode="complete").Q
+    F = np.concatenate([_vertical_frame(orbit.A, orbit.P),
+                        solve_lin(L.mT, Q[..., r:])], axis=-1)
+    return _nan_rows(np.isfinite(F).all(axis=(-2, -1)), F)
 
 
 def plan_geometry(scen, par, pts, sigma_tol):
     """The geometry of a point set that the c0 and gap blocks take:
-    (OrbitData record, adapted_frame (F, L, status)) at pts."""
+    (OrbitData record, adapted_frame F) at pts."""
     orbit = orbit_data(scen, par, pts, sigma_tol)
     return orbit, adapted_frame(orbit)
 
@@ -719,10 +689,10 @@ def c0_block(scen, par, tag_a, l_a, tag_b, l_b, pts, dirs, sigma_tol, geometry=N
     """
     if geometry is None:
         geometry = plan_geometry(scen, par, pts, sigma_tol)
-    orbit, (F, L, fstatus) = geometry
+    orbit, F = geometry
     Delta = (variant_metric(scen, par, tag_a, _l_column(l_a), orbit, sigma_tol)
              - variant_metric(scen, par, tag_b, _l_column(l_b), orbit, sigma_tol))
-    return np.where(fstatus == OK, _pair_sup(F, Delta), np.nan)
+    return _pair_sup(F, Delta)
 
 
 def c1_block(scen, par, tag_a, l_a, tag_b, l_b, pts, h, sigma_tol, geometry=None):
@@ -763,7 +733,7 @@ def variant_vertical_frame(scen, par, tag, l, x, sigma_tol):
     orbit = _record(scen, par, x, sigma_tol)
     A = orbit.A
     Gt = variant_metric(scen, par, tag, l, orbit, sigma_tol)
-    return _vertical_frame(A, sym2(A.mT @ (Gt @ A)))[0]
+    return _vertical_frame(A, sym2(A.mT @ (Gt @ A)))
 
 
 def t_tensor_norm(scen, par, tag, l, x, h, sigma_tol):

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels as _k
 from .cheeger import MetricVariant
 from .gmanifold import SIGMA_TOL, NumericalFailure
-from .scenarios import DEFAULT_SAMPLE_MARGIN, Scenario, sample_grid
+from .scenarios import Scenario
 
 __all__ = [
     "GeodesicResult",
@@ -170,13 +170,6 @@ class SamplePlan:
     def __init__(self, scenario: Scenario, points: np.ndarray):
         self.scenario = scenario
         self.points = points
-
-    @classmethod
-    def build(cls, scenario: Scenario, n_points: int,
-              margin: float = DEFAULT_SAMPLE_MARGIN) -> "SamplePlan":
-        """The plan on the sample grid; its geometry is computed by the
-        first stage that reads it."""
-        return cls(scenario, sample_grid(scenario, n_points, margin))
 
     @cached_property
     def geometry(self) -> tuple:

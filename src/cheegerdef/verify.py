@@ -37,7 +37,7 @@ from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
 from .gmanifold import SIGMA_TOL, NumericalFailure
 from .lie_core import GroupElement
 from .scenarios import (DEFAULT_SAMPLE_MARGIN, Scenario, direction_pairs,
-                        invariance_elements, oracle_samples)
+                        invariance_elements, oracle_samples, sample_grid)
 from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
                           orbit_invariant_drift, speed_drift)
 
@@ -192,7 +192,7 @@ def _worst(values) -> float:
 
 
 def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
-    return SamplePlan.build(scenario, n_points=cfg.n_points, margin=cfg.margin)
+    return SamplePlan(scenario, sample_grid(scenario, cfg.n_points, cfg.margin))
 
 
 def _sup_over_plan(scenario: Scenario, l_grid, points: np.ndarray,
@@ -337,7 +337,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     stride = max(1, len(plan.points) // cfg.invariance_points)
     plan_orbit, plan_frame = plan.geometry
     orbit = plan_orbit.rows(slice(None, None, stride))
-    F, _, fstatus = (a[::stride] for a in plan_frame)
+    F = plan_frame[::stride]
     pts = orbit.x
     elements = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
     stack = GroupElement(scenario.group.group_id, np.stack([g.matrix for g in elements]))
@@ -382,7 +382,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
             break
 
     # horizontal block of the deformed family versus the base metric
-    failed = np.flatnonzero((orbit.status != _k.OK) | (fstatus != _k.OK))
+    failed = np.flatnonzero(np.isnan(F).any(axis=(-2, -1)))
     if failed.size:
         return {"error": f"frame failed at {pts[failed[0]].tolist()}"}
     H = F[..., :, orbit.A.shape[-1]:]

@@ -121,8 +121,8 @@ def action_pullback_metric(scenario, g, matrix_fn, x):
 def _base_frame(scenario, x):
     """Base metric G and adapted frame F (G-orthonormal) at one point x."""
     orbit = _k.orbit_data(scenario, scenario.params, x, SIGMA_TOL)
-    F, _L, fstatus = _k.adapted_frame(orbit)
-    assert orbit.status == _k.OK and fstatus == _k.OK, f"adapted frame failed at {x.tolist()}"
+    F = _k.adapted_frame(orbit)
+    assert not np.isnan(F).any(), f"adapted frame failed at {x.tolist()}"
     return orbit.G, F
 
 

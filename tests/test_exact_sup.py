@@ -44,7 +44,7 @@ def _c0(scenario, plan, series):
 
 
 def _frame(plan):
-    return plan.geometry[1][0]
+    return plan.geometry[1]
 
 
 @pytest.mark.parametrize("series", SERIES)

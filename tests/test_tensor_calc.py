@@ -13,7 +13,7 @@ from oracles import central_difference, richardson_dx, spectral_sup
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import definition_metric, variant
 from cheegerdef.gmanifold import SIGMA_TOL, DomainError
-from cheegerdef.scenarios import get_scenario, list_scenarios
+from cheegerdef.scenarios import get_scenario, list_scenarios, sample_grid
 from cheegerdef.tensor_calc import (
     H_FD,
     SamplePlan,
@@ -180,7 +180,7 @@ def test_t_tensor_vacuous_when_orbit_fills(su2_s2):
 
 
 def test_cp_norm_closed_form_value(s2_band):
-    plan = SamplePlan.build(s2_band, n_points=40)
+    plan = SamplePlan(s2_band, sample_grid(s2_band, 40))
     l = 0.1
     c0 = _k.c0_block(s2_band, s2_band.params, _k.RESCALED, l, _k.LIMIT, 0.0,
                      plan.points, None, SIGMA_TOL).max()
@@ -200,7 +200,7 @@ def _reference_errors(scenario, l=0.15):
     from the pointwise oracles applied to the difference of Cheeger's
     definition (definition_metric), relative to the oracle's sup over
     the plan, with that C^1 sup."""
-    plan = SamplePlan.build(scenario, n_points=25)
+    plan = SamplePlan(scenario, sample_grid(scenario, 25))
     par, pts = scenario.params, plan.points
 
     def delta(x):
