@@ -53,8 +53,8 @@ Failures are per point: a degenerate algebra split, an orbit tensor that
 fails the Cholesky gate or a blown-up conditioning turns that point's
 row into NaN and leaves the other rows alone, the adapted frame's
 included; the Python layer names the first NaN point of a block's values
-in a typed exception.  The algebra split and geodesic integration also
-return explicit per-row status codes.
+in a typed exception.  Geodesic integration also returns a status code
+per start, since a start that leaves the chart is not NaN.
 """
 
 from dataclasses import dataclass, fields
@@ -69,19 +69,17 @@ RESCALED = 2
 LIMIT = 3
 CHEEGER_CLOSED = 4
 
-# status codes
+# geodesic status codes
 OK = 0
-DEGENERATE = 1
 LEFT_DOMAIN = 1
 NUMERIC_FAIL = 2
 
 # chart-box margin of geodesic integration, in finite-difference steps h.
 # A stack on finite-difference Christoffel symbols (the CHEEGER tag, or
 # analytic unset) evaluates the metric on a Richardson stencil that
-# reaches 2 h past each point.  The stages' stacks take analytic
-# derivatives, but the margin also fixes where a start raises DomainError
-# and where the CLI refuses a geodesic start (exit code 2), so it does not
-# move with the derivative path.
+# reaches 2 h past each point.  tensor_calc.GEODESIC_CHART_MARGIN is the
+# same margin in coordinate units, which also fixes where a start raises
+# DomainError and where the CLI refuses it (exit code 2).
 GEODESIC_MARGIN = 3.0
 
 
@@ -195,26 +193,25 @@ _FIRST_WEIGHTS = tuple(2.0 ** np.arange(n - 1, -1, -1.0) for n in range(4))
 
 @lru_cache(maxsize=64)
 def _circle_split(lead):
-    """(mb, iso, status) of a circle action over points of leading shape
-    lead: read-only broadcast views of constants, made once per shape."""
+    """(mb, iso) of a circle action over points of leading shape lead:
+    read-only broadcast views of constants, made once per shape."""
     return (np.broadcast_to(1.0, lead + (1, 1)),
-            np.broadcast_to(np.empty((1, 0)), lead + (1, 0)),
-            np.broadcast_to(np.int64(OK), lead))
+            np.broadcast_to(np.empty((1, 0)), lead + (1, 0)))
 
 
 def m_basis(scen, K, sigma_tol):
     """Split the algebra into isotropy and its complement at each point.
 
-    Returns (mb, iso, status): mb has orthonormal columns spanning the
+    Returns (mb, iso): mb has orthonormal columns spanning the
     complement of the kernel of K (coefficient space), iso spans the
     kernel.  The circle actions have a constant, nonzero action field,
     so their split is trivial and shared (read-only views).  On the SVD
-    path the orbit rank is the record's rank; status is DEGENERATE, and
-    the row of mb and iso NaN, where K is not finite or vanishes, where a
-    singular value sits inside the ambiguity band
-    [0.1, 10] * sigma_tol * sigma_max, or where the numerical rank is
-    below the scenario's.  The NaN rows carry through A, W and P, so the
-    Cholesky gate and the conditioning cap downstream reject them.
+    path the orbit rank is the record's rank; the row of mb and iso is
+    NaN where K is not finite or vanishes, where a singular value sits
+    inside the ambiguity band [0.1, 10] * sigma_tol * sigma_max, or where
+    the numerical rank is below the scenario's.  The NaN rows carry
+    through A, W and P, so the Cholesky gate and the conditioning cap
+    downstream reject them.
     """
     ng = K.shape[-1]
     if ng == 1:
@@ -233,7 +230,7 @@ def m_basis(scen, K, sigma_tol):
     signs = np.sign(vt) * (np.abs(vt) > 1e-12)
     flip = np.copysign(1.0, signs @ _FIRST_WEIGHTS[ng])
     V = _nan_rows(good, (vt * flip[..., None]).mT)
-    return V[..., :, :r], V[..., :, r:], DEGENERATE * ~good
+    return V[..., :, :r], V[..., :, r:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,9 +240,9 @@ class OrbitData:
     operator K (columns are the action fields of the algebra basis), the
     split of the algebra (mb spans the isotropy complement and iso the
     isotropy, both orthonormal in coefficient space), the orbit fields
-    A = K mb, their metric duals W = G A, the orbit tensor P = A^T G A and
-    the per-point status of the split (rows of mb, A, W and P are NaN
-    where it is DEGENERATE)."""
+    A = K mb, their metric duals W = G A and the orbit tensor P = A^T G A.
+    The rows of mb, iso, A, W and P are NaN where the split is
+    degenerate."""
 
     x: np.ndarray
     G: np.ndarray
@@ -255,7 +252,6 @@ class OrbitData:
     A: np.ndarray
     W: np.ndarray
     P: np.ndarray
-    status: np.ndarray
 
     def rows(self, index) -> "OrbitData":
         """The record at the points x[index] (index selects along the
@@ -267,11 +263,11 @@ def orbit_data(scen, par, x, sigma_tol):
     """The OrbitData record of the action at the points x."""
     G = gm_metric(scen, par, x)
     K = scen.killing(par, x)
-    mb, iso, status = m_basis(scen, K, sigma_tol)
+    mb, iso = m_basis(scen, K, sigma_tol)
     A = K if K.shape[-1] == 1 else K @ mb
     W = G @ A
     P = sym2(A.mT @ W)
-    return OrbitData(x=x, G=G, K=K, mb=mb, iso=iso, A=A, W=W, P=P, status=status)
+    return OrbitData(x=x, G=G, K=K, mb=mb, iso=iso, A=A, W=W, P=P)
 
 
 def _record(scen, par, x, sigma_tol):
@@ -716,14 +712,14 @@ def gap_block(scen, par, l, pts, sigma_tol, geometry=None):
     the orthonormal algebra complement basis and measures the max-abs
     deviation from the bi-invariant identity block.  Of geometry
     (plan_geometry at pts) only the orbit data is used; without it the
-    orbit data is computed here.
+    orbit data is computed here.  A degenerate algebra split has NaN
+    orbit fields, so its point reads NaN.
     """
     orbit = orbit_data(scen, par, pts, sigma_tol) if geometry is None else geometry[0]
     A = orbit.A
     Gr = variant_metric(scen, par, RESCALED, _l_column(l), orbit, sigma_tol)
     M = A.mT @ (Gr @ A)
-    dev = np.abs(M - _EYE[A.shape[-1]]).max(axis=(-2, -1))
-    return np.where(orbit.status == OK, dev, np.nan)
+    return np.abs(M - _EYE[A.shape[-1]]).max(axis=(-2, -1))
 
 
 def variant_vertical_frame(scen, par, tag, l, x, sigma_tol):

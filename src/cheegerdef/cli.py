@@ -19,18 +19,18 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 
-from ._kernels import GEODESIC_MARGIN
 from .config import echo, knob, table_keys, values_from
 from .gmanifold import DomainError, NumericalFailure
 from .scenarios import (DEFAULT_ORBIT_LENGTH, DEFAULT_WARP_AMPLITUDE, Scenario,
                         get_scenario, list_scenarios, sampling_box)
+from .tensor_calc import GEODESIC_CHART_MARGIN
 from .verify import ALL_TESTS, SweepConfig, run_suite
 
 __all__ = ["ConfigError", "RunConfig", "build_run_config", "main", "parse_config",
            "render_csv", "render_report", "run_from_config"]
 
 CSV_HEADER = "l,c0_diff,c1_diff,t_ratio_max,gap_residual,invariance_residual"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -112,12 +112,12 @@ def _build_scenario(rc: RunConfig) -> Scenario:
         sampling_box(scenario, rc.sweep.margin)
     except ValueError as exc:
         raise ConfigError(f"key 'samples.margin': {exc}") from exc
-    margin = GEODESIC_MARGIN * rc.sweep.h_fd
     for c in rc.sweep.geodesic_transverse or scenario.geodesic_transverse:
-        if not scenario.chart.contains(scenario.start_from_transverse(c), margin):
+        if not scenario.chart.contains(scenario.start_from_transverse(c),
+                                       GEODESIC_CHART_MARGIN):
             raise ConfigError(
                 f"geodesic start {c} leaves the chart of {rc.scenario_id} "
-                f"shrunk by the integration margin {GEODESIC_MARGIN:g} * fd.step")
+                f"shrunk by the integration margin {GEODESIC_CHART_MARGIN:g}")
     return scenario
 
 

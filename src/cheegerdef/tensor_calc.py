@@ -5,7 +5,7 @@ starts as one stacked state, which may mix the base metric with one
 rank-update variant; each start keeps its own variant, status and step
 count.  Its Christoffel symbols are exact for every variant but the
 deformed metric of the reparametrisation route, which takes fourth-order
-central differences with one Richardson extrapolation level (step h_fd).
+central differences with one Richardson extrapolation level (step H_FD).
 A sample plan carries its points and the geometry of its points (the
 kernels' OrbitData record and adapted frame), computed on first use, and
 the verification stages pass them to every C^0, C^1 and gap block they
@@ -26,6 +26,7 @@ from .gmanifold import SIGMA_TOL, NumericalFailure
 from .scenarios import Scenario
 
 __all__ = [
+    "GEODESIC_CHART_MARGIN",
     "GeodesicResult",
     "H_FD",
     "SamplePlan",
@@ -36,23 +37,19 @@ __all__ = [
 
 # FD step for metric derivatives (coordinate units)
 H_FD = 1e-4
-
-
-def _use_analytic(v: MetricVariant) -> bool:
-    """Every tag but cheeger has exact derivatives: the catalogued one
-    for the base metric, the product rule of the rank update for the
-    rest.  The reparametrisation route stays on finite differences."""
-    return v.tag != "cheeger"
+# chart-box margin of geodesic integration in coordinate units (3e-4): a
+# start inside it raises DomainError here and exits 2 in the CLI, and RK4
+# stops a row that reaches it
+GEODESIC_CHART_MARGIN = _k.GEODESIC_MARGIN * H_FD
 
 
 @dataclass(frozen=True)
 class GeodesicResult:
     """Sampled geodesic states: row t is (position, velocity) after t
-    steps of size dt."""
+    integration steps."""
 
     variant: MetricVariant
     states: np.ndarray
-    dt: float
     status: str
     steps: int
 
@@ -73,8 +70,7 @@ _GEO_STATUS = {_k.OK: "ok", _k.LEFT_DOMAIN: "left_domain", _k.NUMERIC_FAIL: "num
 def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
                         x0s: np.ndarray, v0s: np.ndarray,
                         length: float, step: float,
-                        unit_speed: bool = True,
-                        h: float = H_FD) -> list[GeodesicResult]:
+                        unit_speed: bool = True) -> list[GeodesicResult]:
     """Integrate the geodesic equation from each start (x0s[s], v0s[s])
     as one stacked RK4 state; one result per start.
 
@@ -83,11 +79,11 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
     derivatives (limit, rescaled or the closed form), and each row then
     equals its start integrated under its own variant alone.  Each v0 is
     normalised to unit variant speed unless unit_speed is False.  A start
-    outside the chart box shrunk by the integration margin
-    (GEODESIC_MARGIN FD steps h) raises DomainError.  A start stops
-    alone at that margin (status left_domain); numerical breakdown of any
-    start raises NumericalFailure naming the first failing start by its
-    variant, its index among that variant's starts and the step.
+    outside the chart box shrunk by GEODESIC_CHART_MARGIN raises
+    DomainError.  A start stops alone at that margin (status
+    left_domain); numerical breakdown of any start raises
+    NumericalFailure naming the first failing start by its variant, its
+    index among that variant's starts and the step.
     """
     x0s = np.asarray(x0s, dtype=float)
     variants = [v] * len(x0s) if isinstance(v, MetricVariant) else list(v)
@@ -97,14 +93,14 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
     starts: dict[tuple, list[int]] = {}
     for s, var in enumerate(variants):
         starts.setdefault((var.tag, var.l), []).append(s)
-    # the variant whose l and derivative path the stack takes: the one
-    # that is not the base metric, if any
+    # the variant whose tag and l the stack takes: the one that is not
+    # the base metric, if any
     main = next((var for var in variants if var.tag != "original"), variants[0])
     if sum(tag != "original" for tag, _ in starts) > 1:
         raise ValueError("a mixed geodesic stack holds the base metric "
                          "and one other variant")
     scenario = main.scenario
-    x0s = np.stack([scenario.chart.require_inside(x, _k.GEODESIC_MARGIN * h)
+    x0s = np.stack([scenario.chart.require_inside(x, GEODESIC_CHART_MARGIN)
                     for x in x0s])
     v0s = np.asarray(v0s, dtype=float)
     if step <= 0 or length <= 0:
@@ -123,7 +119,7 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
     n_steps = int(round(length / step))
     traj, status, _, done = _k.geodesic_rk4(
         scenario, scenario.params, tag, float(main.l), x0s, v0s,
-        n_steps, float(step), h, _use_analytic(main),
+        n_steps, float(step), H_FD, True,
         scenario.chart.lo, scenario.chart.hi,
         scenario.chart.periodic.astype(np.int64), SIGMA_TOL)
     failed = np.flatnonzero(status == _k.NUMERIC_FAIL)
@@ -134,7 +130,7 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
             f"geodesic integration of {var.label} from start "
             f"{starts[var.tag, var.l].index(s)} at "
             f"{x0s[s].tolist()} broke down at step {done[s]}")
-    return [GeodesicResult(variant=variants[s], states=traj[s], dt=float(step),
+    return [GeodesicResult(variant=variants[s], states=traj[s],
                            status=_GEO_STATUS[int(status[s])], steps=int(done[s]))
             for s in range(len(x0s))]
 

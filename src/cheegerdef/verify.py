@@ -111,7 +111,6 @@ class SweepConfig:
     seed: int = knob(42, "seed", parse=parse_int,
                      check=bound(lambda s: 0 <= s < 2**64,
                                  "must fit an unsigned 64-bit integer"))
-    h_fd: float = knob(H_FD, "fd.step", check=positive)
     geodesic_step: float = knob(1e-3, "geodesic.step", check=positive)
     geodesic_length: float = knob(3.0, "geodesic.length", check=positive)
     # None: the scenario's catalogued starts
@@ -232,7 +231,7 @@ def convergence_series(scenario: Scenario, cfg: SweepConfig,
     ]
     if cfg.cp_order >= 1:
         series.append(("C^1 series", _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT,
-                                                 0.0, pts, cfg.h_fd, SIGMA_TOL,
+                                                 0.0, pts, H_FD, SIGMA_TOL,
                                                  plan.geometry)))
     c0, gap, *c1d = _sup_over_plan(scenario, cfg.l_grid, pts, series)
     c0s, gaps = c0.tolist(), gap.tolist()
@@ -269,7 +268,7 @@ def t_scaling_series(scenario: Scenario, cfg: SweepConfig,
     ls = np.asarray(cfg.l_grid)
     # (L, N) norms of the rescaled metric, (N,) norms of the base metric
     rescaled, base = _k.t_pair_block(scenario, scenario.params, _k.RESCALED, ls,
-                                     plan.points, cfg.h_fd, SIGMA_TOL)
+                                     plan.points, H_FD, SIGMA_TOL)
     # the base norms repeat at every l, so a NaN is named at the first l
     _sup_over_plan(scenario, cfg.l_grid, plan.points,
                    [("T-tensor series (rescaled)", rescaled),
@@ -305,7 +304,7 @@ def geodesic_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     res = integrate_geodesics(
         [variant(scenario, "limit")] * n + [variant(scenario, "original")] * n,
         np.vstack([x0s, x0s]), np.vstack([v0s, v0s]),
-        length=cfg.geodesic_length, step=cfg.geodesic_step, h=cfg.h_fd)
+        length=cfg.geodesic_length, step=cfg.geodesic_step)
     starts = []
     for c, res_lim, res_base in zip(transverse, res[:n], res[n:]):
         starts.append({

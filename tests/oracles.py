@@ -3,8 +3,9 @@ computes in stacks or in closed form, each with one code path: the
 Lie-algebra identities of a basis, group membership, the exponential of
 one algebra vector, finite-difference
 derivatives of the action and of matrix fields, the pullback of a metric
-field, and the C^0 sup of a metric difference at one point with a
-lower bound of it from seeded direction pairs.
+field, the C^0 sup of a metric difference at one point with a
+lower bound of it from seeded direction pairs, and the closed-form
+cometrics (inverse metrics) of the deformed family.
 """
 
 import numpy as np
@@ -144,3 +145,32 @@ def pair_sup(scenario, delta, x, dirs) -> float:
     for u, v in dirs:
         best = max(best, abs(u @ delta @ v) / np.sqrt((u @ G @ u) * (v @ G @ v)))
     return best
+
+
+def cometric(orbit, tag, l, power=2):
+    """Closed-form inverse of a metric variant at the points of an
+    OrbitData record, from the base metric's inverse and the orbit
+    fields alone.
+
+    The deformed metric (either route) is G^-1 + l^-2 K K^T, the limit
+    G^-1 - A P^-1 A^T + A A^T, and the rescaled metric the limit plus
+    l^2 A P^-1 A^T.  power replaces the exponent 2 of l, so that power=1
+    is the l-for-l^2 negative control."""
+    Gi = np.linalg.inv(orbit.G)
+    vertical = orbit.A @ np.linalg.inv(orbit.P) @ orbit.A.mT
+    if tag in (_k.CHEEGER, _k.CHEEGER_CLOSED):
+        return Gi + orbit.K @ orbit.K.mT / l**power
+    limit = Gi - vertical + orbit.A @ orbit.A.mT
+    if tag == _k.LIMIT:
+        return limit
+    return limit + l**power * vertical
+
+
+def cometric_distance(G, g_resc, g_lim, l, power=2):
+    """Per-point base-metric operator norm of the cometric difference
+    g_resc^-1 - g_lim^-1 over l^2: with G = L L^T, the spectral norm of
+    L^T (g_resc^-1 - g_lim^-1) L / l^2.  power replaces the exponent 2 of
+    l (power=1 is the negative control)."""
+    L = np.linalg.cholesky(G)
+    D = L.mT @ (np.linalg.inv(g_resc) - np.linalg.inv(g_lim)) @ L
+    return np.linalg.norm(D, 2, axis=(-2, -1)) / l**power

@@ -2,7 +2,7 @@
 one at a time, failures stay in their own row, and the plan blocks
 agree with pointwise loops written here."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -89,32 +89,48 @@ def test_orbit_data_stack_matches_single_points(scenario, plan):
         _same(F[n], _k.adapted_frame(stacked.rows(n)))
 
 
-def test_su2_split_has_fixed_rank(su2_s2):
-    pts = build_plan(su2_s2, SweepConfig()).points
-    K = su2_s2.killing(su2_s2.params, pts)
-    mb, iso, status = _k.m_basis(su2_s2.code, K, TOL)
-    assert mb.shape == (len(pts), 3, 2) and iso.shape == (len(pts), 3, 1)
-    assert np.all(status == _k.OK)
-    np.testing.assert_allclose(K @ iso, 0.0, atol=1e-14)
-    # a vanishing, non-finite, rank-one or rank-ambiguous Killing operator
-    # is degenerate in its own row only
+def _degenerate_rows(K):
+    """K with rows 1-4 made degenerate: vanishing, non-finite, rank-one
+    and rank-ambiguous Killing operators; rows 0, 5 and 6 stay regular."""
     bad = K.copy()
     bad[1] = 0.0
     bad[2, 0, 0] = np.inf
     bad[3, 1] = 0.0
     bad[4, 1] *= 5e-8
     bad[5, 1] *= 1e-6
-    mb, iso, status = _k.m_basis(su2_s2.code, bad, TOL)
-    assert list(status[:7]) == [_k.OK] + [_k.DEGENERATE] * 4 + [_k.OK, _k.OK]
+    return bad
+
+
+def test_su2_split_has_fixed_rank(su2_s2):
+    pts = build_plan(su2_s2, SweepConfig()).points
+    K = su2_s2.killing(su2_s2.params, pts)
+    mb, iso = _k.m_basis(su2_s2.code, K, TOL)
+    assert mb.shape == (len(pts), 3, 2) and iso.shape == (len(pts), 3, 1)
+    assert not np.isnan(mb).any() and not np.isnan(iso).any()
+    np.testing.assert_allclose(K @ iso, 0.0, atol=1e-14)
+    # a degenerate Killing operator is NaN in its own row only
+    mb, iso = _k.m_basis(su2_s2.code, _degenerate_rows(K), TOL)
     assert np.isnan(mb[1:5]).all()
     assert not np.isnan(mb[[0, 5, 6]]).any()
+
+
+def test_degenerate_split_reads_nan_in_the_gap_block(su2_s2):
+    # the NaN rows of the split are the gap block's only failure signal
+    pts = build_plan(su2_s2, SweepConfig()).points[:7]
+    bad = _degenerate_rows(su2_s2.killing(su2_s2.params, pts))
+    scenario = replace(su2_s2, killing=lambda par, x: bad)
+    gap = _k.gap_block(scenario, scenario.params, np.array([0.2, 0.1]), pts, TOL)
+    assert gap.shape == (2, 7)
+    np.testing.assert_array_equal(np.isnan(gap).any(axis=0),
+                                  [False, True, True, True, True, False, False])
+    assert np.isnan(gap[:, 1:5]).all()
 
 
 def test_su2_split_signs_are_fixed(su2_s2):
     # the first non-negligible entry of every basis column is positive
     pts = build_plan(su2_s2, SweepConfig()).points
     K = su2_s2.killing(su2_s2.params, pts)
-    mb, iso, status = _k.m_basis(su2_s2.code, K, TOL)
+    mb, iso = _k.m_basis(su2_s2.code, K, TOL)
     cols = np.concatenate([mb, iso], axis=-1).swapaxes(-1, -2).reshape(-1, 3)
     first = np.argmax(np.abs(cols) > 1e-12, axis=-1)
     assert np.all(cols[np.arange(len(cols)), first] > 0.0)

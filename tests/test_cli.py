@@ -10,7 +10,7 @@ from cheegerdef import verify
 from cheegerdef.config import echo, table_keys
 from cheegerdef.gmanifold import NumericalFailure
 from cheegerdef.scenarios import get_scenario, list_scenarios
-from cheegerdef.tensor_calc import SamplePlan
+from cheegerdef.tensor_calc import GEODESIC_CHART_MARGIN, SamplePlan
 from cheegerdef.verify import SweepConfig
 
 TINY = """
@@ -72,6 +72,13 @@ def test_retired_directions_key_rejected(tmp_path, capsys):
     assert "unknown key 'samples.directions'" in capsys.readouterr().err
 
 
+def test_retired_fd_step_key_rejected(tmp_path, capsys):
+    # the finite-difference step is the constant tensor_calc.H_FD
+    p = _write(tmp_path, "scenario = s2_band\nfd.step = 1e-4\n")
+    assert cli.main(["run", str(p)]) == 2
+    assert "unknown key 'fd.step'" in capsys.readouterr().err
+
+
 def test_duplicate_key_rejected(tmp_path, capsys):
     p = _write(tmp_path, "scenario = s2_band\nseed = 1\nseed = 2\n")
     assert cli.main(["run", str(p)]) == 2
@@ -129,7 +136,7 @@ def test_margin_that_empties_the_region_rejected(tmp_path, capsys):
     ("s2_band", "l_grid", "nan 0.1 0.05"),
     ("t2_flat", "scenario.orbit_length", "nan"),
     ("t2_flat", "scenario.orbit_length", "inf"),
-    ("s2_band", "fd.step", "inf"),
+    ("s2_band", "geodesic.step", "inf"),
 ])
 def test_non_finite_number_rejected(tmp_path, capsys, scenario, key, value):
     p = _write(tmp_path, f"scenario = {scenario}\n{key} = {value}\n"
@@ -152,7 +159,6 @@ _EVERY_KEY_WARPED = {
              ("convergence", "oracle")),
     "samples.points": ("64", "sweep.n_points", "samples_points", 64),
     "samples.margin": ("0.15", "sweep.margin", "samples_margin", 0.15),
-    "fd.step": ("2e-4", "sweep.h_fd", "fd_step", 2e-4),
     "cp.order": ("0", "sweep.cp_order", "cp_order", 0),
     "geodesic.step": ("2e-3", "sweep.geodesic_step", "geodesic_step", 2e-3),
     "geodesic.length": ("0.5", "sweep.geodesic_length", "geodesic_length", 0.5),
@@ -219,7 +225,7 @@ def test_every_key_reaches_its_field_and_echo():
             expected = list(value) if isinstance(value, tuple) else value
             assert _at(echo, entry) == expected, key
     keys = set(_EVERY_KEY_WARPED) | set(_EVERY_KEY_T2)
-    assert len(keys) == 35
+    assert len(keys) == 34
     assert keys == table_keys(cli.RunConfig, SweepConfig)
     for other in ("tol.t_floor", "samples_points", "margin", "enabled", "sweep"):
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -249,7 +255,7 @@ def test_geodesic_start_outside_chart(tmp_path, capsys):
 
 
 def test_geodesic_start_inside_integration_margin(tmp_path, capsys):
-    # inside the chart (lo = 0.2) but within 3 fd.step of its edge
+    # inside the chart (lo = 0.2) but within the 3e-4 margin of its edge
     out = tmp_path / "out.csv"
     p = _write(tmp_path, "scenario = s2_band\ngeodesic.starts = 0.2001\n"
                          f"only = geodesic\nout.csv = {out}\n")
@@ -258,6 +264,22 @@ def test_geodesic_start_inside_integration_margin(tmp_path, capsys):
     assert "geodesic start 0.2001" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_geodesic_start_at_the_integration_margin_runs(tmp_path):
+    # the first start outside the 3e-4 margin of the chart edge lo = 0.2
+    start = 0.2 + GEODESIC_CHART_MARGIN
+    p = _write(tmp_path, f"scenario = s2_band\ngeodesic.starts = {start!r}\n"
+                         "geodesic.length = 0.01\nonly = geodesic\n"
+                         f"out.csv = {tmp_path}/sweep.csv\n"
+                         f"out.report = {tmp_path}/report.json\n")
+    # over length 0.01 the base drift stays below its threshold, so the
+    # run fails that verdict (exit 1) and not its config (exit 2)
+    assert cli.main(["run", str(p)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    (row,) = report["report"]["geodesic"]["starts"]
+    assert row["transverse"] == start
+    assert row["limit_status"] == row["base_status"] == "ok"
 
 
 def test_end_to_end_tiny_run(tmp_path, capsys):
@@ -274,7 +296,8 @@ def test_end_to_end_tiny_run(tmp_path, capsys):
     assert csv_text.endswith("\n")
 
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
+    assert "fd_step" not in report["config"]
     assert "plan_dirs" not in report["report"]
     assert "samples_directions" not in report["config"]
     assert set(report["report"]["oracle"]) == {"n_samples", "kernel_max_diff",

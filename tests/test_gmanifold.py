@@ -36,7 +36,7 @@ def test_orbit_rank_constant_on_chart(sid, all_scenarios):
     lo, hi = scenario.region_lo, scenario.region_hi
     pts = lo + (hi - lo) * uniform_draws(123, 9, (100, scenario.dim))
     orbit = _at(scenario, pts)
-    assert np.all(orbit.status == _k.OK)
+    assert np.isfinite(orbit.A).all()
     assert orbit.mb.shape[-1] == scenario.rank
 
 

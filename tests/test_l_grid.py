@@ -11,6 +11,7 @@ from cheegerdef import _kernels as _k
 from cheegerdef import verify
 from cheegerdef.gmanifold import NumericalFailure
 from cheegerdef.scenarios import get_scenario, invariance_elements, list_scenarios
+from cheegerdef.tensor_calc import H_FD
 from cheegerdef.verify import SweepConfig, build_plan, invariance_results, large_l_series
 
 TOL = 1e-8
@@ -55,7 +56,7 @@ def test_gap_and_c1_grids_equal_per_l_calls(planned):
         lambda l: _k.gap_block(scenario, par, l, pts, TOL), CFG.l_grid, len(pts))
     _assert_grid_equals_per_l(
         lambda l: _k.c1_block(scenario, par, _k.RESCALED, l, _k.LIMIT, 0.0,
-                              pts, CFG.h_fd, TOL), CFG.l_grid, len(pts))
+                              pts, H_FD, TOL), CFG.l_grid, len(pts))
 
 
 def test_t_pair_grid_equals_per_l_calls(planned):
@@ -63,11 +64,11 @@ def test_t_pair_grid_equals_per_l_calls(planned):
     scenario, plan = planned
     par, pts = scenario.params, plan.points[::12]
     rescaled, base = _k.t_pair_block(scenario, par, _k.RESCALED, np.asarray(CFG.l_grid),
-                                     pts, CFG.h_fd, TOL)
+                                     pts, H_FD, TOL)
     assert rescaled.shape == (len(CFG.l_grid), len(pts))
     assert base.shape == (len(pts),)
     for row, l in zip(rescaled, CFG.l_grid):
-        resc_l, base_l = _k.t_pair_block(scenario, par, _k.RESCALED, l, pts, CFG.h_fd, TOL)
+        resc_l, base_l = _k.t_pair_block(scenario, par, _k.RESCALED, l, pts, H_FD, TOL)
         assert resc_l.shape == base_l.shape == (len(pts),)
         np.testing.assert_array_equal(row, resc_l)
         np.testing.assert_array_equal(base, base_l)

@@ -25,6 +25,7 @@ from cheegerdef import _kernels as _k
 from cheegerdef import cli, verify
 from cheegerdef.gmanifold import SIGMA_TOL
 from cheegerdef.scenarios import Scenario, get_scenario, list_scenarios
+from cheegerdef.tensor_calc import H_FD
 from cheegerdef.verify import SweepConfig, build_plan
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -108,7 +109,7 @@ def _t_errors(scenario, plan):
     1/2 |d_phi log p| with d_phi p from the catalogued derivative)."""
     ls = np.asarray(CFG.l_grid)
     rescaled, base = _k.t_pair_block(scenario, scenario.params, _k.RESCALED, ls,
-                                     plan.points, CFG.h_fd, SIGMA_TOL)
+                                     plan.points, H_FD, SIGMA_TOL)
     p = _k.orbit_data(scenario, scenario.params, plan.points, SIGMA_TOL).P[:, 0, 0]
     dp = scenario.metric_dx(scenario.params, plan.points)[:, 1, 0, 0]
     l2 = ls[:, None] ** 2
@@ -149,9 +150,9 @@ def test_blocks_compute_the_geometry_they_are_not_given(planned):
         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL, plan.geometry),
         _k.gap_block(scenario, par, ls, pts, SIGMA_TOL))
     np.testing.assert_array_equal(
-        _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, CFG.h_fd, SIGMA_TOL,
+        _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, H_FD, SIGMA_TOL,
                     plan.geometry),
-        _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, CFG.h_fd, SIGMA_TOL))
+        _k.c1_block(scenario, par, _k.RESCALED, ls, _k.LIMIT, 0.0, pts, H_FD, SIGMA_TOL))
 
 
 def test_sample_stages_compute_each_point_set_once(monkeypatch):

@@ -12,8 +12,9 @@ import pytest
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import Chart, DomainError, NumericalFailure
-from cheegerdef.tensor_calc import (GeodesicResult, integrate_geodesics,
-                                    orbit_invariant_drift, speed_drift)
+from cheegerdef.tensor_calc import (GEODESIC_CHART_MARGIN, GeodesicResult,
+                                    integrate_geodesics, orbit_invariant_drift,
+                                    speed_drift)
 
 NON_TRANSITIVE = ("s2_band", "warped_s2", "s3_hopf", "t2_flat")
 TOL = 1e-8
@@ -315,16 +316,42 @@ def test_drifts_match_pointwise_loops(warped_s2, tag):
 
 
 def test_start_inside_the_integration_margin_is_refused(s2_band):
-    # the chart's lo is 0.2 and RK4 stops a row within 3 h of it, so a
+    # the chart's lo is 0.2 and RK4 stops a row within 3e-4 of it, so a
     # start at 0.2001 would stop at step 0 with nothing measured
     lim = variant(s2_band, "limit")
     v0 = np.array([1.0, 0.0])
+    assert GEODESIC_CHART_MARGIN == _k.GEODESIC_MARGIN * H == pytest.approx(3e-4)
     with pytest.raises(DomainError, match="margin"):
         integrate_geodesics(lim, [[0.3, 0.9], [0.3, 0.2001]], [v0, v0], length=3.0,
-                            step=1e-3, h=H)
-    (res,) = integrate_geodesics(lim, [[0.3, 0.2 + _k.GEODESIC_MARGIN * H]], [v0],
-                                 length=0.01, step=1e-3, h=H)
+                            step=1e-3)
+    (res,) = integrate_geodesics(lim, [[0.3, 0.2 + GEODESIC_CHART_MARGIN]], [v0],
+                                 length=0.01, step=1e-3)
     assert res.status == "ok" and res.steps == 10
+
+
+@pytest.mark.parametrize("sid", ("s2_band", "s3_hopf", "t2_flat"))
+def test_cheeger_stack_takes_the_finite_difference_route(sid, request):
+    """A deformed-metric stack on the reparametrisation route gives the
+    trajectories, statuses and step counts of the kernel's FD route: the
+    kernels send the cheeger tag to finite differences whatever analytic
+    says."""
+    scenario = request.getfixturevalue(sid)
+    cheeger = variant(scenario, "cheeger", 0.5)
+    x0s, v0s = _starts(scenario)
+    results = integrate_geodesics(cheeger, x0s, v0s, length=0.2, step=1e-2,
+                                  unit_speed=False)
+    chart = scenario.chart
+    traj, status, _, done = _k.geodesic_rk4(
+        scenario.code, scenario.params, _k.CHEEGER, 0.5, x0s, v0s, 20, 1e-2, H, False,
+        chart.lo, chart.hi, chart.periodic.astype(np.int64), TOL)
+    for s, res in enumerate(results):
+        assert res.status == "ok" and int(status[s]) == _k.OK
+        assert res.steps == done[s] == 20
+        np.testing.assert_array_equal(res.states, traj[s])
+    # the reparametrisation route does not mix with the base metric
+    with pytest.raises(ValueError, match="mixed geodesic stack"):
+        integrate_geodesics([cheeger, variant(scenario, "original")], x0s[:2], v0s[:2],
+                            length=0.05, step=1e-2)
 
 
 def _speed(res, k):

@@ -91,7 +91,7 @@ def test_geodesic_meridian_leaves_chart(s2_band):
     v = variant(s2_band, "original")
     (res,) = integrate_geodesics(v, [[0.3, 0.9]], [[0.0, 1.0]], length=3.0, step=1e-3)
     assert res.status == "left_domain"
-    assert res.steps * res.dt < 3.0
+    assert res.steps * 1e-3 < 3.0
     # a meridian is a geodesic: the heading angle never moves
     np.testing.assert_allclose(res.positions[:, 0], 0.3, atol=1e-12)
 
