@@ -204,8 +204,10 @@ def m_basis(scen, K, sigma_tol):
 
     Returns (mb, iso): mb has orthonormal columns spanning the
     complement of the kernel of K (coefficient space), iso spans the
-    kernel.  The circle actions have a constant, nonzero action field,
-    so their split is trivial and shared (read-only views).  On the SVD
+    kernel.  A circle's algebra is one-dimensional, so wherever its
+    action field is nonzero the isotropy is trivial and mb = 1: that
+    split is shared (read-only views), and a point where the field
+    vanishes has P = 0, which the Cholesky gate rejects.  On the SVD
     path the orbit rank is the record's rank; the row of mb and iso is
     NaN where K is not finite or vanishes, where a singular value sits
     inside the ambiguity band [0.1, 10] * sigma_tol * sigma_max, or where
@@ -412,14 +414,15 @@ def _rank_update_dx(scen, par, tag, l, orbit, base=None):
     its catalogued derivative instead; the Cholesky gate of P does not
     act on those rows.
 
-    At orbit rank 1 the derivative is
-    dG_v = dG - y (dw w^T + w dw^T) - (dy/dp) dp w w^T with dw = dG a
-    (plus G da when the algebra has dimension above 1) and
-    dp = a^T dw + da^T w, from the per-row scalars of _rank_update; the
-    base rows have y = dy/dp = 0 and so keep dG.  At rank 2 it is the
-    product rule with dP^{-1} = -P^{-1} dP P^{-1} and likewise for
-    (l^2 + P)^{-1}, and the base rows are selected from the base metric
-    and its derivative, both evaluated here for every row.
+    One rule serves every group: dA = (dK) mb from the catalogued
+    Killing derivative, dW = dG A + G dA and dP = A^T dW + dA^T W.  At
+    orbit rank 1 (W = w, P = p) the derivative is
+    dG_v = dG - y (dw w^T + w dw^T) - (dy/dp) dp w w^T, from the per-row
+    scalars of _rank_update; the base rows have y = dy/dp = 0 and so
+    keep dG.  At rank 2 it is the product rule with
+    dP^{-1} = -P^{-1} dP P^{-1} and likewise for (l^2 + P)^{-1}, and the
+    base rows are selected from the base metric and its derivative, both
+    evaluated here for every row.
 
     d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
     orthogonal projector Q onto the isotropy complement, so the basis
@@ -434,15 +437,9 @@ def _rank_update_dx(scen, par, tag, l, orbit, base=None):
     dG = scen.metric_dx(par, orbit.x)
     # one extra axis for the derivative direction m
     A, W = orbit.A[..., None, :, :], orbit.W[..., None, :, :]
-    dW = dG @ A
-    if scen.group.algebra.dim == 1:
-        # every catalogued circle action shifts chart coordinates, so its
-        # action field is constant: dA = 0
-        dP = A.mT @ dW
-    else:
-        dA = scen.killing_dx(par, orbit.x) @ orbit.mb[..., None, :, :]
-        dW = dW + G[..., None, :, :] @ dA
-        dP = A.mT @ dW + dA.mT @ W
+    dA = scen.killing_dx(par, orbit.x) @ orbit.mb[..., None, :, :]
+    dW = dG @ A + G[..., None, :, :] @ dA
+    dP = A.mT @ dW + dA.mT @ W
     if A.shape[-1] == 1:
         Y, dY = (c[..., None, :, :] for c in coef)
         B = dW @ W.mT

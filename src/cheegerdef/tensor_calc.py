@@ -6,6 +6,8 @@ rank-update variant; each start keeps its own variant, status and step
 count.  Its Christoffel symbols are exact for every variant but the
 deformed metric of the reparametrisation route, which takes fourth-order
 central differences with one Richardson extrapolation level (step H_FD).
+The exact ones are one product rule for every group, on the catalogued
+derivatives of the base metric and of the Killing operator.
 A sample plan carries its points and the geometry of its points (the
 kernels' OrbitData record and adapted frame), computed on first use, and
 the verification stages pass them to every C^0, C^1 and gap block they

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import pytest
+from oracles import SHEARS, pulled_back
 
 from cheegerdef.scenarios import get_scenario, list_scenarios
 
@@ -33,3 +34,20 @@ def t2_flat():
 @pytest.fixture(scope="session")
 def all_scenarios():
     return tuple(get_scenario(sid) for sid in list_scenarios())
+
+
+@pytest.fixture(scope="session")
+def pulled_back_records():
+    """Every catalogued scenario pulled back through its sheared chart
+    (oracles.SHEARS), by catalogued id."""
+    return {sid: pulled_back(get_scenario(sid), psi) for sid, psi in SHEARS.items()}
+
+
+@pytest.fixture(scope="session")
+def record(pulled_back_records):
+    """The scenario record that a test's scenario parameter names: a
+    catalogued id, or a pulled-back record's id (oracles.pulled_back_ids),
+    so that a catalogue-wide test opts in to the pulled-back records by
+    adding their ids to its parameter."""
+    by_id = {r.scenario_id: r for r in pulled_back_records.values()}
+    return lambda sid: by_id[sid] if sid in by_id else get_scenario(sid)

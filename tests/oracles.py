@@ -2,16 +2,21 @@
 computes in stacks or in closed form, each with one code path: the
 Lie-algebra identities of a basis, group membership, the exponential of
 one algebra vector, finite-difference
-derivatives of the action and of matrix fields, the pullback of a metric
+derivatives of the action and of matrix fields with the relative
+error of exact derivatives against them, the pullback of a metric
 field, the C^0 sup of a metric difference at one point with a
-lower bound of it from seeded direction pairs, and the closed-form
-cometrics (inverse metrics) of the deformed family.
+lower bound of it from seeded direction pairs, the closed-form
+cometrics (inverse metrics) of the deformed family with the closed-form
+geodesics of the deformed metric, and each scenario record pulled back
+through a sheared chart, in which no action is a coordinate shift.
 """
+
+import dataclasses
 
 import numpy as np
 
 from cheegerdef import _kernels as _k
-from cheegerdef.gmanifold import SIGMA_TOL
+from cheegerdef.gmanifold import SIGMA_TOL, Chart
 from cheegerdef.lie_core import GroupElement, _quat_left_mult, closed_form_exp
 
 
@@ -78,6 +83,22 @@ def group_exp(group, coeffs, t=1.0):
     """The group element exp(t X) of the algebra vector coeffs, one
     element at a time."""
     return GroupElement(group.group_id, closed_form_exp(t * group.algebra.element(coeffs)))
+
+
+def fd_relative_error(exact, fd):
+    """Worst point of the max deviation of exact derivatives from their
+    finite-difference oracle, relative to the larger of 1 and the FD
+    values at that point.
+
+    The catalogue's metrics are O(1), and the FD side carries rounding
+    noise of about eps / h times the metric, so components that vanish
+    are measured against the metric's scale.  The last three axes are
+    one point's components; the leading axes index the points (and the
+    l values).
+    """
+    axes = (-3, -2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(fd), axis=axes))
+    return float(np.max(np.max(np.abs(exact - fd), axis=axes) / scale))
 
 
 def central_difference(f, h):
@@ -174,3 +195,221 @@ def cometric_distance(G, g_resc, g_lim, l, power=2):
     L = np.linalg.cholesky(G)
     D = L.mT @ (np.linalg.inv(g_resc) - np.linalg.inv(g_lim)) @ L
     return np.linalg.norm(D, 2, axis=(-2, -1)) / l**power
+
+
+@dataclasses.dataclass(frozen=True)
+class Shear:
+    """The chart change y = x + amplitude sin(x[source]) e[target] in
+    closed form, source != target, with its first two derivatives.  Its
+    inverse is the shear of opposite amplitude, since it leaves
+    x[source] alone.  Each function takes a point or a stack (..., d)."""
+
+    target: int
+    source: int
+    amplitude: float
+
+    def __call__(self, x):
+        y = np.array(x, dtype=float)
+        y[..., self.target] += self.amplitude * np.sin(y[..., self.source])
+        return y
+
+    @property
+    def inverse(self):
+        return Shear(self.target, self.source, -self.amplitude)
+
+    def jac(self, x):
+        """D psi (..., d, d), [i, j] = d_j psi_i."""
+        x = np.asarray(x, dtype=float)
+        d = x.shape[-1]
+        # the identity written through the flat entries, the cheapest
+        # way to build a small stack of them
+        J = np.zeros(x.shape[:-1] + (d * d,))
+        J[..., ::d + 1] = 1.0
+        J = J.reshape(x.shape[:-1] + (d, d))
+        J[..., self.target, self.source] = self.amplitude * np.cos(x[..., self.source])
+        return J
+
+    def hess(self, x):
+        """D^2 psi (..., d, d, d), [i, j, k] = d_j d_k psi_i."""
+        x = np.asarray(x, dtype=float)
+        d = x.shape[-1]
+        H = np.zeros(x.shape[:-1] + (d, d, d))
+        H[..., self.target, self.source, self.source] = (
+            -self.amplitude * np.sin(x[..., self.source]))
+        return H
+
+    def box(self, lo, hi, periodic):
+        """The largest box (lo, hi) of y whose preimage lies in the x box:
+        a sheared axis that is not periodic shrinks by the amplitude."""
+        shrink = np.zeros(len(lo))
+        if not periodic[self.target]:
+            shrink[self.target] = abs(self.amplitude)
+        return lo + shrink, hi - shrink
+
+
+# each catalogued scenario's chart change: an axis that the action does
+# not move, sheared by a function of one that it does
+SHEARS = {
+    "s2_band": Shear(1, 0, 0.15),
+    "warped_s2": Shear(1, 0, 0.15),
+    "s3_hopf": Shear(2, 0, 0.1),
+    "su2_s2": Shear(1, 0, 0.15),
+    "t2_flat": Shear(1, 0, 0.15),
+}
+
+
+def pulled_back_ids(sids):
+    """The record ids of the pulled-back scenarios sids: a catalogue-wide
+    test adds them to its scenario parameter, and the conftest fixture
+    record resolves them."""
+    return tuple(f"{sid}.pulled_back" for sid in sids)
+
+
+def _contract(J, T):
+    """sum_k J[..., k, c] T[..., k, ...] as (..., c, ...): the first
+    index of the stack T carried through the matrix J^T."""
+    n = J.shape[-1]
+    lead = J.shape[:-2]
+    return (J.mT @ T.reshape(lead + (n, -1))).reshape(lead + (n,) + T.shape[len(lead) + 1:])
+
+
+def pulled_back(scenario, psi):
+    """The scenario record in the chart y = psi(x): the same geometry and
+    action, with every chart-dependent field rebuilt by the chain rule.
+
+    psi is a closed-form diffeomorphism: psi(x), its Jacobian psi.jac
+    (D psi) and second derivatives psi.hess (D^2 psi), its inverse
+    psi.inverse with the same three, and psi.box, which maps the chart
+    box and the sampling region into the image of psi.  With
+    phi = psi^-1 and x = phi(y): the metric is D phi^T g D phi, a
+    Killing field K becomes D psi K, the action is psi . g . phi with
+    Jacobian D psi(g x) J_g(x) D phi(y), and the orbit invariants and
+    geodesic starts are composed with phi and psi.
+    """
+    phi = psi.inverse
+    last = {}
+
+    def jets(y):
+        """x = phi(y), D phi(y), D^2 phi(y) as [..., c, a, i] = d_a d_c phi_i,
+        D psi(x) and D^2 psi(x) as [..., l, i, j] = d_j d_l psi_i.  The
+        kernels call the four fields of a record on the same points in
+        turn, so the last point set's jets are kept, compared by value."""
+        y = np.asarray(y, dtype=float)
+        if "y" not in last or last["y"].shape != y.shape or not (last["y"] == y).all():
+            x = phi(y)
+            lead = tuple(range(y.ndim - 1))
+            last["y"] = y.copy()
+            last["jets"] = (x, phi.jac(y), phi.hess(y).transpose(lead + (-1, -2, -3)),
+                            psi.jac(x), psi.hess(x).transpose(lead + (-1, -3, -2)))
+        return last["jets"]
+
+    def metric(par, y):
+        x, Ji, *_ = jets(y)
+        return Ji.mT @ scenario.metric(par, x) @ Ji
+
+    def metric_dx(par, y):
+        x, Ji, D2, *_ = jets(y)
+        Jk = Ji[..., None, :, :]
+        chained = _contract(Ji, Jk.mT @ scenario.metric_dx(par, x) @ Jk)
+        moved = D2 @ (scenario.metric(par, x) @ Ji)[..., None, :, :]
+        return chained + moved + moved.mT
+
+    def killing(par, y):
+        x, _, _, J, _ = jets(y)
+        return J @ scenario.killing(par, x)
+
+    def killing_dx(par, y):
+        x, Ji, _, J, H = jets(y)
+        # d_l (D psi K) as [..., l, i, k]
+        dK = (H @ scenario.killing(par, x)[..., None, :, :]
+              + J[..., None, :, :] @ scenario.killing_dx(par, x))
+        return _contract(Ji, dK)
+
+    def action(g, y):
+        return psi(scenario.act(g, phi(y)))
+
+    def jacobian(g, y):
+        x = phi(y)
+        return psi.jac(scenario.act(g, x)) @ scenario.action_jacobian(g, x) @ phi.jac(y)
+
+    chart = scenario.chart
+    lo, hi = psi.box(chart.lo, chart.hi, chart.periodic)
+    region_lo, region_hi = psi.box(scenario.region_lo, scenario.region_hi, chart.periodic)
+    start = scenario.start_from_transverse
+    return dataclasses.replace(
+        scenario,
+        scenario_id=pulled_back_ids([scenario.scenario_id])[0],
+        chart=Chart(labels=chart.labels, lo=lo, hi=hi, periodic=chart.periodic),
+        action=action, jacobian=jacobian, metric=metric, metric_dx=metric_dx,
+        killing=killing, killing_dx=killing_dx,
+        orbit_invariants=lambda y: scenario.orbit_invariants(phi(y)),
+        region_lo=region_lo, region_hi=region_hi,
+        start_from_transverse=lambda c: psi(start(c)))
+
+
+def _s2_embedding(x):
+    """Point of the unit 2-sphere at chart point x = (theta, phi), and
+    the chart Jacobian (3, 2) of the embedding there."""
+    th, ph = x
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    return (np.array([sp * ct, sp * st, cp]),
+            np.array([[-sp * st, cp * ct], [sp * ct, cp * st], [0.0, -sp]]))
+
+
+def _s2_chart(p):
+    return np.stack([np.arctan2(p[..., 1], p[..., 0]),
+                     np.arccos(np.clip(p[..., 2], -1.0, 1.0))], axis=-1)
+
+
+def _s3_embedding(x):
+    """Point of the unit 3-sphere (cos eta e^{i xi1}, sin eta e^{i xi2})
+    at chart point x = (xi1, xi2, eta), and the chart Jacobian (4, 3)."""
+    x1, x2, eta = x
+    c, s = np.cos(eta), np.sin(eta)
+    return (np.array([c * np.cos(x1), c * np.sin(x1), s * np.cos(x2), s * np.sin(x2)]),
+            np.array([[-c * np.sin(x1), 0.0, -s * np.cos(x1)],
+                      [c * np.cos(x1), 0.0, -s * np.sin(x1)],
+                      [0.0, -s * np.sin(x2), c * np.cos(x2)],
+                      [0.0, s * np.cos(x2), c * np.sin(x2)]]))
+
+
+def _s3_chart(p):
+    return np.stack([np.arctan2(p[..., 1], p[..., 0]), np.arctan2(p[..., 3], p[..., 2]),
+                     np.arctan2(np.hypot(p[..., 2], p[..., 3]),
+                                np.hypot(p[..., 0], p[..., 1]))], axis=-1)
+
+
+# the base metrics whose geodesics are great circles of a unit sphere
+_SPHERES = {"s2_band": (_s2_embedding, _s2_chart), "s3_hopf": (_s3_embedding, _s3_chart)}
+
+
+def base_geodesic(scenario, x0, u0, ts):
+    """Chart points (len(ts), d) of the base-metric geodesic through x0
+    with chart velocity u0, in closed form: a great circle on s2_band
+    and s3_hopf, a straight line on the flat torus t2_flat.  Angles come
+    back in (-pi, pi]."""
+    ts = np.asarray(ts, dtype=float)[:, None]
+    if scenario.scenario_id == "t2_flat":
+        return x0 + ts * u0
+    embed, chart = _SPHERES[scenario.scenario_id]
+    p0, J = embed(x0)
+    w = J @ u0
+    s = np.linalg.norm(w)
+    return chart(np.cos(s * ts) * p0 + np.sin(s * ts) * (w / s))
+
+
+def cheeger_geodesic(scenario, x0, v0, l, ts, power=2):
+    """Chart points (len(ts), d) of the g_l-geodesic through x0 with
+    velocity v0: exp(t xi / l^2) . gamma(t), gamma the base geodesic
+    with the same initial covector p0 = g_l v0 and xi = K^T p0 its
+    momentum.  p0 comes from the closed-form cometric G^-1 + l^-2 K K^T,
+    so only the record's metric, Killing operator and action enter.
+    power replaces the exponent 2 of l (power=1 is the negative
+    control)."""
+    par = scenario.params
+    G, K = scenario.metric(par, x0), scenario.killing(par, x0)
+    p0 = np.linalg.solve(np.linalg.inv(G) + K @ K.T / l**2, v0)
+    xi = K.T @ p0
+    gamma = base_geodesic(scenario, x0, np.linalg.solve(G, p0), ts)
+    return np.stack([scenario.act(group_exp(scenario.group, xi, t / l**power), y)
+                     for t, y in zip(ts, gamma)])

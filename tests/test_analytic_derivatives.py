@@ -1,13 +1,16 @@
 """Exact derivatives of the rank-update variants against their oracles.
 
 The analytic route (product rule on G - W Y(P) W^T) must agree with the
-Richardson finite differences over the whole pipeline, the limit metric
+Richardson finite differences over the whole pipeline, in the catalogued
+charts and in the sheared charts of the pulled-back records, where the
+orbit fields vary and no action is a coordinate shift; the limit metric
 must reproduce the exact geodesics where it is flat in the chart, and a
 degenerate orbit must still poison every route.
 """
 
 import numpy as np
 import pytest
+from oracles import fd_relative_error, pulled_back_ids
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
@@ -24,26 +27,11 @@ def _geodesic_starts(scenario):
 FLAT_LIMIT = ("s2_band", "warped_s2", "t2_flat")
 
 
-def _rel_err(exact, fd):
-    """Worst point of the max deviation relative to the larger of 1 and
-    the FD values at that point.
-
-    The catalogue's metrics are O(1), and the FD side carries rounding
-    noise of about eps / h times the metric, so components that vanish
-    are measured against the metric's scale.  The last three axes are
-    one point's components; the leading axes index the points (and the
-    l values).
-    """
-    axes = (-3, -2, -1)
-    scale = np.maximum(1.0, np.max(np.abs(fd), axis=axes))
-    return float(np.max(np.max(np.abs(exact - fd), axis=axes) / scale))
-
-
-@pytest.mark.parametrize("sid", list_scenarios())
-def test_analytic_derivatives_match_fd_oracle(sid):
+@pytest.mark.parametrize("sid", list_scenarios() + pulled_back_ids(list_scenarios()))
+def test_analytic_derivatives_match_fd_oracle(sid, record):
     # one call per tag on the whole plan: the derivatives take the l grid
     # as an (L, 1) column, the symbols one l at a time on the (N, d) stack
-    scenario = get_scenario(sid)
+    scenario = record(sid)
     code, par = scenario.code, scenario.params
     pts = build_plan(scenario, SweepConfig()).points
     column = np.reshape(DEFAULT_L_GRID, (-1, 1))
@@ -52,11 +40,11 @@ def test_analytic_derivatives_match_fd_oracle(sid):
         exact = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, True, 1e-8)
         fd = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, False, 1e-8)
         assert exact.shape == fd.shape
-        worst_dx = max(worst_dx, _rel_err(exact, fd))
+        worst_dx = max(worst_dx, fd_relative_error(exact, fd))
         for l in DEFAULT_L_GRID:
             exact = _k.christoffel(code, par, tag, l, pts, H_FD, True, 1e-8)
             fd = _k.christoffel(code, par, tag, l, pts, H_FD, False, 1e-8)
-            worst_gam = max(worst_gam, _rel_err(exact, fd))
+            worst_gam = max(worst_gam, fd_relative_error(exact, fd))
     assert worst_dx <= 1e-8
     # the FD side of the symbols is amplified by the inverse metric,
     # about 1/l^2 on the vertical block of the deformed metric

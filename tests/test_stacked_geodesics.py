@@ -2,12 +2,14 @@
 state, each start keeps its own status and step count, and every row
 equals the same start integrated alone.  A stack may mix the base metric
 with the limit metric; each of its rows equals the same start in a stack
-of its own variant."""
+of its own variant.  The catalogue-wide tests also run on the
+pulled-back records, whose sheared charts make every orbit field vary."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from oracles import pulled_back_ids
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
@@ -17,6 +19,7 @@ from cheegerdef.tensor_calc import (GEODESIC_CHART_MARGIN, GeodesicResult,
                                     speed_drift)
 
 NON_TRANSITIVE = ("s2_band", "warped_s2", "s3_hopf", "t2_flat")
+IN_EVERY_CHART = NON_TRANSITIVE + pulled_back_ids(NON_TRANSITIVE)
 TOL = 1e-8
 H = 1e-4
 
@@ -51,10 +54,13 @@ def _assert_same(stacked, single):
     np.testing.assert_array_equal(stacked.states, single.states)
 
 
-@pytest.mark.parametrize("tag", ("limit", "original"))
-@pytest.mark.parametrize("sid", NON_TRANSITIVE)
-def test_stacked_geodesics_equal_single_starts(sid, tag, request):
-    scenario = request.getfixturevalue(sid)
+# the base metric's symbols do not read the orbit fields, and the mixed
+# stacks below run its rows on the pulled-back records
+@pytest.mark.parametrize("sid, tag", (
+    *((sid, tag) for tag in ("limit", "original") for sid in NON_TRANSITIVE),
+    *((sid, "limit") for sid in pulled_back_ids(NON_TRANSITIVE))))
+def test_stacked_geodesics_equal_single_starts(sid, tag, record):
+    scenario = record(sid)
     v = variant(scenario, tag)
     x0s, v0s = _starts(scenario)
     stacked = integrate_geodesics(v, x0s, v0s, length=3.0, step=1e-2)
@@ -129,9 +135,9 @@ def _mixed(scenario, x0s_lim, v0s_lim, x0s_base, v0s_base, **kw):
     return mixed, alone
 
 
-@pytest.mark.parametrize("sid", NON_TRANSITIVE)
-def test_mixed_stack_rows_equal_their_one_variant_stacks(sid, request):
-    scenario = request.getfixturevalue(sid)
+@pytest.mark.parametrize("sid", IN_EVERY_CHART)
+def test_mixed_stack_rows_equal_their_one_variant_stacks(sid, record):
+    scenario = record(sid)
     x0s, v0s = _starts(scenario)
     mixed, alone = _mixed(scenario, x0s, v0s, x0s, v0s, length=3.0, step=1e-2)
     assert [r.variant.tag for r in mixed] == ["limit"] * 3 + ["original"] * 3
@@ -174,12 +180,12 @@ def test_mixed_stack_base_meridian_row_leaves_chart_alone(s2_band):
         _assert_same(res, one)
 
 
-@pytest.mark.parametrize("sid", NON_TRANSITIVE)
-def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, request):
+@pytest.mark.parametrize("sid", IN_EVERY_CHART)
+def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, record):
     # a mixed call gives its base rows the coefficients y = dy/dp = 0 of
     # the rank-one update, which must leave the base metric's symbols
     # exactly; the rank-update rows equal a call of their own tag
-    scenario = request.getfixturevalue(sid)
+    scenario = record(sid)
     code, par = scenario.code, scenario.params
     x = _geodesic_starts(scenario)
     base = np.array([False] * len(x) + [True] * len(x))
