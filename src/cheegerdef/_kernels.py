@@ -40,14 +40,15 @@ are one rank update G - W Y(P) W^T of the base metric, so their value
 and their exact first derivatives come from the record's W and P; the
 reparametrisation route (CHEEGER) stays independent, reads only G and A,
 and keeps finite-difference derivatives, which also serve as the oracle
-for the analytic ones.  At orbit rank 1 (every circle action) P is a
-scalar p per point and the update is G - y(p) w w^T with w = G a, so
-_rank_update computes y and dy/dp per row in closed form, like the
-size-1 branches of inv_mat and _positive, and no 1 x 1 matrix algebra
-runs; rank 2 keeps the matrix route.  In a mixed geodesic stack the base
-rows of a rank-one update get y = dy/dp = 0, so they return the base
-metric and its derivative from the same arithmetic, with nothing to
-select afterwards.
+for the analytic ones.  Each tag's Y is one scalar function y of the
+eigenvalues of P, written once with its divided differences (_TABLE),
+so one rule serves every orbit rank: Y = U diag(y(lam)) U^T and
+dY = U (y[lam_i, lam_j] o U^T dP U) U^T on the closed-form
+eigendecomposition of _eigh, the only place that tells the ranks apart.
+At rank 1 (every circle action) lam = p and U = 1, and no rotation
+runs.  In a mixed geodesic stack the base rows get Y = dY = 0, so they
+return the base metric and its derivative from the same arithmetic, with
+nothing to select afterwards.
 
 Failures are per point: a degenerate algebra split, an orbit tensor that
 fails the Cholesky gate or a blown-up conditioning turns that point's
@@ -95,13 +96,13 @@ def _sq(l):
 _EYE = tuple(np.eye(n) for n in range(4))
 
 
-def _nan_rows(ok, M, core=2):
+def _nan_rows(ok, M):
     """M with the rows where ok is False replaced by NaN.  ok is aligned
-    with M's axes before its core trailing ones from the right, so an l
+    with M's axes before its two trailing ones from the right, so an l
     axis that M carries in front of ok's axes broadcasts."""
     if ok.ndim == 0:
         return M if ok else np.full_like(M, np.nan)
-    return np.where(ok.reshape(ok.shape + (1,) * core), M, np.nan)
+    return np.where(ok[..., None, None], M, np.nan)
 
 
 def _positive(P):
@@ -315,62 +316,85 @@ def plan_geometry(scen, par, pts, sigma_tol):
     return orbit, adapted_frame(orbit)
 
 
-def _rank_update(tag, l, orbit, base=None):
-    """Value and coefficients of the rank update G_v = G - W Y(P) W^T
-    of the record orbit.
+def _eigh(P):
+    """Closed-form eigendecomposition P = U diag(lam) U^T of a stack of
+    symmetric r x r matrices, r <= 2, as (lam, U): the eigenvalues as a
+    row lam (..., 1, r), the orthonormal eigenvectors as the columns of
+    U.  At r = 1 lam = P and U = 1; at r = 2 lam is the mean of the
+    diagonal plus and minus the hypotenuse of its half-difference and
+    P_01, and U the rotation by half the angle of (P_00 - P_11, 2 P_01).
+    Unlike np.linalg.eigh, which fails the whole stack on one row that is
+    not finite, a NaN row stays NaN alone."""
+    if P.shape[-1] == 1:
+        return P, _EYE[1]
+    a, b, c = P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]
+    mid, half = 0.5 * (a + c), 0.5 * (a - c)
+    rad = np.hypot(half, b)
+    t = 0.5 * np.arctan2(b, half)
+    # filled in place: cheaper than np.stack on these small stacks
+    lam = np.empty(P.shape[:-2] + (1, 2))
+    lam[..., 0, 0], lam[..., 0, 1] = mid + rad, mid - rad
+    U = np.empty(P.shape)
+    U[..., 0, 0] = U[..., 1, 1] = np.cos(t)
+    U[..., 1, 0] = np.sin(t)
+    U[..., 0, 1] = -U[..., 1, 0]
+    return lam, U
+
+
+def _rotate(U, M):
+    """U M U^T over a stack of matrices M, and U diag(M) U^T for a row M
+    (..., 1, r); M itself at r = 1, where U = 1."""
+    if U.shape[-1] == 1:
+        return M
+    return (U * M if M.shape[-2] == 1 else U @ M) @ U.mT
+
+
+# per rank-update tag, the scalar function y with Y(P) = U diag(y(lam)) U^T
+# and its divided difference y[a, b] = (y(a) - y(b)) / (a - b), y'(a) at
+# a = b, in pi = 1 / lam and mu = 1 / (l^2 + lam) without the quotient,
+# so that equal or crossing eigenvalues lose nothing.  pi and mu are rows
+# (..., 1, r) over the eigenvalues: pi.mT holds a and pi holds b
+_TABLE = {
+    CHEEGER_CLOSED: (lambda pi, mu: mu,
+                     lambda pi, mu: -(mu.mT * mu)),
+    RESCALED: (lambda pi, mu: pi - mu * pi,
+               lambda pi, mu: mu.mT * pi * (mu + pi.mT) - pi.mT * pi),
+    LIMIT: (lambda pi, mu: pi - pi * pi,
+            lambda pi, mu: pi.mT * pi * (pi.mT + pi - 1.0)),
+}
+
+
+def _rank_update(tag, l, orbit, dP=None, base=None):
+    """The rank update G_v = G - W Y(P) W^T of the record orbit, as
+    (G_v, Y W^T, dY).
 
     Y(P) is (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1}
-    for RESCALED and P^{-1} - P^{-2} for LIMIT.  Returns (G_v, coef).
-
-    At orbit rank 1 (a circle action) P is the per-row scalar p = a^T G a
-    and the update is G - y(p) w w^T with w = G a: coef is (y, dy/dp),
-    each shaped (..., 1, 1) to scale a matrix stack, in closed form like
-    the size-1 branches of inv_mat and _positive.  p goes through the
-    Cholesky gate, so a row that fails it (p <= 0 or NaN) has y = NaN and
-    an all-NaN G_v.  base is None or a boolean mask of the rows that take
-    the base metric (a mixed geodesic stack): those rows get y = dy/dp = 0,
-    so G_v = G there and no orbit piece can poison them.
-
-    At rank 2 coef is (Y, Pi, Mi, ok) with Pi = P^{-1} and
-    Mi = (l^2 + P)^{-1} (Mi = Pi for LIMIT), and base is not read here.
-    ok is False on the rows whose P fails the Cholesky positivity gate,
-    degenerate algebra splits included (their P is NaN); those rows of
-    G_v are NaN and the other outputs of those rows are meaningless.
+    for RESCALED and P^{-1} - P^{-2} for LIMIT, each the function y of
+    _TABLE on the eigenvalues of P.  Given the chart derivatives dP
+    (..., d, r, r), dY = U (y[lam_i, lam_j] o U^T dP U) U^T
+    (Daleckii-Krein); without them dY is None and no divided difference
+    is computed.  The eigenvalues pass the Cholesky gate of P, so a row
+    that fails it (a degenerate split's P is NaN) has an all-NaN G_v.
+    base, given with dP, masks the rows of a mixed geodesic stack that
+    take the base metric: they get Y = dY = 0 whatever their P holds.
     """
-    G, W, P = orbit.G, orbit.W, orbit.P
-    if P.shape[-1] == 1:
-        p = np.where(_positive(P)[..., None, None], P, np.nan)
-        pi = 1.0 / p
-        pi2 = pi * pi
-        if tag == LIMIT:
-            Y = pi - pi2
-            dY = pi2 * (2.0 * pi - 1.0)
-        else:
-            mi = 1.0 / (p + _sq(l))
-            if tag == CHEEGER_CLOSED:
-                Y = mi
-                dY = -(mi * mi)
-            else:
-                Y = pi - mi * pi
-                dY = mi * pi * (mi + pi) - pi2
-        if base is not None:
-            Y = np.where(base[..., None, None], 0.0, Y)
-            dY = np.where(base[..., None, None], 0.0, dY)
-        # the products of the rank-2 path, so the values match it bit for bit
-        return sym2(G - W @ (Y * W.mT)), (Y, dY)
-    ok = _positive(P)
-    Pi = inv_mat(P)
-    if tag == LIMIT:
-        Mi = Pi
-        Y = Pi - Pi @ Pi
-    else:
-        Mi = inv_mat(P + _sq(l) * _EYE[P.shape[-1]])
-        if tag == CHEEGER_CLOSED:
-            Y = Mi
-        else:
-            Y = Pi - Mi @ Pi
-    Gv = _nan_rows(ok, sym2(G - W @ (Y @ W.mT)))
-    return Gv, (Y, Pi, Mi, ok)
+    lam, U = _eigh(orbit.P)
+    lam = np.where(_positive(orbit.P)[..., None, None], lam, np.nan)
+    pi = 1.0 / lam
+    # the limit metric does not depend on l and keeps the points' shape
+    mu = None if tag == LIMIT else 1.0 / (lam + _sq(l))
+    y, dy = _TABLE[tag]
+    Y = _rotate(U, y(pi, mu))
+    dY = None
+    if dP is not None:
+        # one extra axis for the derivative direction m
+        Um = U[..., None, :, :]
+        dY = _rotate(Um, dy(pi, mu)[..., None, :, :] * _rotate(Um.mT, dP))
+    if base is not None:
+        Y = np.where(base[..., None, None], 0.0, Y)
+        dY = np.where(base[..., None, None, None], 0.0, dY)
+    YWt = Y @ orbit.W.mT
+    return sym2(orbit.G - orbit.W @ YWt), YWt, dY
 
 
 def variant_metric(scen, par, tag, l, x, sigma_tol):
@@ -411,18 +435,12 @@ def _rank_update_dx(scen, par, tag, l, orbit, base=None):
     (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, at the points
     orbit.x of the record, which the catalogued derivatives take.  base
     is None or a boolean mask of the rows that take the base metric and
-    its catalogued derivative instead; the Cholesky gate of P does not
-    act on those rows.
+    its catalogued derivative instead (Y = dY = 0 there); the Cholesky
+    gate of P does not act on those rows.
 
-    One rule serves every group: dA = (dK) mb from the catalogued
-    Killing derivative, dW = dG A + G dA and dP = A^T dW + dA^T W.  At
-    orbit rank 1 (W = w, P = p) the derivative is
-    dG_v = dG - y (dw w^T + w dw^T) - (dy/dp) dp w w^T, from the per-row
-    scalars of _rank_update; the base rows have y = dy/dp = 0 and so
-    keep dG.  At rank 2 it is the product rule with
-    dP^{-1} = -P^{-1} dP P^{-1} and likewise for (l^2 + P)^{-1}, and the
-    base rows are selected from the base metric and its derivative, both
-    evaluated here for every row.
+    One rule serves every group and orbit rank: dA = (dK) mb from the
+    catalogued Killing derivative, dW = dG A + G dA, dP = A^T dW + dA^T W,
+    dY from _rank_update and dG_v = dG - dW Y W^T - W Y dW^T - W dY W^T.
 
     d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
     orthogonal projector Q onto the isotropy complement, so the basis
@@ -432,36 +450,15 @@ def _rank_update_dx(scen, par, tag, l, orbit, base=None):
     never differentiated.  All chart axes are differentiated in one
     stacked evaluation.
     """
-    Gv, coef = _rank_update(tag, l, orbit, base)
     G = orbit.G
     dG = scen.metric_dx(par, orbit.x)
     # one extra axis for the derivative direction m
     A, W = orbit.A[..., None, :, :], orbit.W[..., None, :, :]
     dA = scen.killing_dx(par, orbit.x) @ orbit.mb[..., None, :, :]
     dW = dG @ A + G[..., None, :, :] @ dA
-    dP = A.mT @ dW + dA.mT @ W
-    if A.shape[-1] == 1:
-        Y, dY = (c[..., None, :, :] for c in coef)
-        B = dW @ W.mT
-        return Gv, dG - Y * (B + B.mT) - (dY * dP) * (W @ W.mT)
-    Y, Pi, Mi, ok = coef
-    Y, Pi, Mi = (M[..., None, :, :] for M in (Y, Pi, Mi))
-    dP = sym2(dP)
-    dPi = -(Pi @ (dP @ Pi))
-    if tag == LIMIT:
-        dY = dPi - dPi @ Pi - Pi @ dPi
-    else:
-        dMi = -(Mi @ (dP @ Mi))
-        if tag == CHEEGER_CLOSED:
-            dY = dMi
-        else:
-            dY = dPi - dMi @ Pi - Mi @ dPi
-    B = dW @ (Y @ W.mT)
-    dGv = _nan_rows(ok, sym2(dG - B - B.mT - W @ (dY @ W.mT)), core=3)
-    if base is not None:
-        Gv = np.where(base[..., None, None], G, Gv)
-        dGv = np.where(base[..., None, None, None], dG, dGv)
-    return Gv, dGv
+    Gv, YWt, dY = _rank_update(tag, l, orbit, sym2(A.mT @ dW + dA.mT @ W), base)
+    B = dW @ YWt[..., None, :, :]
+    return Gv, dG - (B + B.mT) - W @ (dY @ W.mT)
 
 
 # Richardson stencil steps, in units of h

@@ -1,7 +1,7 @@
 """Shared fixtures."""
 
 import pytest
-from oracles import SHEARS, pulled_back
+from oracles import SHEARS, pulled_back, turning_torus
 
 from cheegerdef.scenarios import get_scenario, list_scenarios
 
@@ -46,8 +46,9 @@ def pulled_back_records():
 @pytest.fixture(scope="session")
 def record(pulled_back_records):
     """The scenario record that a test's scenario parameter names: a
-    catalogued id, or a pulled-back record's id (oracles.pulled_back_ids),
-    so that a catalogue-wide test opts in to the pulled-back records by
-    adding their ids to its parameter."""
-    by_id = {r.scenario_id: r for r in pulled_back_records.values()}
+    catalogued id, a pulled-back record's id (oracles.pulled_back_ids) or
+    the turning torus t2_turning (oracles.turning_torus), so that a
+    catalogue-wide test opts in to the test records by adding their ids
+    to its parameter."""
+    by_id = {r.scenario_id: r for r in (*pulled_back_records.values(), turning_torus())}
     return lambda sid: by_id[sid] if sid in by_id else get_scenario(sid)

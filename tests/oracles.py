@@ -7,8 +7,10 @@ error of exact derivatives against them, the pullback of a metric
 field, the C^0 sup of a metric difference at one point with a
 lower bound of it from seeded direction pairs, the closed-form
 cometrics (inverse metrics) of the deformed family with the closed-form
-geodesics of the deformed metric, and each scenario record pulled back
-through a sheared chart, in which no action is a coordinate shift.
+geodesics of the deformed metric, each scenario record pulled back
+through a sheared chart, in which no action is a coordinate shift, and
+a torus record whose rank-2 orbit tensor turns and has crossing
+eigenvalues.
 """
 
 import dataclasses
@@ -17,7 +19,8 @@ import numpy as np
 
 from cheegerdef import _kernels as _k
 from cheegerdef.gmanifold import SIGMA_TOL, Chart
-from cheegerdef.lie_core import GroupElement, _quat_left_mult, closed_form_exp
+from cheegerdef.lie_core import GroupElement, _quat_left_mult, closed_form_exp, get_group
+from cheegerdef.scenarios import Scenario
 
 
 class AlgebraClosureError(ValueError):
@@ -413,3 +416,78 @@ def cheeger_geodesic(scenario, x0, v0, l, ts, power=2):
     gamma = base_geodesic(scenario, x0, np.linalg.solve(G, p0), ts)
     return np.stack([scenario.act(group_exp(scenario.group, xi, t / l**power), y)
                      for t, y in zip(ts, gamma)])
+
+
+# the turning torus: P(eta) = m I + (eta - c) S(2 w eta) with the
+# reflection S(t) = [[cos t, sin t], [sin t, -cos t]], whose eigenvalues
+# m +- (eta - c) cross at eta = c and whose eigenvectors turn at the rate w
+_TURN_MEAN, _TURN_CROSSING, _TURN_RATE = 1.5, 1.0, 1.2
+
+
+def _turning_block(eta):
+    """Entries (P_00, P_01, P_11) of the turning block and their eta
+    derivatives."""
+    r, t = eta - _TURN_CROSSING, 2.0 * _TURN_RATE * eta
+    c, s = np.cos(t), np.sin(t)
+    dc, ds = c - 2.0 * _TURN_RATE * r * s, s + 2.0 * _TURN_RATE * r * c
+    return (_TURN_MEAN + r * c, r * s, _TURN_MEAN - r * c), (dc, ds, -dc)
+
+
+def _turning_metric(par, x):
+    (p00, p01, p11), _ = _turning_block(x[..., 2])
+    G = np.zeros(x.shape[:-1] + (3, 3))
+    G[..., 0, 0], G[..., 1, 1], G[..., 2, 2] = p00, p11, 1.0
+    G[..., 0, 1] = G[..., 1, 0] = p01
+    return G
+
+
+def _turning_metric_dx(par, x):
+    _, (d00, d01, d11) = _turning_block(x[..., 2])
+    dG = np.zeros(x.shape[:-1] + (3, 3, 3))
+    dG[..., 2, 0, 0], dG[..., 2, 1, 1] = d00, d11
+    dG[..., 2, 0, 1] = dG[..., 2, 1, 0] = d01
+    return dG
+
+
+def _torus_shift(g, x):
+    """T^2 shifts x1 and x2 by the angles of its two rotation blocks."""
+    M = g.matrix
+    lead = M.shape[:-2] + (1,) * (np.ndim(x) - 1)
+    y = np.array(np.broadcast_to(x, M.shape[:-2] + np.shape(x)), dtype=float)
+    y[..., 0] += np.reshape(np.arctan2(M[..., 1, 0], M[..., 0, 0]), lead)
+    y[..., 1] += np.reshape(np.arctan2(M[..., 3, 2], M[..., 2, 2]), lead)
+    return y
+
+
+def turning_torus():
+    """A test record in which T^2 shifts the coordinates x1 and x2 of the
+    chart (x1, x2, eta), with a metric that does not depend on them: the
+    (x1, x2) block is the turning block P(eta) and g_eta,eta = 1.  So the
+    orbit tensor is P(eta) in the Killing basis (e1, e2): on the default
+    plan (eta = 0.5, 0.75, ..., 1.75) its eigenvectors turn by 1.5 rad
+    and its eigenvalues 1.5 +- (eta - 1) cross at the plan's eta = 1,
+    where P = 1.5 I.  The orbits are flat tori that are not totally
+    geodesic.  The record is id t2_turning."""
+    two_pi = 2 * np.pi
+    return Scenario(
+        scenario_id="t2_turning",
+        group=get_group("t2"),
+        chart=Chart(labels=("x1", "x2", "eta"), lo=np.array([0.0, 0.0, 0.3]),
+                    hi=np.array([two_pi, two_pi, 2.0]),
+                    periodic=np.array([True, True, False])),
+        action=_torus_shift,
+        jacobian=lambda g, x: np.broadcast_to(
+            np.eye(3), g.matrix.shape[:-2] + np.shape(x)[:-1] + (3, 3)).copy(),
+        metric=_turning_metric,
+        metric_dx=_turning_metric_dx,
+        killing=lambda par, x: np.broadcast_to(np.eye(3)[:, :2], x.shape[:-1] + (3, 2)),
+        killing_dx=lambda par, x: np.zeros(x.shape[:-1] + (3, 3, 2)),
+        rank=2,
+        orbit_invariants=lambda x: x[..., 2:3],
+        region_lo=np.array([0.0, 0.0, 0.4]),
+        region_hi=np.array([two_pi, two_pi, 1.85]),
+        geodesic_transverse=(0.75, 1.0, 1.25),
+        start_from_transverse=lambda c: np.array([0.5, 1.7, float(c)]),
+        element_scale=None,
+        expect_base_drift=True,
+    )

@@ -1,20 +1,25 @@
 """Exact derivatives of the rank-update variants against their oracles.
 
-The analytic route (product rule on G - W Y(P) W^T) must agree with the
-Richardson finite differences over the whole pipeline, in the catalogued
-charts and in the sheared charts of the pulled-back records, where the
-orbit fields vary and no action is a coordinate shift; the limit metric
-must reproduce the exact geodesics where it is flat in the chart, and a
-degenerate orbit must still poison every route.
+The analytic route (product rule on G - W Y(P) W^T, with dY from the
+divided differences of Y's scalar function on the eigenvalues of P)
+must agree with the Richardson finite differences over the whole
+pipeline, in the catalogued charts, in the sheared charts of the
+pulled-back records, where the orbit fields vary and no action is a
+coordinate shift, and on the turning torus, whose rank-2 orbit tensor
+turns and has crossing eigenvalues; there the off-diagonal divided
+differences carry the derivative, and dropping them must break it.  The
+limit metric must reproduce the exact geodesics where it is flat in the
+chart, and a degenerate orbit must still poison every route.
 """
 
 import numpy as np
 import pytest
-from oracles import fd_relative_error, pulled_back_ids
+from oracles import (fd_action_jacobian, fd_relative_error, killing_operator,
+                     pulled_back_ids, richardson_dx)
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
-from cheegerdef.scenarios import get_scenario, list_scenarios
+from cheegerdef.scenarios import get_scenario, invariance_elements, list_scenarios
 from cheegerdef.tensor_calc import H_FD, integrate_geodesics
 from cheegerdef.verify import DEFAULT_L_GRID, SweepConfig, build_plan
 
@@ -27,20 +32,33 @@ def _geodesic_starts(scenario):
 FLAT_LIMIT = ("s2_band", "warped_s2", "t2_flat")
 
 
-@pytest.mark.parametrize("sid", list_scenarios() + pulled_back_ids(list_scenarios()))
+def _dx_errors(record):
+    """Per tag, the fd_relative_error of the analytic metric derivatives
+    against the Richardson ones on the record's default plan, one call
+    per tag with the default l grid as an (L, 1) column."""
+    code, par = record.code, record.params
+    pts = build_plan(record, SweepConfig()).points
+    column = np.reshape(DEFAULT_L_GRID, (-1, 1))
+    errors = []
+    for tag in RANK_UPDATE_TAGS:
+        exact = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, True, 1e-8)
+        fd = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, False, 1e-8)
+        assert exact.shape == fd.shape
+        errors.append(fd_relative_error(exact, fd))
+    return errors
+
+
+@pytest.mark.parametrize("sid", list_scenarios() + pulled_back_ids(list_scenarios())
+                         + ("t2_turning",))
 def test_analytic_derivatives_match_fd_oracle(sid, record):
     # one call per tag on the whole plan: the derivatives take the l grid
     # as an (L, 1) column, the symbols one l at a time on the (N, d) stack
     scenario = record(sid)
     code, par = scenario.code, scenario.params
     pts = build_plan(scenario, SweepConfig()).points
-    column = np.reshape(DEFAULT_L_GRID, (-1, 1))
-    worst_dx = worst_gam = 0.0
+    worst_dx = max(_dx_errors(scenario))
+    worst_gam = 0.0
     for tag in RANK_UPDATE_TAGS:
-        exact = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, True, 1e-8)
-        fd = _k.variant_metric_dx(code, par, tag, column, pts, H_FD, False, 1e-8)
-        assert exact.shape == fd.shape
-        worst_dx = max(worst_dx, fd_relative_error(exact, fd))
         for l in DEFAULT_L_GRID:
             exact = _k.christoffel(code, par, tag, l, pts, H_FD, True, 1e-8)
             fd = _k.christoffel(code, par, tag, l, pts, H_FD, False, 1e-8)
@@ -49,6 +67,36 @@ def test_analytic_derivatives_match_fd_oracle(sid, record):
     # the FD side of the symbols is amplified by the inverse metric,
     # about 1/l^2 on the vertical block of the deformed metric
     assert worst_gam <= 1e-8
+
+
+def test_turning_torus_record_matches_finite_differences(record):
+    """The turning torus record itself: its metric derivative, its
+    Killing operator (the action differentiated along the algebra basis)
+    and its action Jacobian against finite differences."""
+    scenario = record("t2_turning")
+    par = scenario.params
+    for x in build_plan(scenario, SweepConfig(n_points=27)).points:
+        np.testing.assert_allclose(scenario.metric_dx(par, x),
+                                   richardson_dx(lambda y: scenario.metric(par, y), x),
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(scenario.killing(par, x), killing_operator(scenario, x),
+                                   rtol=0.0, atol=1e-8)
+        for g in invariance_elements(scenario, 2, seed=5):
+            np.testing.assert_allclose(scenario.action_jacobian(g, x),
+                                       fd_action_jacobian(scenario, g, x),
+                                       rtol=0.0, atol=1e-8)
+
+
+def test_diagonal_divided_differences_break_the_turning_derivative(record, monkeypatch):
+    """Negative control: with only the diagonal y'(lam_i) of the divided
+    differences, dY misses the part of dP that turns the eigenbasis, so
+    every tag's derivative on the turning torus leaves its FD oracle."""
+    for tag in RANK_UPDATE_TAGS:
+        y, dy = _k._TABLE[tag]
+        monkeypatch.setitem(_k._TABLE, tag,
+                            (y, lambda pi, mu, dy=dy: dy(pi, mu) * np.eye(pi.shape[-1])))
+    errors = _dx_errors(record("t2_turning"))
+    assert min(errors) > 0.1
 
 
 def test_christoffel_matches_index_loop(all_scenarios):

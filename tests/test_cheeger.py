@@ -176,13 +176,14 @@ def test_deformation_routes_agree_four_ways(sid, all_scenarios):
             n += 1
 
 
-@pytest.mark.parametrize("sid", list_scenarios())
-def test_definition_route_matches_kernels(sid, all_scenarios):
+@pytest.mark.parametrize("sid", list_scenarios() + ("t2_turning",))
+def test_definition_route_matches_kernels(sid, record):
     """Definition route against the kernel routes: absolute on the
     default oracle samples for the deformed metric, relative to the
     largest component on the default plan at every default l for the
-    rescaled and limit metrics."""
-    scenario = {s.scenario_id: s for s in all_scenarios}[sid]
+    rescaled and limit metrics.  The turning torus checks the rank
+    update where its orbit tensor turns and its eigenvalues cross."""
+    scenario = record(sid)
     code, par = scenario.code, scenario.params
     cfg = SweepConfig()
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed)

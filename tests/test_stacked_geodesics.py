@@ -3,7 +3,9 @@ state, each start keeps its own status and step count, and every row
 equals the same start integrated alone.  A stack may mix the base metric
 with the limit metric; each of its rows equals the same start in a stack
 of its own variant.  The catalogue-wide tests also run on the
-pulled-back records, whose sheared charts make every orbit field vary."""
+pulled-back records, whose sheared charts make every orbit field vary,
+and the mixed Christoffel call runs on the turning torus, whose rank-2
+orbit tensor turns and has crossing eigenvalues."""
 
 import dataclasses
 
@@ -180,22 +182,31 @@ def test_mixed_stack_base_meridian_row_leaves_chart_alone(s2_band):
         _assert_same(res, one)
 
 
-@pytest.mark.parametrize("sid", IN_EVERY_CHART)
-def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, record):
-    # a mixed call gives its base rows the coefficients y = dy/dp = 0 of
-    # the rank-one update, which must leave the base metric's symbols
-    # exactly; the rank-update rows equal a call of their own tag
+@pytest.mark.parametrize("sid", IN_EVERY_CHART + ("t2_turning",))
+def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, record, monkeypatch):
+    # a mixed call gives its base rows Y = dY = 0 in the rank update,
+    # which must leave the base metric's symbols exactly; the rank-update
+    # rows equal a call of their own tag.  The turning torus runs the
+    # rank-2 update, with its eigenvalues crossing at the middle start.
+    # With every orbit tensor failing the Cholesky gate, the rank-update
+    # rows turn NaN and the base rows keep their symbols.
     scenario = record(sid)
     code, par = scenario.code, scenario.params
     x = _geodesic_starts(scenario)
     base = np.array([False] * len(x) + [True] * len(x))
+    original = _k.christoffel(code, par, _k.ORIGINAL, 0.1, x, H, True, TOL)
     for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
         mixed = _k.christoffel(code, par, tag, 0.1, np.vstack([x, x]), H, True, TOL,
                                base=base)
-        np.testing.assert_array_equal(
-            mixed[base], _k.christoffel(code, par, _k.ORIGINAL, 0.1, x, H, True, TOL))
+        np.testing.assert_array_equal(mixed[base], original)
         np.testing.assert_array_equal(
             mixed[~base], _k.christoffel(code, par, tag, 0.1, x, H, True, TOL))
+    monkeypatch.setattr(_k, "_positive", lambda P: np.zeros(P.shape[:-2], bool))
+    for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
+        mixed = _k.christoffel(code, par, tag, 0.1, np.vstack([x, x]), H, True, TOL,
+                               base=base)
+        np.testing.assert_array_equal(mixed[base], original)
+        assert np.isnan(mixed[~base]).all()
 
 
 def test_mixed_stack_keeps_the_gate_of_p_off_the_base_rows(s2_band, monkeypatch):
