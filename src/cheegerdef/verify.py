@@ -20,12 +20,17 @@ plain dicts ready for serialization.  The measured quantities:
   rank update in the kernels, and Cheeger's definition;
 - the large-l return of the deformed metric to the base metric
   (expected order -2).
+
+One loop of run_suite turns the rows of CRITERIA into verdicts.  A NaN
+in any stage raises NumericalFailure (_first_nan) naming the series, l,
+group element, point and scenario; no NaN becomes a verdict.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,6 +48,7 @@ from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
 
 __all__ = [
     "ALL_TESTS",
+    "CRITERIA",
     "MIN_L",
     "RateFit",
     "SweepConfig",
@@ -184,33 +190,31 @@ def rate_fit(ls, values, floor: float = 1e-15) -> RateFit:
                    status="ok")
 
 
-def _worst(values) -> float:
-    """Largest of values, NaN when any is NaN (Python's max drops a NaN
-    that is not its first argument)."""
-    return float(np.max(values))
-
-
 def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
     return SamplePlan(scenario, sample_grid(scenario, cfg.n_points, cfg.margin))
 
 
+def _first_nan(scenario: Scenario, series, place) -> None:
+    """Raise NumericalFailure at the first NaN of series, in series order
+    and then in index order.  series holds (what, at, values): what names
+    the series or variant, at its l, and values has the point axis last,
+    after an optional group-element axis; place(n) names point n."""
+    for what, at, values in series:
+        bad = np.argwhere(np.isnan(values))
+        if bad.size:
+            *element, n = bad[0]
+            under = f" for group element {element[0]}" if element else ""
+            raise NumericalFailure(f"{what} failed{at}{under} at {place(n)} "
+                                   f"on {scenario.scenario_id}")
+
+
 def _sup_over_plan(scenario: Scenario, l_grid, points: np.ndarray,
                    series) -> list[np.ndarray]:
-    """Per-l maxima over the plan of per-point series.
-
-    series holds (what, values) with values of shape (L, N): one row per
-    l of the grid, one entry per plan point.  The first NaN, in grid
-    order and then in series order, raises NumericalFailure naming the
-    series, l and the first failing plan point.
-    """
-    for j, l in enumerate(l_grid):
-        for what, values in series:
-            failed = np.flatnonzero(np.isnan(values[j]))
-            if failed.size:
-                i = failed[0]
-                raise NumericalFailure(
-                    f"{what} failed at l={l} at plan point {i} {points[i].tolist()} "
-                    f"on {scenario.scenario_id}")
+    """Per-l maxima over the plan of per-point series (what, values), values
+    of shape (L, N); a NaN is located in grid order, then series order."""
+    _first_nan(scenario, [(what, f" at l={l}", values[j])
+                          for j, l in enumerate(l_grid) for what, values in series],
+               lambda n: f"plan point {n} {points[n].tolist()}")
     return [np.max(values, axis=-1) for _, values in series]
 
 
@@ -330,8 +334,9 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     The invariance points are a stride slice of the plan, so their orbit
     data and frame are rows of the plan's geometry.  All sampled
     elements act in one stacked call, and the images get one orbit_data
-    record that every variant shares.  A NaN residual is located
-    (variant, l, element, plan point) from the residuals themselves.
+    record that every variant shares.  A NaN residual or frame row is a
+    numerical breakdown: NumericalFailure names the variant, l, group
+    element and plan point, read from the residuals themselves.
     """
     stride = max(1, len(plan.points) // cfg.invariance_points)
     plan_orbit, plan_frame = plan.geometry
@@ -362,32 +367,26 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
 
     res_static = {"original": residuals(_k.ORIGINAL, 0.0),
                   "limit": residuals(_k.LIMIT, 0.0)}
-    static = {tag: float(np.max(r)) for tag, r in res_static.items()}
     column = np.asarray(cfg.l_grid)[:, None]
-    res_cheeger, res_rescaled = (residuals(tag, column) for tag in (_k.CHEEGER, _k.RESCALED))
-    by_l = [{"l": float(l), "cheeger": float(np.max(c)), "rescaled": float(np.max(r))}
-            for l, c, r in zip(cfg.l_grid, res_cheeger, res_rescaled)]
-    # in the order the verdict reduces them: static tags, then per l
-    series = [(f"{tag} at every l", r) for tag, r in res_static.items()]
-    for l, c, r in zip(cfg.l_grid, res_cheeger, res_rescaled):
-        series += [(f"cheeger at l={l}", c), (f"rescaled at l={l}", r)]
-    nan_at = ""
-    for what, r in series:
-        bad = np.argwhere(np.isnan(r))
-        if bad.size:
-            e, n = bad[0]
-            nan_at = (f"NaN residual of {what}, element {e}, "
-                      f"plan point {n * stride} {pts[n].tolist()}")
-            break
+    res_l = {"cheeger": residuals(_k.CHEEGER, column),
+             "rescaled": residuals(_k.RESCALED, column)}
+    # static tags, then per l, then the frame, whose failed points are NaN rows
+    _first_nan(scenario,
+               [(f"invariance residual of {tag}", " at every l", r)
+                for tag, r in res_static.items()]
+               + [(f"invariance residual of {tag}", f" at l={l}", r[j])
+                  for j, l in enumerate(cfg.l_grid) for tag, r in res_l.items()]
+               + [("invariance adapted frame", "", np.max(F, axis=(-2, -1)))],
+               lambda n: f"plan point {n * stride} {pts[n].tolist()}")
+    static = {tag: float(np.max(r)) for tag, r in res_static.items()}
+    by_l = [{"l": float(l), **{tag: float(np.max(r[j])) for tag, r in res_l.items()}}
+            for j, l in enumerate(cfg.l_grid)]
 
     # horizontal block of the deformed family versus the base metric
-    failed = np.flatnonzero(np.isnan(F).any(axis=(-2, -1)))
-    if failed.size:
-        return {"error": f"frame failed at {pts[failed[0]].tolist()}"}
     H = F[..., :, orbit.A.shape[-1]:]
     horiz_worst = 0.0
     if H.size:
-        horiz_worst = _worst([np.max(np.abs((Gv - orbit.G).mT @ H)) for Gv in local])
+        horiz_worst = max(float(np.max(np.abs((Gv - orbit.G).mT @ H))) for Gv in local)
     # duality identity of the orbit projection against the raw pairing,
     # at one seeded vector per point
     v = direction_pairs(scenario, len(pts), 1, cfg.seed)[:, 0, 0]
@@ -398,21 +397,17 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     if orbit.iso.size:
         kappa_iso_worst = float(np.max(np.abs((orbit.iso.mT @ raw[..., None])[..., 0])))
 
-    overall = _worst([*static.values(),
-                      *(row[tag] for row in by_l for tag in ("cheeger", "rescaled"))])
-    out = {
+    return {
         "static": static,
         "by_l": by_l,
-        "max_residual": overall,
+        "max_residual": max(*static.values(),
+                            *(row[tag] for row in by_l for tag in ("cheeger", "rescaled"))),
         "horizontal_residual": horiz_worst,
         "kappa_residual": kappa_worst,
         "kappa_iso_residual": kappa_iso_worst,
         "n_points": int(len(pts)),
         "n_elements": int(len(elements)),
     }
-    if nan_at:
-        out["nan_at"] = nan_at
-    return out
 
 
 def large_l_series(scenario: Scenario, cfg: SweepConfig,
@@ -436,7 +431,9 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
 
     kernel_max_diff compares the reparametrisation and rank-update
     kernel routes; definition_max_diff compares both against Cheeger's
-    definition (definition_metric), all on one stack of samples.
+    definition (definition_metric), all on one stack of samples.  A NaN
+    metric of any route is a numerical breakdown: NumericalFailure names
+    the route, the sample and its l.
     """
     pts, ls = oracle_samples(scenario, cfg.oracle_count, cfg.seed, cfg.margin)
     par = scenario.params
@@ -445,34 +442,102 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
     orbit = _k.orbit_data(scenario, par, pts, SIGMA_TOL)
     reparam, closed = (_k.variant_metric(scenario, par, tag, ls, orbit, SIGMA_TOL)
                        for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED))
-    kernel_max = float(np.max(np.abs(reparam - closed)))
     ref = definition_metric(scenario, "cheeger", ls, pts)
-    definition_max = _worst([np.abs(reparam - ref), np.abs(closed - ref)])
+    routes = {"reparametrisation": reparam, "rank update": closed, "definition": ref}
+    _first_nan(scenario, [(f"oracle {what} route", "", np.max(g, axis=(-2, -1)))
+                          for what, g in routes.items()],
+               lambda n: f"oracle sample {n} {pts[n].tolist()} at l={float(ls[n])}")
     return {
         "n_samples": int(len(pts)),
-        "kernel_max_diff": kernel_max,
-        "definition_max_diff": definition_max,
+        "kernel_max_diff": float(np.max(np.abs(reparam - closed))),
+        "definition_max_diff": float(max(np.max(np.abs(reparam - ref)),
+                                         np.max(np.abs(closed - ref)))),
     }
 
 
-def _verdict(name: str, passed: bool, measured, threshold, note: str = "") -> dict:
-    out = {"criterion": name, "passed": bool(passed),
-           "measured": measured, "threshold": threshold}
-    if note:
-        out["note"] = note
-    return out
+# the reading of a criterion that the run does not report
+_ABSENT = object()
 
 
-def _window_verdict(name: str, fit: dict | None, window: tuple[float, float],
-                    vacuous: bool = False) -> dict:
-    if vacuous or fit is None:
-        return _verdict(name, True, None, list(window), note="vacuous")
-    if fit["status"] != "ok":
-        # exactly converged series have nothing to rate-fit
-        return _verdict(name, fit["status"] == "exact", fit["slope"],
-                        list(window), note=fit["status"])
-    ok = window[0] <= fit["slope"] <= window[1]
-    return _verdict(name, ok, fit["slope"], list(window))
+def _fit(fit: dict | None) -> tuple | None:
+    return None if fit is None else (fit["slope"], fit["status"])
+
+
+def _value(*keys: str):
+    return lambda res, scenario: (max(res[key] for key in keys), "ok")
+
+
+def _over_starts(geo: dict, *keys: str) -> list:
+    return [s[key] for s in geo["starts"] for key in keys]
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One verdict: the stage result it reads, its kind (window, cap or
+    floor) and the SweepConfig field of its threshold.  read(stage
+    result, scenario) gives (measured, status), None (vacuous, a pass) or
+    _ABSENT (not reported).  A status other than "ok" passes only when
+    "exact": a series below the noise floor has nothing to rate-fit."""
+
+    name: str
+    stage: str
+    kind: str
+    threshold: str
+    read: Callable[[dict, Scenario], object]
+
+
+_PASSES = {
+    "window": lambda measured, window: window[0] <= measured <= window[1],
+    "cap": lambda measured, cap: measured < cap,
+    "floor": lambda measured, floor: measured > floor,
+}
+
+# the verdicts in report order
+CRITERIA = (
+    Criterion("c0_rate_window", "convergence", "window", "c0_slope_window",
+              lambda conv, sc: _fit(conv["c0_fit"])),
+    # cp.order 0 computes no C^1 series
+    Criterion("c1_rate_window", "convergence", "window", "c1_slope_window",
+              lambda conv, sc: _ABSENT if conv["c1_fit"] is None else _fit(conv["c1_fit"])),
+    # the spread must be finite: it is NaN where no gap ratio is positive
+    Criterion("gap_ratio_bounded", "convergence", "cap", "gap_ratio_max",
+              _value("gap_ratio_spread")),
+    Criterion("t_rate_window", "t_scaling", "window", "t_slope_window",
+              lambda tsc, sc: _fit(tsc["t_fit"])),
+    # a limit start that stops before its full length fails with its status
+    Criterion("geodesic_limit_drift", "geodesic", "cap", "geo_limit_drift_max",
+              lambda geo, sc: None if geo["vacuous"] else (
+                  max(_over_starts(geo, "limit_drift")),
+                  next((st for st in _over_starts(geo, "limit_status") if st != "ok"), "ok"))),
+    # speed and base drift are not reported where the geodesic stage is vacuous
+    Criterion("geodesic_speed_conservation", "geodesic", "cap", "speed_drift_max",
+              lambda geo, sc: _ABSENT if geo["vacuous"] else (
+                  max(_over_starts(geo, "limit_speed_drift", "base_speed_drift")), "ok")),
+    Criterion("geodesic_base_drift_discriminates", "geodesic", "floor", "geo_base_drift_min",
+              lambda geo, sc: _ABSENT if geo["vacuous"] or not sc.expect_base_drift
+              else (min(_over_starts(geo, "base_drift")), "ok")),
+    Criterion("invariance_residual", "invariance", "cap", "invariance_max",
+              _value("max_residual")),
+    Criterion("horizontal_block_static", "invariance", "cap", "horizontal_max",
+              _value("horizontal_residual")),
+    Criterion("kappa_identity", "invariance", "cap", "kappa_max", _value("kappa_residual")),
+    Criterion("kappa_isotropy", "invariance", "cap", "kappa_max",
+              _value("kappa_iso_residual")),
+    Criterion("large_l_rate_window", "large_l", "window", "large_l_slope_window",
+              lambda lrg, sc: _fit(lrg["fit"])),
+    Criterion("oracle_equivalence", "oracle", "cap", "oracle_max",
+              _value("kernel_max_diff", "definition_max_diff")),
+)
+
+
+def _verdict(c: Criterion, reading: tuple | None, cfg: SweepConfig) -> dict:
+    measured, status = reading or (None, "vacuous")
+    threshold = getattr(cfg, c.threshold)
+    threshold = list(threshold) if c.kind == "window" else threshold
+    passed = (_PASSES[c.kind](measured, threshold) if status == "ok"
+              else status in ("exact", "vacuous"))
+    out = {"criterion": c.name, "passed": passed, "measured": measured, "threshold": threshold}
+    return out if status == "ok" else {**out, "note": status}
 
 
 def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
@@ -500,91 +565,25 @@ def run_suite(scenario: Scenario, cfg: SweepConfig) -> dict:
             t0 = time.perf_counter()
             results[name] = stage()
             timings[name] = time.perf_counter() - t0
-    conv, tsc, geo, inv, lrg, orc = (results.get(name) for name in stages)
+    conv, tsc, inv = (results.get(name) for name in ("convergence", "t_scaling", "invariance"))
 
     # per-l rows in the fixed CSV column order
-    nan = float("nan")
-    rows = []
-    inv_by_l = {row["l"]: _worst([row["cheeger"], row["rescaled"]])
-                for row in inv["by_l"]} if inv and "by_l" in inv else {}
-    inv_static = _worst(list(inv["static"].values())) if inv and "static" in inv else nan
-    for i, l in enumerate(cfg.l_grid):
-        rows.append({
-            "l": float(l),
-            "c0_diff": conv["c0"][i] if conv else nan,
-            "c1_diff": conv["c1"][i] if conv else nan,
-            "t_ratio_max": tsc["t_ratio_max"][i] if tsc else nan,
-            "gap_residual": conv["gap"][i] if conv else nan,
-            "invariance_residual": _worst([inv_by_l[l], inv_static]) if inv_by_l else nan,
-        })
-    results["rows"] = rows
+    nan = [float("nan")] * len(cfg.l_grid)
+    columns = {
+        "l": [float(l) for l in cfg.l_grid],
+        "c0_diff": conv["c0"] if conv else nan,
+        "c1_diff": conv["c1"] if conv else nan,
+        "t_ratio_max": tsc["t_ratio_max"] if tsc else nan,
+        "gap_residual": conv["gap"] if conv else nan,
+        "invariance_residual": [max(*inv["static"].values(), row["cheeger"], row["rescaled"])
+                                for row in inv["by_l"]] if inv else nan,
+    }
+    results["rows"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    verdicts = []
-    if conv:
-        verdicts.append(_window_verdict("c0_rate_window", conv["c0_fit"],
-                                        cfg.c0_slope_window))
-        if conv["c1_fit"] is not None:
-            verdicts.append(_window_verdict("c1_rate_window", conv["c1_fit"],
-                                            cfg.c1_slope_window))
-        spread = conv["gap_ratio_spread"]
-        verdicts.append(_verdict("gap_ratio_bounded",
-                                 bool(np.isfinite(spread) and spread < cfg.gap_ratio_max),
-                                 spread, cfg.gap_ratio_max))
-    if tsc:
-        verdicts.append(_window_verdict("t_rate_window", tsc["t_fit"],
-                                        cfg.t_slope_window, vacuous=tsc["vacuous"]))
-    if geo:
-        if geo["vacuous"]:
-            verdicts.append(_verdict("geodesic_limit_drift", True, None,
-                                     cfg.geo_limit_drift_max, note="vacuous"))
-        else:
-            worst_drift = _worst([s["limit_drift"] for s in geo["starts"]])
-            worst_speed = _worst([[s["limit_speed_drift"], s["base_speed_drift"]]
-                                  for s in geo["starts"]])
-            statuses_ok = all(s["limit_status"] == "ok" for s in geo["starts"])
-            verdicts.append(_verdict(
-                "geodesic_limit_drift",
-                statuses_ok and worst_drift < cfg.geo_limit_drift_max,
-                worst_drift, cfg.geo_limit_drift_max))
-            verdicts.append(_verdict(
-                "geodesic_speed_conservation",
-                worst_speed < cfg.speed_drift_max,
-                worst_speed, cfg.speed_drift_max))
-            if scenario.expect_base_drift:
-                min_base = float(np.min([s["base_drift"] for s in geo["starts"]]))
-                verdicts.append(_verdict(
-                    "geodesic_base_drift_discriminates",
-                    min_base > cfg.geo_base_drift_min,
-                    min_base, cfg.geo_base_drift_min))
-    if inv:
-        if "error" in inv:
-            verdicts.append(_verdict("invariance_residual", False, inv["error"],
-                                     cfg.invariance_max))
-        else:
-            # the NaN location goes to the verdict note, not the report body
-            verdicts.append(_verdict("invariance_residual",
-                                     inv["max_residual"] < cfg.invariance_max,
-                                     inv["max_residual"], cfg.invariance_max,
-                                     note=inv.pop("nan_at", "")))
-            verdicts.append(_verdict("horizontal_block_static",
-                                     inv["horizontal_residual"] < cfg.horizontal_max,
-                                     inv["horizontal_residual"], cfg.horizontal_max))
-            verdicts.append(_verdict("kappa_identity",
-                                     inv["kappa_residual"] < cfg.kappa_max,
-                                     inv["kappa_residual"], cfg.kappa_max))
-            verdicts.append(_verdict("kappa_isotropy",
-                                     inv["kappa_iso_residual"] < cfg.kappa_max,
-                                     inv["kappa_iso_residual"], cfg.kappa_max))
-    if lrg:
-        verdicts.append(_window_verdict("large_l_rate_window", lrg["fit"],
-                                        cfg.large_l_slope_window))
-    if orc:
-        worst = _worst([orc["kernel_max_diff"], orc["definition_max_diff"]])
-        verdicts.append(_verdict("oracle_equivalence", worst < cfg.oracle_max,
-                                 worst, cfg.oracle_max))
-
-    results["verdicts"] = verdicts
-    results["passed"] = all(v["passed"] for v in verdicts)
+    readings = ((c, c.read(results[c.stage], scenario)) for c in CRITERIA
+                if c.stage in results)
+    results["verdicts"] = [_verdict(c, r, cfg) for c, r in readings if r is not _ABSENT]
+    results["passed"] = all(v["passed"] for v in results["verdicts"])
     timings["total"] = time.perf_counter() - t_start
     # timings stay out of serialized reports to keep them byte-stable
     results["_timings"] = timings

@@ -8,9 +8,10 @@ field, the C^0 sup of a metric difference at one point with a
 lower bound of it from seeded direction pairs, the closed-form
 cometrics (inverse metrics) of the deformed family with the closed-form
 geodesics of the deformed metric, each scenario record pulled back
-through a sheared chart, in which no action is a coordinate shift, and
-a torus record whose rank-2 orbit tensor turns and has crossing
-eigenvalues.
+through a sheared chart, in which no action is a coordinate shift, two
+records that break it on purpose (a zero Killing derivative, a metric
+term the action does not preserve), and a torus record whose rank-2
+orbit tensor turns and has crossing eigenvalues.
 """
 
 import dataclasses
@@ -348,6 +349,33 @@ def pulled_back(scenario, psi):
         orbit_invariants=lambda y: scenario.orbit_invariants(phi(y)),
         region_lo=region_lo, region_hi=region_hi,
         start_from_transverse=lambda c: psi(start(c)))
+
+
+def zero_killing_derivative(scenario):
+    """The record with a Killing derivative of zero: what a derivative
+    rule that takes every circle action for a coordinate shift assumes.
+    In a sheared chart its limit geodesics leave their orbits."""
+    d = scenario.dim
+    return dataclasses.replace(
+        scenario, killing_dx=lambda par, x: np.zeros(x.shape[:-1] + (d, d, 1)))
+
+
+def non_invariant_metric(scenario, eps):
+    """The record with eps sin(y_1) added to g_22, with its derivative:
+    where the action moves y_1, as in the sheared chart of s2_band, the
+    term is not invariant."""
+
+    def metric(par, y):
+        g = scenario.metric(par, y)
+        g[..., 1, 1] += eps * np.sin(y[..., 0])
+        return g
+
+    def metric_dx(par, y):
+        dg = scenario.metric_dx(par, y)
+        dg[..., 0, 1, 1] += eps * np.cos(y[..., 0])
+        return dg
+
+    return dataclasses.replace(scenario, metric=metric, metric_dx=metric_dx)
 
 
 def _s2_embedding(x):

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 from oracles import (SHEARS, fd_action_jacobian, fd_relative_error, killing_operator,
-                     richardson_dx)
+                     non_invariant_metric, richardson_dx, zero_killing_derivative)
 
 from cheegerdef import _kernels as _k
 from cheegerdef.gmanifold import SIGMA_TOL
@@ -122,20 +122,12 @@ def _verdict(scenario, cfg, criterion):
     return v
 
 
-def _shortcut(scenario):
-    """The record with a Killing derivative of zero: what a derivative
-    rule that takes every circle action for a coordinate shift assumes."""
-    d = scenario.dim
-    return dataclasses.replace(
-        scenario, killing_dx=lambda par, x: np.zeros(x.shape[:-1] + (d, d, 1)))
-
-
 @pytest.mark.parametrize("sid", CIRCLES)
 def test_zero_killing_derivative_fails_the_derivative_check(sid, pulled_back_records):
     """Negative control of test_analytic_derivatives_match_fd_oracle on
     the pulled-back records: measured 0.07 (s3_hopf) to 0.48 (s2_band)
     against the 1e-8 bound."""
-    scenario = _shortcut(pulled_back_records[sid])
+    scenario = zero_killing_derivative(pulled_back_records[sid])
     par = scenario.params
     pts = build_plan(scenario, REDUCED).points
     column = np.reshape(CFG.l_grid, (-1, 1))
@@ -152,7 +144,7 @@ def test_zero_killing_derivative_fails_the_limit_drift(pulled_back_records):
     pulled = pulled_back_records["s2_band"]
     cfg = dataclasses.replace(REDUCED, enabled=("geodesic",))
     assert _verdict(pulled, cfg, "geodesic_limit_drift")["passed"]
-    wrong = _verdict(_shortcut(pulled), cfg, "geodesic_limit_drift")
+    wrong = _verdict(zero_killing_derivative(pulled), cfg, "geodesic_limit_drift")
     assert not wrong["passed"] and wrong["measured"] > 1e-3
 
 
@@ -161,18 +153,7 @@ def test_non_invariant_metric_fails_the_invariance_verdict(pulled_back_records):
     moves y_1, so the term is not invariant and the residual reads about
     eps.  The unperturbed record passes (4.4e-16)."""
     pulled, eps = pulled_back_records["s2_band"], 1e-3
-
-    def metric(par, y):
-        g = pulled.metric(par, y)
-        g[..., 1, 1] += eps * np.sin(y[..., 0])
-        return g
-
-    def metric_dx(par, y):
-        dg = pulled.metric_dx(par, y)
-        dg[..., 0, 1, 1] += eps * np.cos(y[..., 0])
-        return dg
-
-    perturbed = dataclasses.replace(pulled, metric=metric, metric_dx=metric_dx)
+    perturbed = non_invariant_metric(pulled, eps)
     cfg = dataclasses.replace(REDUCED, enabled=("invariance",))
     assert _verdict(pulled, cfg, "invariance_residual")["passed"]
     failed = _verdict(perturbed, cfg, "invariance_residual")

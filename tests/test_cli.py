@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cheegerdef import _kernels as _k
 from cheegerdef import cli
 from cheegerdef import verify
 from cheegerdef.config import echo, table_keys
@@ -424,18 +425,23 @@ geodesic.step = 2e-3
 @pytest.mark.parametrize("cp_order", [0, 1])
 def test_report_holds_only_plain_values(sid, cp_order):
     """_jsonable converts plain Python values only, so every value of a
-    report body and of its config echoes is one; t2_flat's T series is
-    vacuous."""
+    report body and of its config echoes is one, and a numpy value put
+    into it is caught; t2_flat's T series is vacuous."""
     rc = cli.build_run_config(cli.parse_config(
         f"scenario = {sid}\ncp.order = {cp_order}\n" + SMALL_SUITE))
     results, _, _ = cli.run_from_config(rc)
     assert results["t_scaling"]["vacuous"] is (sid in ("su2_s2", "t2_flat", "s3_hopf"))
-    assert _non_plain(_report_parts(rc, results, get_scenario(sid))) == []
+    parts = _report_parts(rc, results, get_scenario(sid))
+    assert _non_plain(parts) == []
+    # negative control: a numpy value is caught
+    parts["report"]["oracle"]["kernel_max_diff"] = np.float64(1.0)
+    assert _non_plain(parts) == ["payload.report.oracle.kernel_max_diff: float64"]
 
 
-def test_frame_failure_report_holds_only_plain_values(monkeypatch):
-    """The invariance stage's error entry (an adapted frame failing at the
-    s2_band pole) is plain too; a numpy value is caught."""
+def test_frame_failure_is_a_numerical_failure(monkeypatch):
+    """An invariance point at the s2_band pole, where the orbit collapses,
+    breaks the run at the first NaN the stage reduces (the limit metric);
+    a NaN frame row alone is named as the frame."""
     rc = cli.build_run_config(cli.parse_config(
         "scenario = s2_band\nonly = invariance\n" + SMALL_SUITE))
     scenario = get_scenario("s2_band")
@@ -443,12 +449,40 @@ def test_frame_failure_report_holds_only_plain_values(monkeypatch):
     pts = plan.points.copy()
     pts[0] = [0.5, 0.0]
     monkeypatch.setattr(verify, "build_plan", lambda sc, cfg: SamplePlan(sc, pts))
-    results = verify.run_suite(scenario, rc.sweep)
-    assert results["invariance"] == {"error": "frame failed at [0.5, 0.0]"}
-    parts = _report_parts(rc, results, scenario)
-    assert _non_plain(parts) == []
-    parts["report"]["invariance"]["error"] = np.float64(1.0)
-    assert _non_plain(parts) == ["payload.report.invariance.error: float64"]
+    with pytest.raises(NumericalFailure) as failure:
+        verify.run_suite(scenario, rc.sweep)
+    assert str(failure.value) == ("invariance residual of limit failed at every l for "
+                                  "group element 0 at plan point 0 [0.5, 0.0] on s2_band")
+    exact = _k.adapted_frame
+
+    def frame_fails_at_point_1(orbit):
+        F = exact(orbit).copy()
+        F[1] = np.nan
+        return F
+
+    monkeypatch.setattr(verify, "build_plan", lambda sc, cfg: SamplePlan(sc, plan.points))
+    monkeypatch.setattr(_k, "adapted_frame", frame_fails_at_point_1)
+    with pytest.raises(NumericalFailure) as failure:
+        verify.run_suite(scenario, rc.sweep)
+    assert str(failure.value) == (f"invariance adapted frame failed at plan point 1 "
+                                  f"{plan.points[1].tolist()} on s2_band")
+
+
+@pytest.mark.parametrize("only, message", [
+    ("", "invariance residual of cheeger failed at l=0.2 for group element 0 "
+         "at plan point 0 [0.0, 0.0] on t2_flat"),
+    ("oracle", "oracle reparametrisation route failed at oracle sample 0 "
+               "[6.212130508230948, 0.6676743114937616] at l=0.338008229871155 on t2_flat"),
+], ids=("full_run", "only_oracle"))
+def test_breakdown_exits_three_and_names_the_stage(tmp_path, capsys, only, message):
+    """At orbit length 1e6 the deformed metrics of t2_flat are NaN: the
+    run exits 3 naming the stage, the series and the point, and writes
+    no output."""
+    p = _write(tmp_path, "scenario = t2_flat\nscenario.orbit_length = 1e6\n"
+                         f"out.csv = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
+    assert cli.main(["run", str(p)] + (["--only", only] if only else [])) == 3
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_failing_criterion_exits_one(tmp_path, capsys):

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from oracles import non_invariant_metric, zero_killing_derivative
 
 from cheegerdef import _kernels as _k
+from cheegerdef import verify
+from cheegerdef.cheeger import kappa
 from cheegerdef.gmanifold import SIGMA_TOL, NumericalFailure
 from cheegerdef.scenarios import get_scenario, list_scenarios, oracle_samples
 from cheegerdef.tensor_calc import H_FD
 from cheegerdef.verify import (
     ALL_TESTS,
+    CRITERIA,
     SweepConfig,
     build_plan,
     convergence_series,
@@ -277,25 +281,28 @@ def test_oracle_fails_on_l_for_l_squared(slip, all_scenarios, monkeypatch):
 
 
 def test_rate_windows_fail_on_l_for_l_squared(s2_band, monkeypatch):
-    """Negative controls of the rate windows: with l in place of l^2 the
-    rescaled family approaches its limit at O(l) and the deformed metric
-    returns to the base metric like 1/l, so both windows fail."""
+    """Negative controls of the rate windows and the gap ratio: with l in
+    place of l^2 the rescaled family approaches its limit at O(l) (C^0,
+    C^1 and T slopes 0.7500), the gap ratio spreads to 13.49, and the
+    deformed metric returns to the base metric like 1/l."""
     from cheegerdef import _kernels as _k
 
     monkeypatch.setattr(_k, "_sq", _l_for_l_squared)
-    res = run_suite(s2_band, SweepConfig(enabled=("convergence", "large_l"), cp_order=0))
+    res = run_suite(s2_band, SweepConfig(enabled=("convergence", "t_scaling", "large_l")))
     verdicts = {v["criterion"]: v for v in res["verdicts"]}
-    assert not verdicts["c0_rate_window"]["passed"]
-    assert verdicts["c0_rate_window"]["measured"] < 1.5
-    assert not verdicts["large_l_rate_window"]["passed"]
+    assert not any(v["passed"] for v in verdicts.values())
+    for name in ("c0_rate_window", "c1_rate_window", "t_rate_window"):
+        assert verdicts[name]["measured"] == pytest.approx(0.75, abs=1e-3)
+    assert verdicts["gap_ratio_bounded"]["measured"] == pytest.approx(13.49, abs=0.01)
     assert verdicts["large_l_rate_window"]["measured"] > -1.5
+    assert len(verdicts) == 5
 
 
-def test_nan_residual_fails_the_invariance_verdicts(s2_band, monkeypatch):
-    """A NaN residual that is not the first one reduced still fails the
-    invariance and horizontal verdicts and reaches the CSV."""
+def test_nan_residual_is_a_numerical_failure(s2_band, monkeypatch):
+    """A NaN residual that is not the first one reduced still breaks the
+    run (exit 3 on the command line), named by variant, l, group element
+    and plan point; it never becomes a verdict."""
     from cheegerdef import _kernels as _k
-    from cheegerdef.cli import render_csv
 
     exact = _k.variant_metric
 
@@ -304,23 +311,19 @@ def test_nan_residual_fails_the_invariance_verdicts(s2_band, monkeypatch):
         return np.full_like(out, np.nan) if tag == _k.LIMIT else out
 
     monkeypatch.setattr(_k, "variant_metric", limit_is_nan)
-    res = run_suite(s2_band, SweepConfig(**{**SMALL, "enabled": ("invariance",)}))
-    assert res["invariance"]["static"]["original"] == 0.0
-    assert math.isnan(res["invariance"]["static"]["limit"])
-    assert math.isnan(res["invariance"]["max_residual"])
-    assert math.isnan(res["invariance"]["horizontal_residual"])
-    verdicts = {v["criterion"]: v["passed"] for v in res["verdicts"]}
-    assert not verdicts["invariance_residual"]
-    assert not verdicts["horizontal_block_static"]
-    assert not res["passed"]
-    cells = [line.split(",")[-1] for line in render_csv(res["rows"]).splitlines()[1:]]
-    assert cells == ["nan"] * len(SweepConfig().l_grid)
+    cfg = SweepConfig(**{**SMALL, "enabled": ("invariance",)})
+    first = build_plan(s2_band, cfg).points[0].tolist()
+    with pytest.raises(NumericalFailure) as failure:
+        run_suite(s2_band, cfg)
+    assert str(failure.value) == (
+        f"invariance residual of limit failed at every l for group element 0 "
+        f"at plan point 0 {first} on s2_band")
 
 
-def test_nan_residual_note_names_variant_l_element_and_point(s2_band, monkeypatch):
-    """The invariance verdict's note locates the first NaN residual, read
-    from the residuals: a rescaled image NaN at one l, element and
-    invariance point only."""
+def test_nan_residual_failure_names_variant_l_element_and_point(s2_band, monkeypatch):
+    """The failure locates the first NaN residual, read from the
+    residuals: a rescaled image NaN at one l, element and invariance
+    point only."""
     from cheegerdef import _kernels as _k
 
     exact = _k.variant_metric
@@ -335,22 +338,16 @@ def test_nan_residual_note_names_variant_l_element_and_point(s2_band, monkeypatc
         return out
 
     monkeypatch.setattr(_k, "variant_metric", one_image_is_nan)
-    res = run_suite(s2_band, cfg)
     plan = build_plan(s2_band, cfg)
     stride = len(plan.points) // cfg.invariance_points
-    (verdict,) = [v for v in res["verdicts"] if v["criterion"] == "invariance_residual"]
-    assert not verdict["passed"] and math.isnan(verdict["measured"])
-    assert verdict["note"] == (
-        f"NaN residual of rescaled at l=0.05, element 3, plan point {2 * stride} "
-        f"{plan.points[2 * stride].tolist()}")
-    # the location stays out of the report body, and the row of l = 0.05
-    # alone reads NaN
-    assert "nan_at" not in res["invariance"]
-    assert [math.isnan(r["invariance_residual"]) for r in res["rows"]] == [
-        False, False, True, False]
+    with pytest.raises(NumericalFailure) as failure:
+        run_suite(s2_band, cfg)
+    assert str(failure.value) == (
+        f"invariance residual of rescaled failed at l=0.05 for group element 3 "
+        f"at plan point {2 * stride} {plan.points[2 * stride].tolist()} on s2_band")
 
 
-def test_nan_note_takes_the_first_variant_in_reduction_order(s2_band, monkeypatch):
+def test_nan_failure_takes_the_first_variant_in_reduction_order(s2_band, monkeypatch):
     from cheegerdef import _kernels as _k
 
     exact = _k.variant_metric
@@ -360,10 +357,103 @@ def test_nan_note_takes_the_first_variant_in_reduction_order(s2_band, monkeypatc
         return np.full_like(out, np.nan) if tag in (_k.LIMIT, _k.CHEEGER) else out
 
     monkeypatch.setattr(_k, "variant_metric", limit_and_cheeger_are_nan)
-    res = run_suite(s2_band, SweepConfig(**{**SMALL, "enabled": ("invariance",)}))
-    (verdict,) = [v for v in res["verdicts"] if v["criterion"] == "invariance_residual"]
     first = build_plan(s2_band, SweepConfig(**SMALL)).points[0].tolist()
-    assert verdict["note"] == f"NaN residual of limit at every l, element 0, plan point 0 {first}"
+    with pytest.raises(NumericalFailure) as failure:
+        run_suite(s2_band, SweepConfig(**{**SMALL, "enabled": ("invariance",)}))
+    assert str(failure.value) == (
+        f"invariance residual of limit failed at every l for group element 0 "
+        f"at plan point 0 {first} on s2_band")
+
+
+def _with_l_for_l_squared(monkeypatch, scenario, cfg):
+    monkeypatch.setattr(_k, "_sq", _l_for_l_squared)
+    return scenario, cfg
+
+
+def _limit_for_base(monkeypatch, scenario, cfg):
+    """The limit metric in place of the base metric in the geodesic
+    stage: its vertical geodesics keep their orbit (base drift 0.0)."""
+    exact = verify.variant
+    monkeypatch.setattr(verify, "variant", lambda sc, tag, l=0.0: exact(
+        sc, "limit" if tag == "original" else tag, l))
+    return scenario, cfg
+
+
+def _scaled_variants(monkeypatch, scenario, cfg):
+    """Every variant but the base metric scaled by 1 + 1e-6: the
+    horizontal block moves (1.0e-6) and invariance stays exact."""
+    exact = _k.variant_metric
+    monkeypatch.setattr(_k, "variant_metric", lambda sc, par, tag, l, x, tol: exact(
+        sc, par, tag, l, x, tol) * (1.0 if tag == _k.ORIGINAL else 1.0 + 1e-6))
+    return scenario, cfg
+
+
+def _scaled_kappa(monkeypatch, scenario, cfg):
+    """kappa scaled by 1.001 (su2_s2: 1.5e-3)."""
+    monkeypatch.setattr(verify, "kappa", lambda orbit, v: 1.001 * kappa(orbit, v))
+    return scenario, cfg
+
+
+def _tilted_isotropy(monkeypatch, scenario, cfg):
+    """The isotropy basis tilted by 1e-3 toward its complement (su2_s2:
+    1.5e-3); kappa reads the complement, so kappa_identity stays at
+    roundoff."""
+    exact = _k.m_basis
+
+    def m_basis(sc, K, sigma_tol):
+        mb, iso = exact(sc, K, sigma_tol)
+        iso = iso + 1e-3 * mb[..., :1]
+        return mb, iso / np.linalg.norm(iso, axis=-2, keepdims=True)
+
+    monkeypatch.setattr(_k, "m_basis", m_basis)
+    return scenario, cfg
+
+
+# the negative control of each row of CRITERIA: a record and a
+# perturbation (monkeypatch, scenario, cfg) -> (scenario, cfg) under which
+# that verdict FAILS on the stage alone, at the SMALL config with 50
+# geodesic steps (the unperturbed speed drift reads 2.7e-9 there)
+CONTROLS = {
+    "c0_rate_window": ("s2_band", _with_l_for_l_squared),
+    "c1_rate_window": ("s2_band", _with_l_for_l_squared),
+    "gap_ratio_bounded": ("s2_band", _with_l_for_l_squared),
+    "t_rate_window": ("s2_band", _with_l_for_l_squared),
+    # 0.018
+    "geodesic_limit_drift": ("s2_band.pulled_back",
+                             lambda mp, sc, cfg: (zero_killing_derivative(sc), cfg)),
+    # 1.7e-6
+    "geodesic_speed_conservation": (
+        "s2_band", lambda mp, sc, cfg: (sc, dataclasses.replace(cfg, geodesic_step=0.05))),
+    "geodesic_base_drift_discriminates": ("s2_band", _limit_for_base),
+    "invariance_residual": ("s2_band.pulled_back",
+                            lambda mp, sc, cfg: (non_invariant_metric(sc, 1e-3), cfg)),
+    "horizontal_block_static": ("s2_band", _scaled_variants),
+    "kappa_identity": ("su2_s2", _scaled_kappa),
+    "kappa_isotropy": ("su2_s2", _tilted_isotropy),
+    "large_l_rate_window": ("s2_band", _with_l_for_l_squared),
+    "oracle_equivalence": ("s2_band", _with_l_for_l_squared),
+}
+
+
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.name)
+def test_every_criterion_fails_under_its_control(criterion, record, monkeypatch):
+    """The unperturbed run passes the criterion and its registered
+    control FAILS it; a criterion with no control fails this test."""
+    if criterion.name not in CONTROLS:
+        pytest.fail(f"{criterion.name} has no registered negative control")
+    sid, perturb = CONTROLS[criterion.name]
+    scenario = record(sid)
+    cfg = SweepConfig(**{**SMALL, "geodesic_length": 0.5, "geodesic_step": 1e-2,
+                         "enabled": (criterion.stage,)})
+
+    def verdict(scenario, cfg):
+        (v,) = [v for v in run_suite(scenario, cfg)["verdicts"]
+                if v["criterion"] == criterion.name]
+        return v
+
+    assert verdict(scenario, cfg)["passed"]
+    failed = verdict(*perturb(monkeypatch, scenario, cfg))
+    assert not failed["passed"], failed
 
 
 def test_run_suite_full_band(s2_band):
