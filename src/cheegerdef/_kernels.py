@@ -31,9 +31,12 @@ np.linalg.inv raises LinAlgError for the whole stack.  Speed is not the
 reason: np.linalg.inv is faster on a few rows (a geodesic stack) and
 slower on a 200-point plan.  Geodesics are stacked too: RK4
 advances a stack of starts as one state, so a step makes four stacked
-Christoffel calls however many starts it carries.  A geodesic stack may
-mix the base metric with one rank-update variant: its base rows take
-the base metric's values from the same Christoffel call.
+Christoffel calls however many starts it carries.  A stack takes one
+tag, and a stack of a rank-update tag may mark some of its rows with a
+base mask: those rows take the base metric's values from the same
+Christoffel call.  The stack's Christoffel symbols are exact for every
+tag but CHEEGER, whose stencil step H_FD also sets the stack's chart
+margin.
 
 The closed-form deformed metric, its vertical rescaling and their limit
 are one rank update G - W Y(P) W^T of the base metric, so their value
@@ -75,13 +78,14 @@ OK = 0
 LEFT_DOMAIN = 1
 NUMERIC_FAIL = 2
 
-# chart-box margin of geodesic integration, in finite-difference steps h.
-# A stack on finite-difference Christoffel symbols (the CHEEGER tag, or
-# analytic unset) evaluates the metric on a Richardson stencil that
-# reaches 2 h past each point.  tensor_calc.GEODESIC_CHART_MARGIN is the
-# same margin in coordinate units, which also fixes where a start raises
-# DomainError and where the CLI refuses it (exit code 2).
-GEODESIC_MARGIN = 3.0
+# step of the Richardson stencil (coordinate units)
+H_FD = 1e-4
+# chart-box margin of geodesic integration in coordinate units (3e-4).  A
+# CHEEGER stack takes finite-difference Christoffel symbols, whose
+# Richardson stencil reaches 2 H_FD past each point.  The margin also
+# fixes where tensor_calc refuses a start (DomainError) and where the CLI
+# refuses it (exit code 2)
+GEODESIC_CHART_MARGIN = 3.0 * H_FD
 
 
 def _sq(l):
@@ -103,19 +107,6 @@ def _nan_rows(ok, M):
     if ok.ndim == 0:
         return M if ok else np.full_like(M, np.nan)
     return np.where(ok[..., None, None], M, np.nan)
-
-
-def _positive(P):
-    """Cholesky gate of a stack of symmetric matrices: True on the rows
-    where every Cholesky pivot is positive.  For sizes 1 and 2 this is
-    the closed form of Sylvester's criterion (leading minors positive)."""
-    n = P.shape[-1]
-    if n == 1:
-        return P[..., 0, 0] > 0.0
-    if n == 2:
-        det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
-        return (P[..., 0, 0] > 0.0) & (det > 0.0)
-    return ~np.isnan(chol_lower(P)[..., -1, -1])
 
 
 def gm_metric(scen, par, x):
@@ -187,11 +178,6 @@ def sym2(A):
     return 0.5 * (A + A.mT)
 
 
-# weights 2^(n-1-i): the sign of the weighted sum of a vector's entry
-# signs is the sign of its first nonzero entry
-_FIRST_WEIGHTS = tuple(2.0 ** np.arange(n - 1, -1, -1.0) for n in range(4))
-
-
 @lru_cache(maxsize=64)
 def _circle_split(lead):
     """(mb, iso) of a circle action over points of leading shape lead:
@@ -214,7 +200,10 @@ def m_basis(scen, K, sigma_tol):
     inside the ambiguity band [0.1, 10] * sigma_tol * sigma_max, or where
     the numerical rank is below the scenario's.  The NaN rows carry
     through A, W and P, so the Cholesky gate and the conditioning cap
-    downstream reject them.
+    downstream reject them.  The SVD fixes each column only up to sign,
+    and no sign is chosen: the metric variants are unchanged when a
+    column of A = K mb flips, and _rank_update_dx freezes mb at each
+    point, so no route differentiates the basis.
     """
     ng = K.shape[-1]
     if ng == 1:
@@ -228,11 +217,7 @@ def m_basis(scen, K, sigma_tol):
     # so rank r with no value inside the ambiguity band is a smallest
     # singular value above 10 * sigma_tol * sigma_max
     good = s[..., r - 1] > 10.0 * sigma_tol * s[..., 0]
-    # fix signs: first non-negligible entry of each basis vector positive,
-    # so the basis is a deterministic smooth-enough choice along FD stencils
-    signs = np.sign(vt) * (np.abs(vt) > 1e-12)
-    flip = np.copysign(1.0, signs @ _FIRST_WEIGHTS[ng])
-    V = _nan_rows(good, (vt * flip[..., None]).mT)
+    V = _nan_rows(good, vt.mT)
     return V[..., :, :r], V[..., :, r:]
 
 
@@ -319,10 +304,11 @@ def plan_geometry(scen, par, pts, sigma_tol):
 def _eigh(P):
     """Closed-form eigendecomposition P = U diag(lam) U^T of a stack of
     symmetric r x r matrices, r <= 2, as (lam, U): the eigenvalues as a
-    row lam (..., 1, r), the orthonormal eigenvectors as the columns of
-    U.  At r = 1 lam = P and U = 1; at r = 2 lam is the mean of the
-    diagonal plus and minus the hypotenuse of its half-difference and
-    P_01, and U the rotation by half the angle of (P_00 - P_11, 2 P_01).
+    row lam (..., 1, r) in descending order, the orthonormal eigenvectors
+    as the columns of U.  At r = 1 lam = P and U = 1; at r = 2 lam is the
+    mean of the diagonal plus and minus the hypotenuse of its
+    half-difference and P_01, and U the rotation by half the angle of
+    (P_00 - P_11, 2 P_01).
     Unlike np.linalg.eigh, which fails the whole stack on one row that is
     not finite, a NaN row stays NaN alone."""
     if P.shape[-1] == 1:
@@ -379,7 +365,9 @@ def _rank_update(tag, l, orbit, dP=None, base=None):
     take the base metric: they get Y = dY = 0 whatever their P holds.
     """
     lam, U = _eigh(orbit.P)
-    lam = np.where(_positive(orbit.P)[..., None, None], lam, np.nan)
+    # the eigenvalues descend, so the last one is the Cholesky gate of P;
+    # a NaN row fails it too
+    lam = np.where(lam[..., -1:] > 0.0, lam, np.nan)
     pi = 1.0 / lam
     # the limit metric does not depend on l and keeps the points' shape
     mu = None if tag == LIMIT else 1.0 / (lam + _sq(l))
@@ -446,9 +434,9 @@ def _rank_update_dx(scen, par, tag, l, orbit, base=None):
     orthogonal projector Q onto the isotropy complement, so the basis
     Q(y) mb(x) gives A(y) = K(y) mb(x); that basis is orthonormal at x
     and stays so to first order, because n^T mb = 0 for the isotropy
-    directions n.  The sign-fixed SVD basis of m_basis is therefore
-    never differentiated.  All chart axes are differentiated in one
-    stacked evaluation.
+    directions n.  The SVD basis of m_basis is therefore never
+    differentiated, and the sign of its columns does not matter.  All
+    chart axes are differentiated in one stacked evaluation.
     """
     G = orbit.G
     dG = scen.metric_dx(par, orbit.x)
@@ -537,61 +525,38 @@ def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=None):
     return 0.5 * (Gi @ T.reshape(lead + (d, d * d))).reshape(lead + (d, d, d))
 
 
-def _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol, base):
+def _geodesic_rhs(scen, par, tag, l, y, sigma_tol, base):
     """Right-hand side (v, -Gamma(v, v)) of the geodesic equation on a
     stack (n, 2 d) of states (x, v); base masks the base-metric rows of
     a mixed stack or is None."""
     n, d = y.shape[0], y.shape[1] // 2
     x, v = y[:, :d], y[:, d:]
-    Gam = christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=base)
+    Gam = christoffel(scen, par, tag, l, x, H_FD, True, sigma_tol, base=base)
     w = v[:, :, None]
     acc = -((Gam.reshape(n, d * d, d) @ w).reshape(n, d, d) @ w)[:, :, 0]
     return np.concatenate([v, acc], axis=-1)
 
 
-def _stack_tag(tag, lead, analytic):
-    """The Christoffel tag of a geodesic stack and its base-row mask.
-
-    tag is one tag, or one tag per start (shape lead).  One tag, or the
-    same tag on every start, gives (tag, None).  A mix of ORIGINAL and
-    one rank-update tag on the analytic path gives that tag and the
-    flat mask of the ORIGINAL rows; any other mix is refused.
-    """
-    if np.ndim(tag) == 0:
-        return tag, None
-    tags = np.asarray(tag)
-    if tags.shape != lead:
-        raise ValueError(f"one tag per start: tags of shape {tags.shape} "
-                         f"for starts of shape {lead}")
-    tags = tags.reshape(-1)
-    base = tags == ORIGINAL
-    # a set, not np.unique, whose first call imports numpy.ma
-    others = sorted(set(tags[~base].tolist()))
-    if not others:
-        return ORIGINAL, None
-    if len(others) == 1 and not base.any():
-        return int(others[0]), None
-    if len(others) > 1 or others[0] == CHEEGER or not analytic:
-        raise ValueError("a mixed geodesic stack holds ORIGINAL and one "
-                         "rank-update tag, with analytic derivatives")
-    return int(others[0]), base
-
-
 def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
-                 lo, hi, periodic, sigma_tol):
+                 lo, hi, periodic, sigma_tol, *, base=None):
     """Integrate the geodesic equation with classical RK4 from a stack of
     starts x0, v0 of shape (..., d); one start is the zero-batch case.
 
-    tag is one metric-variant tag for every start, or one tag per start
-    that mixes ORIGINAL with one rank-update tag (CHEEGER_CLOSED,
-    RESCALED or LIMIT) on the analytic path; each stage then makes one
-    Christoffel call for the whole stack, and every row equals the same
-    start integrated under its own tag alone.
+    tag is the metric-variant tag of the stack.  The Christoffel symbols
+    are exact for every tag but CHEEGER, which takes the Richardson
+    stencil at step H_FD.  base, one boolean per start (shape (...)),
+    marks the rows of a mixed stack that take the base metric; it goes
+    with a rank-update tag (CHEEGER_CLOSED, RESCALED or LIMIT) and is
+    refused with ORIGINAL or CHEEGER.  Each stage makes one Christoffel
+    call for the whole stack, and every row equals the same start
+    integrated under its own variant alone.  h and analytic are ignored:
+    they stay in the signature only because the benchmark's warm-up call
+    passes them.
 
     All running starts advance as one stacked state.  Trajectory rows are
     (position, velocity); a start that stops early keeps zero rows after
     its last state.  A start stops alone, with status LEFT_DOMAIN when its
-    position leaves the chart box shrunk by GEODESIC_MARGIN * h and
+    position leaves the chart box shrunk by GEODESIC_CHART_MARGIN and
     NUMERIC_FAIL on NaN; the other starts carry on.  Returns
     (trajectory (..., n_steps + 1, 2 d), status (...), stacked steps,
     steps completed (...)), where the stacked steps are the number of
@@ -600,9 +565,13 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     """
     lead = x0.shape[:-1]
     d = x0.shape[-1]
-    tag, base = _stack_tag(tag, lead, analytic)
     y = np.concatenate([x0.reshape(-1, d), v0.reshape(-1, d)], axis=-1)
     n = y.shape[0]
+    if base is not None:
+        if tag == ORIGINAL or tag == CHEEGER:
+            raise ValueError("a mixed geodesic stack takes its base mask with "
+                             "a rank-update tag")
+        base = np.asarray(base, dtype=bool).reshape(n)
     traj = np.zeros((n, n_steps + 1, 2 * d))
     traj[:, 0] = y
     status = np.full(n, OK)
@@ -611,11 +580,11 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     rows = np.arange(n)
     # periodic axes are unbounded
     closed = periodic == 0
-    lo_in = np.where(closed, lo + GEODESIC_MARGIN * h, -np.inf)
-    hi_in = np.where(closed, hi - GEODESIC_MARGIN * h, np.inf)
+    lo_in = np.where(closed, lo + GEODESIC_CHART_MARGIN, -np.inf)
+    hi_in = np.where(closed, hi - GEODESIC_CHART_MARGIN, np.inf)
 
     def rhs(y):
-        return _geodesic_rhs(scen, par, tag, l, y, h, analytic, sigma_tol, base)
+        return _geodesic_rhs(scen, par, tag, l, y, sigma_tol, base)
 
     def stop(gone, code, step):
         """Stop the running rows in gone with status code after step

@@ -3,11 +3,13 @@
 Geodesics are integrated with classical fourth-order Runge-Kutta, all
 starts as one stacked state, which may mix the base metric with one
 rank-update variant; each start keeps its own variant, status and step
-count.  Its Christoffel symbols are exact for every variant but the
-deformed metric of the reparametrisation route, which takes fourth-order
-central differences with one Richardson extrapolation level (step H_FD).
-The exact ones are one product rule for every group, on the catalogued
-derivatives of the base metric and of the Killing operator.
+count.  integrate_geodesics checks what a stack holds and hands the
+kernel one tag and the mask of its base-metric rows.  The Christoffel
+symbols are exact for every variant but the deformed metric of the
+reparametrisation route, which takes fourth-order central differences
+with one Richardson extrapolation level (step H_FD).  The exact ones are
+one product rule for every group, on the catalogued derivatives of the
+base metric and of the Killing operator.
 A sample plan carries its points and the geometry of its points (the
 kernels' OrbitData record and adapted frame), computed on first use, and
 the verification stages pass them to every C^0, C^1 and gap block they
@@ -23,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels as _k
+from ._kernels import GEODESIC_CHART_MARGIN, H_FD
 from .cheeger import MetricVariant
 from .gmanifold import SIGMA_TOL, NumericalFailure
 from .scenarios import Scenario
@@ -36,14 +39,6 @@ __all__ = [
     "orbit_invariant_drift",
     "speed_drift",
 ]
-
-# FD step for metric derivatives (coordinate units)
-H_FD = 1e-4
-# chart-box margin of geodesic integration in coordinate units (3e-4): a
-# start inside it raises DomainError here and exits 2 in the CLI, and RK4
-# stops a row that reaches it
-GEODESIC_CHART_MARGIN = _k.GEODESIC_MARGIN * H_FD
-
 
 @dataclass(frozen=True)
 class GeodesicResult:
@@ -79,13 +74,14 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
     v is one variant for every start, or one variant per start.  A
     per-start list may mix the base metric with one variant of exact
     derivatives (limit, rescaled or the closed form), and each row then
-    equals its start integrated under its own variant alone.  Each v0 is
-    normalised to unit variant speed unless unit_speed is False.  A start
-    outside the chart box shrunk by GEODESIC_CHART_MARGIN raises
-    DomainError.  A start stops alone at that margin (status
-    left_domain); numerical breakdown of any start raises
-    NumericalFailure naming the first failing start by its variant, its
-    index among that variant's starts and the step.
+    equals its start integrated under its own variant alone; the kernel
+    takes that variant's tag and a mask of the base-metric rows.  Any
+    other mix raises ValueError.  Each v0 is normalised to unit variant
+    speed unless unit_speed is False.  A start outside the chart box
+    shrunk by GEODESIC_CHART_MARGIN raises DomainError.  A start stops
+    alone at that margin (status left_domain); numerical breakdown of any
+    start raises NumericalFailure naming the first failing start by its
+    variant, its index among that variant's starts and the step.
     """
     x0s = np.asarray(x0s, dtype=float)
     variants = [v] * len(x0s) if isinstance(v, MetricVariant) else list(v)
@@ -116,14 +112,14 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
         if np.any(speed <= 0):
             raise ValueError("initial velocity must be nonzero")
         v0s = v0s / speed[:, None]
-    tag = (main.tag_code if len(starts) == 1
-           else np.array([var.tag_code for var in variants]))
+    base = np.array([var.tag == "original" for var in variants])
     n_steps = int(round(length / step))
     traj, status, _, done = _k.geodesic_rk4(
-        scenario, scenario.params, tag, float(main.l), x0s, v0s,
-        n_steps, float(step), H_FD, True,
+        scenario, scenario.params, main.tag_code, float(main.l), x0s, v0s,
+        n_steps, float(step), None, None,  # h and analytic: ignored
         scenario.chart.lo, scenario.chart.hi,
-        scenario.chart.periodic.astype(np.int64), SIGMA_TOL)
+        scenario.chart.periodic.astype(np.int64), SIGMA_TOL,
+        base=base if base.any() and not base.all() else None)
     failed = np.flatnonzero(status == _k.NUMERIC_FAIL)
     if failed.size:
         s = failed[0]

@@ -126,16 +126,6 @@ def test_degenerate_split_reads_nan_in_the_gap_block(su2_s2):
     assert np.isnan(gap[:, 1:5]).all()
 
 
-def test_su2_split_signs_are_fixed(su2_s2):
-    # the first non-negligible entry of every basis column is positive
-    pts = build_plan(su2_s2, SweepConfig()).points
-    K = su2_s2.killing(su2_s2.params, pts)
-    mb, iso = _k.m_basis(su2_s2.code, K, TOL)
-    cols = np.concatenate([mb, iso], axis=-1).swapaxes(-1, -2).reshape(-1, 3)
-    first = np.argmax(np.abs(cols) > 1e-12, axis=-1)
-    assert np.all(cols[np.arange(len(cols)), first] > 0.0)
-
-
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_small_inverse_and_cholesky_closed_forms(n):
     rng = np.random.default_rng(n)
@@ -148,13 +138,21 @@ def test_small_inverse_and_cholesky_closed_forms(n):
     singular[1] = np.eye(n)
     inv = _k.inv_mat(singular)
     assert np.isnan(inv[0]).all() and not np.isnan(inv[1]).any()
-    # symmetric matrices of mixed definiteness: the closed-form gate agrees
-    # with the Cholesky factor, which reproduces every matrix it accepts
+    # symmetric matrices of mixed definiteness: the Cholesky factor
+    # reproduces every matrix it accepts, and at orbit ranks 1 and 2 the
+    # rank update's gate on the smallest eigenvalue of P rejects the others
     P = B + B.swapaxes(-1, -2)
     L = _k.chol_lower(P)
     accepted = ~np.isnan(L[:, -1, -1])
     assert 0 < accepted.sum() < len(P)
-    np.testing.assert_array_equal(_k._positive(P), accepted)
+    if n <= 2:
+        W = rng.standard_normal((len(P), 3, n))
+        G = np.broadcast_to(np.eye(3), (len(P), 3, 3))
+        orbit = _k.OrbitData(x=None, G=G, K=None, mb=None, iso=None, A=None, W=W, P=P)
+        for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
+            Gv = _k._rank_update(tag, 0.1, orbit)[0]
+            np.testing.assert_array_equal(np.isnan(Gv).any(axis=(-2, -1)), ~accepted)
+            assert np.isnan(Gv[~accepted]).all()
     assert np.isnan(L[~accepted]).all()
     np.testing.assert_allclose(L[accepted] @ L[accepted].swapaxes(-1, -2), P[accepted],
                                rtol=1e-12, atol=1e-12)

@@ -16,7 +16,7 @@ from oracles import pulled_back_ids
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import Chart, DomainError, NumericalFailure
-from cheegerdef.tensor_calc import (GEODESIC_CHART_MARGIN, GeodesicResult,
+from cheegerdef.tensor_calc import (GEODESIC_CHART_MARGIN, H_FD, GeodesicResult,
                                     integrate_geodesics, orbit_invariant_drift,
                                     speed_drift)
 
@@ -36,11 +36,23 @@ def _starts(scenario):
     return x0s, _k.orbit_data(scenario.code, scenario.params, x0s, TOL).A[:, :, 0]
 
 
-def _rk4(scenario, tag, x0, v0, n_steps, dt, chart=None):
+def _rk4(scenario, tag, x0, v0, n_steps, dt, chart=None, base=None):
     chart = chart or scenario.chart
     return _k.geodesic_rk4(scenario.code, scenario.params, tag, 0.0, x0, v0,
                            n_steps, dt, H, True, chart.lo, chart.hi,
-                           chart.periodic.astype(np.int64), TOL)
+                           chart.periodic.astype(np.int64), TOL, base=base)
+
+
+def _failing_gate(monkeypatch):
+    """Make every orbit tensor fail the Cholesky gate of the rank update:
+    _eigh reports the negated eigenvalues."""
+    eigh = _k._eigh
+
+    def negated(P):
+        lam, U = eigh(P)
+        return -lam, U
+
+    monkeypatch.setattr(_k, "_eigh", negated)
 
 
 def _wide(s2_band):
@@ -155,9 +167,9 @@ def test_mixed_stack_limit_row_fails_alone_at_the_pole(s2_band):
     x0s, v0s = _starts(s2_band)
     x_lim = np.vstack([x0s[:1], [[0.3, 0.0]], x0s[1:]])
     v_lim = np.vstack([v0s[:1], [[1.0, 0.0]], v0s[1:]])
-    tags = np.array([_k.LIMIT] * 4 + [_k.ORIGINAL] * 3)
-    traj, status, steps, done = _rk4(s2_band, tags, np.vstack([x_lim, x0s]),
-                                     np.vstack([v_lim, v0s]), 50, 1e-2, wide)
+    base = np.array([False] * 4 + [True] * 3)
+    traj, status, steps, done = _rk4(s2_band, _k.LIMIT, np.vstack([x_lim, x0s]),
+                                     np.vstack([v_lim, v0s]), 50, 1e-2, wide, base)
     np.testing.assert_array_equal(status, [_k.OK, _k.NUMERIC_FAIL] + [_k.OK] * 5)
     np.testing.assert_array_equal(done, [50, 0] + [50] * 5)
     assert steps == 50
@@ -201,7 +213,7 @@ def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, record, monke
         np.testing.assert_array_equal(mixed[base], original)
         np.testing.assert_array_equal(
             mixed[~base], _k.christoffel(code, par, tag, 0.1, x, H, True, TOL))
-    monkeypatch.setattr(_k, "_positive", lambda P: np.zeros(P.shape[:-2], bool))
+    _failing_gate(monkeypatch)
     for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
         mixed = _k.christoffel(code, par, tag, 0.1, np.vstack([x, x]), H, True, TOL,
                                base=base)
@@ -214,10 +226,10 @@ def test_mixed_stack_keeps_the_gate_of_p_off_the_base_rows(s2_band, monkeypatch)
     # are NaN at the first step and the base rows still equal their
     # base-only run, which never evaluates the gate
     x0s, v0s = _starts(s2_band)
-    monkeypatch.setattr(_k, "_positive", lambda P: np.zeros(P.shape[:-2], bool))
-    tags = np.array([_k.LIMIT] * 3 + [_k.ORIGINAL] * 3)
-    traj, status, steps, done = _rk4(s2_band, tags, np.vstack([x0s, x0s]),
-                                     np.vstack([v0s, v0s]), 30, 1e-2)
+    _failing_gate(monkeypatch)
+    base = np.array([False] * 3 + [True] * 3)
+    traj, status, steps, done = _rk4(s2_band, _k.LIMIT, np.vstack([x0s, x0s]),
+                                     np.vstack([v0s, v0s]), 30, 1e-2, base=base)
     np.testing.assert_array_equal(status, [_k.NUMERIC_FAIL] * 3 + [_k.OK] * 3)
     np.testing.assert_array_equal(done, [0] * 3 + [30] * 3)
     one = _rk4(s2_band, _k.ORIGINAL, x0s, v0s, 30, 1e-2)
@@ -241,18 +253,38 @@ def test_mixed_failure_names_the_first_failing_row(s2_band, x_lim, x_base, named
 
 
 def test_stacks_that_cannot_mix_are_refused(s2_band):
+    # the kernel takes a base mask only with a rank-update tag; two
+    # variants that are not the base metric do not share one stack
     x0s, v0s = _starts(s2_band)
     x0s, v0s = x0s[:2], v0s[:2]
-    for tags, analytic in (([_k.LIMIT, _k.RESCALED], True),
-                           ([_k.CHEEGER, _k.ORIGINAL], True),
-                           ([_k.LIMIT, _k.ORIGINAL], False)):
+    for tag in (_k.ORIGINAL, _k.CHEEGER):
         with pytest.raises(ValueError, match="mixed geodesic stack"):
-            _k.geodesic_rk4(s2_band, s2_band.params, np.array(tags), 0.1, x0s, v0s,
-                            5, 1e-2, H, analytic, s2_band.chart.lo, s2_band.chart.hi,
-                            s2_band.chart.periodic.astype(np.int64), TOL)
-    pair = [variant(s2_band, "rescaled", 0.1), variant(s2_band, "rescaled", 0.2)]
-    with pytest.raises(ValueError, match="mixed geodesic stack"):
-        integrate_geodesics(pair, x0s, v0s, length=0.05, step=1e-2)
+            _rk4(s2_band, tag, x0s, v0s, 5, 1e-2, base=np.array([False, True]))
+    for pair in ([variant(s2_band, "limit"), variant(s2_band, "rescaled", 0.1)],
+                 [variant(s2_band, "rescaled", 0.1), variant(s2_band, "rescaled", 0.2)]):
+        with pytest.raises(ValueError, match="mixed geodesic stack"):
+            integrate_geodesics(pair, x0s, v0s, length=0.05, step=1e-2)
+
+
+@pytest.mark.parametrize("name", ("original", "cheeger", "rescaled", "limit",
+                                  "cheeger_closed"))
+def test_geodesic_rk4_ignores_the_warm_up_step_and_flag(s2_band, name):
+    # the benchmark's warm-up passes an FD step of 1e-4 and analytic
+    # unset; the kernel reads neither, so that call equals the same call
+    # with analytic set and another step, bit for bit
+    x0 = s2_band.start_from_transverse(s2_band.geodesic_transverse[0])
+    v0 = np.array([1.0, 0.0])
+    chart = s2_band.chart
+
+    def call(h, analytic):
+        return _k.geodesic_rk4(s2_band.code, s2_band.params, getattr(_k, name.upper()),
+                               0.1, x0, v0, 2, 1e-3, h, analytic, chart.lo, chart.hi,
+                               chart.periodic.astype(np.int64), 1e-8)
+
+    pinned = call(1e-4, False)
+    assert int(pinned[1]) == _k.OK and int(pinned[2]) == 2
+    for got, want in zip(call(1e-2, True), pinned):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_kernel_keeps_the_single_start_shapes(s2_band):
@@ -337,7 +369,7 @@ def test_start_inside_the_integration_margin_is_refused(s2_band):
     # start at 0.2001 would stop at step 0 with nothing measured
     lim = variant(s2_band, "limit")
     v0 = np.array([1.0, 0.0])
-    assert GEODESIC_CHART_MARGIN == _k.GEODESIC_MARGIN * H == pytest.approx(3e-4)
+    assert GEODESIC_CHART_MARGIN == 3.0 * H_FD == pytest.approx(3e-4)
     with pytest.raises(DomainError, match="margin"):
         integrate_geodesics(lim, [[0.3, 0.9], [0.3, 0.2001]], [v0, v0], length=3.0,
                             step=1e-3)
@@ -350,8 +382,8 @@ def test_start_inside_the_integration_margin_is_refused(s2_band):
 def test_cheeger_stack_takes_the_finite_difference_route(sid, request):
     """A deformed-metric stack on the reparametrisation route gives the
     trajectories, statuses and step counts of the kernel's FD route: the
-    kernels send the cheeger tag to finite differences whatever analytic
-    says."""
+    kernel sends the cheeger tag to finite differences at step H_FD,
+    whatever step and flag it is passed."""
     scenario = request.getfixturevalue(sid)
     cheeger = variant(scenario, "cheeger", 0.5)
     x0s, v0s = _starts(scenario)
