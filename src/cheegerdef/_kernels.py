@@ -15,10 +15,10 @@ computes its l-free base-metric norms once per point.
 
 The orbit data of a point set is one OrbitData record, made by
 orbit_data and read by name.  adapted_frame and the rank update take the
-record; variant_metric, its derivative, the Christoffel symbols and the
-variant vertical frame take x as bare points or as their record, so
-that calls on the same points share one record (the base metric needs
-none).  The c0, gap and c1 blocks take
+record; variant_metric, its derivative, its inverse, the Christoffel
+symbols and the variant vertical frame take x as bare points or as
+their record, so that calls on the same points share one record (the
+base metric needs none).  The c0, gap and c1 blocks take
 plan_geometry (orbit data and adapted frame) as a trailing argument and
 compute what they use of it once per call without it, and oracle_block
 shares one record between its two routes.  The scenario argument scen
@@ -30,13 +30,14 @@ written over the stack, so that a singular row turns NaN alone where
 np.linalg.inv raises LinAlgError for the whole stack.  Speed is not the
 reason: np.linalg.inv is faster on a few rows (a geodesic stack) and
 slower on a 200-point plan.  Geodesics are stacked too: RK4
-advances a stack of starts as one state, so a step makes four stacked
-Christoffel calls however many starts it carries.  A stack takes one
-tag, and a stack of a rank-update tag may mark some of its rows with a
-base mask: those rows take the base metric's values from the same
-Christoffel call.  The stack's Christoffel symbols are exact for every
-tag but CHEEGER, whose stencil step H_FD also sets the stack's chart
-margin.
+advances a stack of starts as one state of positions and covectors
+(x, p), so a step makes four stacked flow calls however many starts it
+carries.  The flow is Hamiltonian, on the cometric
+g_v^{-1} = G^{-1} + A M_v A^T, which is linear in the deformation: it
+reads the base metric's inverse and derivative, which every tag shares,
+and no Christoffel symbols.  A stack takes one tag and may mark some of
+its rows with a base mask: those rows take M_v = 0, the base metric's
+flow, from the same call.
 
 The closed-form deformed metric, its vertical rescaling and their limit
 are one rank update G - W Y(P) W^T of the base metric, so their value
@@ -48,10 +49,10 @@ eigenvalues of P, written once with its divided differences (_TABLE),
 so one rule serves every orbit rank: Y = U diag(y(lam)) U^T and
 dY = U (y[lam_i, lam_j] o U^T dP U) U^T on the closed-form
 eigendecomposition of _eigh, the only place that tells the ranks apart.
-At rank 1 (every circle action) lam = p and U = 1, and no rotation
-runs.  In a mixed geodesic stack the base rows get Y = dY = 0, so they
-return the base metric and its derivative from the same arithmetic, with
-nothing to select afterwards.
+Each tag's M_v is a further function m of the same eigenvalues in the
+same table, so the geodesic flow takes dM_v from the same rule, on the
+dP of the derivative route.  At rank 1 (every circle action) lam = p
+and U = 1, and no rotation runs.
 
 Failures are per point: a degenerate algebra split, an orbit tensor that
 fails the Cholesky gate or a blown-up conditioning turns that point's
@@ -80,11 +81,10 @@ NUMERIC_FAIL = 2
 
 # step of the Richardson stencil (coordinate units)
 H_FD = 1e-4
-# chart-box margin of geodesic integration in coordinate units (3e-4).  A
-# CHEEGER stack takes finite-difference Christoffel symbols, whose
-# Richardson stencil reaches 2 H_FD past each point.  The margin also
-# fixes where tensor_calc refuses a start (DomainError) and where the CLI
-# refuses it (exit code 2)
+# chart-box margin of geodesic integration in coordinate units (3e-4): it
+# fixes where a row stops (LEFT_DOMAIN), where tensor_calc refuses a start
+# (DomainError) and where the CLI refuses it (exit code 2), so its value
+# stays the one these boundaries have always had
 GEODESIC_CHART_MARGIN = 3.0 * H_FD
 
 
@@ -335,54 +335,88 @@ def _rotate(U, M):
     return (U * M if M.shape[-2] == 1 else U @ M) @ U.mT
 
 
-# per rank-update tag, the scalar function y with Y(P) = U diag(y(lam)) U^T
-# and its divided difference y[a, b] = (y(a) - y(b)) / (a - b), y'(a) at
-# a = b, in pi = 1 / lam and mu = 1 / (l^2 + lam) without the quotient,
-# so that equal or crossing eigenvalues lose nothing.  pi and mu are rows
-# (..., 1, r) over the eigenvalues: pi.mT holds a and pi holds b
+# per tag, scalar functions f of the eigenvalues of P, each with its
+# divided difference f[a, b] = (f(a) - f(b)) / (a - b), f'(a) at a = b,
+# written without the quotient, so that equal or crossing eigenvalues lose
+# nothing.  Entry ("Y", tag) of a rank-update tag gives Y(P) of the rank
+# update G_v = G - W Y(P) W^T, in pi = 1 / lam and mu = 1 / (l^2 + lam);
+# entry ("M", tag) of every tag but the base metric (M = 0) gives M_v(P)
+# of the cometric g_v^{-1} = G^{-1} + A M_v(P) A^T, in pi and l2 = l^2.
+# pi and mu are rows (..., 1, r) over the eigenvalues: pi.mT holds a and
+# pi holds b
 _TABLE = {
-    CHEEGER_CLOSED: (lambda pi, mu: mu,
-                     lambda pi, mu: -(mu.mT * mu)),
-    RESCALED: (lambda pi, mu: pi - mu * pi,
-               lambda pi, mu: mu.mT * pi * (mu + pi.mT) - pi.mT * pi),
-    LIMIT: (lambda pi, mu: pi - pi * pi,
-            lambda pi, mu: pi.mT * pi * (pi.mT + pi - 1.0)),
+    ("Y", CHEEGER_CLOSED): (lambda pi, mu: mu,
+                            lambda pi, mu: -(mu.mT * mu)),
+    ("Y", RESCALED): (lambda pi, mu: pi - mu * pi,
+                      lambda pi, mu: mu.mT * pi * (mu + pi.mT) - pi.mT * pi),
+    ("Y", LIMIT): (lambda pi, mu: pi - pi * pi,
+                   lambda pi, mu: pi.mT * pi * (pi.mT + pi - 1.0)),
+    # l^-2 on both deformed routes; 0 pi keeps the gate's NaN rows
+    ("M", CHEEGER): (lambda pi, l2: 0.0 * pi + 1.0 / l2,
+                     lambda pi, l2: 0.0 * (pi.mT * pi)),
+    ("M", RESCALED): (lambda pi, l2: (l2 - 1.0) * pi + 1.0,
+                      lambda pi, l2: (1.0 - l2) * (pi.mT * pi)),
+    ("M", LIMIT): (lambda pi, l2: 1.0 - pi,
+                   lambda pi, l2: pi.mT * pi),
 }
+_TABLE["M", CHEEGER_CLOSED] = _TABLE["M", CHEEGER]
 
 
-def _rank_update(tag, l, orbit, dP=None, base=None):
+def _gated_eigh(P):
+    """(pi, lam, U) of _eigh(P), pi = 1 / lam.  The eigenvalues descend,
+    so the last one is the Cholesky gate of P: a row that fails it (a
+    degenerate split's P is NaN) has NaN eigenvalues."""
+    lam, U = _eigh(P)
+    lam = np.where(lam[..., -1:] > 0.0, lam, np.nan)
+    return 1.0 / lam, lam, U
+
+
+def _spectral(U, entry, a, b, dP):
+    """F = U diag(f(a, b)) U^T for the table entry (f, f[., .]) and, given
+    the chart derivatives dP (..., d, r, r), its derivatives
+    dF = U (f[lam_i, lam_j] o U^T dP U) U^T (Daleckii-Krein); without dP,
+    dF is None and no divided difference is computed."""
+    f, df = entry
+    F = _rotate(U, f(a, b))
+    if dP is None:
+        return F, None
+    # one extra axis for the derivative direction m
+    Um = U[..., None, :, :]
+    return F, _rotate(Um, df(a, b)[..., None, :, :] * _rotate(Um.mT, dP))
+
+
+def _rank_update(tag, l, orbit, dP=None):
     """The rank update G_v = G - W Y(P) W^T of the record orbit, as
     (G_v, Y W^T, dY).
 
     Y(P) is (l^2 + P)^{-1} for CHEEGER_CLOSED, P^{-1} - (l^2 + P)^{-1} P^{-1}
     for RESCALED and P^{-1} - P^{-2} for LIMIT, each the function y of
-    _TABLE on the eigenvalues of P.  Given the chart derivatives dP
-    (..., d, r, r), dY = U (y[lam_i, lam_j] o U^T dP U) U^T
-    (Daleckii-Krein); without them dY is None and no divided difference
-    is computed.  The eigenvalues pass the Cholesky gate of P, so a row
-    that fails it (a degenerate split's P is NaN) has an all-NaN G_v.
-    base, given with dP, masks the rows of a mixed geodesic stack that
-    take the base metric: they get Y = dY = 0 whatever their P holds.
+    _TABLE on the eigenvalues of P; dY, given dP, comes from _spectral.
+    The eigenvalues pass the Cholesky gate of P, so a row that fails it
+    has an all-NaN G_v.
     """
-    lam, U = _eigh(orbit.P)
-    # the eigenvalues descend, so the last one is the Cholesky gate of P;
-    # a NaN row fails it too
-    lam = np.where(lam[..., -1:] > 0.0, lam, np.nan)
-    pi = 1.0 / lam
+    pi, lam, U = _gated_eigh(orbit.P)
     # the limit metric does not depend on l and keeps the points' shape
     mu = None if tag == LIMIT else 1.0 / (lam + _sq(l))
-    y, dy = _TABLE[tag]
-    Y = _rotate(U, y(pi, mu))
-    dY = None
-    if dP is not None:
-        # one extra axis for the derivative direction m
-        Um = U[..., None, :, :]
-        dY = _rotate(Um, dy(pi, mu)[..., None, :, :] * _rotate(Um.mT, dP))
-    if base is not None:
-        Y = np.where(base[..., None, None], 0.0, Y)
-        dY = np.where(base[..., None, None, None], 0.0, dY)
+    Y, dY = _spectral(U, _TABLE["Y", tag], pi, mu, dP)
     YWt = Y @ orbit.W.mT
     return sym2(orbit.G - orbit.W @ YWt), YWt, dY
+
+
+def _cometric_term(tag, l, P, dP=None, base=None):
+    """(M_v, dM_v) of the cometric g_v^{-1} = G^{-1} + A M_v A^T of a tag
+    other than ORIGINAL, on the orbit tensors P: I - P^{-1} for LIMIT,
+    (l^2 - 1) P^{-1} + I for RESCALED and l^-2 I for either deformed
+    route, each the function m of _TABLE on the eigenvalues of P, which
+    pass the Cholesky gate; dM_v, given dP, comes from _spectral.  base,
+    given with dP, is None or a boolean mask of the rows that take the
+    base metric: they get M_v = dM_v = 0 whatever their P holds."""
+    pi, _, U = _gated_eigh(P)
+    M, dM = _spectral(U, _TABLE["M", tag], pi, _sq(l), dP)
+    if base is not None:
+        M = np.where(base[..., None, None], 0.0, M)
+        dM = np.where(base[..., None, None, None], 0.0, dM)
+    return M, dM
 
 
 def variant_metric(scen, par, tag, l, x, sigma_tol):
@@ -418,33 +452,38 @@ def variant_metric(scen, par, tag, l, x, sigma_tol):
     return _nan_rows(cond < 1e12, sym2(Ci.mT @ (inner @ Ci)))
 
 
-def _rank_update_dx(scen, par, tag, l, orbit, base=None):
-    """Value and exact first chart derivatives of the rank update,
-    (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, at the points
-    orbit.x of the record, which the catalogued derivatives take.  base
-    is None or a boolean mask of the rows that take the base metric and
-    its catalogued derivative instead (Y = dY = 0 there); the Cholesky
-    gate of P does not act on those rows.
+def _orbit_dx(scen, par, orbit):
+    """Chart derivatives (dG, dA, dW, dP) of the base metric, the orbit
+    fields, their duals and the orbit tensor at the points orbit.x of the
+    record, which the catalogued derivatives take; each has the
+    derivative axis m in front of its matrix axes.
 
     One rule serves every group and orbit rank: dA = (dK) mb from the
-    catalogued Killing derivative, dW = dG A + G dA, dP = A^T dW + dA^T W,
-    dY from _rank_update and dG_v = dG - dW Y W^T - W Y dW^T - W dY W^T.
-
-    d_m A is taken as (d_m K) mb with mb frozen at x.  K Q = K for the
-    orthogonal projector Q onto the isotropy complement, so the basis
-    Q(y) mb(x) gives A(y) = K(y) mb(x); that basis is orthonormal at x
-    and stays so to first order, because n^T mb = 0 for the isotropy
-    directions n.  The SVD basis of m_basis is therefore never
-    differentiated, and the sign of its columns does not matter.  All
-    chart axes are differentiated in one stacked evaluation.
+    catalogued Killing derivative, dW = dG A + G dA and
+    dP = A^T dW + dA^T W.  d_m A is taken as (d_m K) mb with mb frozen at
+    x.  K Q = K for the orthogonal projector Q onto the isotropy
+    complement, so the basis Q(y) mb(x) gives A(y) = K(y) mb(x); that
+    basis is orthonormal at x and stays so to first order, because
+    n^T mb = 0 for the isotropy directions n.  The SVD basis of m_basis
+    is therefore never differentiated, and the sign of its columns does
+    not matter.  All chart axes are differentiated in one stacked
+    evaluation.
     """
-    G = orbit.G
     dG = scen.metric_dx(par, orbit.x)
-    # one extra axis for the derivative direction m
     A, W = orbit.A[..., None, :, :], orbit.W[..., None, :, :]
     dA = scen.killing_dx(par, orbit.x) @ orbit.mb[..., None, :, :]
-    dW = dG @ A + G[..., None, :, :] @ dA
-    Gv, YWt, dY = _rank_update(tag, l, orbit, sym2(A.mT @ dW + dA.mT @ W), base)
+    dW = dG @ A + orbit.G[..., None, :, :] @ dA
+    return dG, dA, dW, sym2(A.mT @ dW + dA.mT @ W)
+
+
+def _rank_update_dx(scen, par, tag, l, orbit):
+    """Value and exact first chart derivatives of the rank update,
+    (G_v, dG_v) with dG_v[..., m, i, j] = d_m (G_v)_ij, at the points of
+    the record: dG_v = dG - dW Y W^T - W Y dW^T - W dY W^T on the
+    derivatives of _orbit_dx and the dY of _rank_update."""
+    dG, _, dW, dP = _orbit_dx(scen, par, orbit)
+    Gv, YWt, dY = _rank_update(tag, l, orbit, dP)
+    W = orbit.W[..., None, :, :]
     B = dW @ YWt[..., None, :, :]
     return Gv, dG - (B + B.mT) - W @ (dY @ W.mT)
 
@@ -503,15 +542,14 @@ def variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol):
     return _richardson(f, h)
 
 
-def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=None):
+def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol):
     """Christoffel symbols Gamma[..., k, i, j] of a metric variant at x,
     a point stack or its OrbitData record.
 
     The rank-update tags take the value and the derivative from one
-    evaluation of _rank_update_dx; on that path base may mask the rows
-    of x that take the base metric instead (see _rank_update_dx)."""
+    evaluation of _rank_update_dx."""
     if analytic and tag != ORIGINAL and tag != CHEEGER:
-        G, dG = _rank_update_dx(scen, par, tag, l, _record(scen, par, x, sigma_tol), base)
+        G, dG = _rank_update_dx(scen, par, tag, l, _record(scen, par, x, sigma_tol))
     else:
         G = variant_metric(scen, par, tag, l, x, sigma_tol)
         dG = variant_metric_dx(scen, par, tag, l, x, h, analytic, sigma_tol)
@@ -525,36 +563,67 @@ def christoffel(scen, par, tag, l, x, h, analytic, sigma_tol, base=None):
     return 0.5 * (Gi @ T.reshape(lead + (d, d * d))).reshape(lead + (d, d, d))
 
 
-def _geodesic_rhs(scen, par, tag, l, y, sigma_tol, base):
-    """Right-hand side (v, -Gamma(v, v)) of the geodesic equation on a
-    stack (n, 2 d) of states (x, v); base masks the base-metric rows of
-    a mixed stack or is None."""
-    n, d = y.shape[0], y.shape[1] // 2
-    x, v = y[:, :d], y[:, d:]
-    Gam = christoffel(scen, par, tag, l, x, H_FD, True, sigma_tol, base=base)
-    w = v[:, :, None]
-    acc = -((Gam.reshape(n, d * d, d) @ w).reshape(n, d, d) @ w)[:, :, 0]
-    return np.concatenate([v, acc], axis=-1)
+def variant_cometric(scen, par, tag, l, x, sigma_tol):
+    """Chart components of the inverse g_v^{-1} = G^{-1} + A M_v A^T of
+    a metric variant at x, a point stack or its OrbitData record (the
+    base metric needs none), with the M_v of _cometric_term (0 for
+    ORIGINAL); NaN rows where G is singular or P fails its gate."""
+    if tag == ORIGINAL:
+        return inv_mat(x.G if isinstance(x, OrbitData) else gm_metric(scen, par, x))
+    orbit = _record(scen, par, x, sigma_tol)
+    M = _cometric_term(tag, l, orbit.P)[0]
+    return inv_mat(orbit.G) + orbit.A @ M @ orbit.A.mT
 
 
-def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
+def _geodesic_flow(scen, par, tag, l, y, sigma_tol, base):
+    """Right-hand side (x', p') of the geodesic flow in cometric
+    (Hamiltonian) form on a stack (n, 2 d) of states (x, p); base masks
+    the base-metric rows of a mixed stack or is None.
+
+    H = p^T g_v^{-1} p / 2 with g_v^{-1} = G^{-1} + A M_v A^T, so with
+    u = G^{-1} p and J = A^T p, x' = u + A M_v J and
+    p'_m = u^T d_mG u / 2 - J^T d_mM_v J / 2 - J^T M_v (d_mA)^T p.  Only
+    the base metric's inverse and derivative enter, which every tag
+    shares; ORIGINAL reads no orbit data, and base rows take
+    M_v = dM_v = 0, which leaves them the base flow exactly.
+    """
+    d = y.shape[1] // 2
+    x, p = y[:, :d], y[:, d:, None]
+    if tag == ORIGINAL:
+        G, dG = gm_metric(scen, par, x), scen.metric_dx(par, x)
+    else:
+        orbit = orbit_data(scen, par, x, sigma_tol)
+        G = orbit.G
+        dG, dA, _, dP = _orbit_dx(scen, par, orbit)
+    u = inv_mat(G) @ p
+    # one extra axis for the derivative direction m
+    um = u[:, None]
+    xdot, pdot = u, 0.5 * (um.mT @ dG @ um)
+    if tag != ORIGINAL:
+        M, dM = _cometric_term(tag, l, orbit.P, dP, base)
+        J = orbit.A.mT @ p
+        MJ, Jm = M @ J, J[:, None]
+        xdot = u + orbit.A @ MJ
+        pdot = pdot - 0.5 * (Jm.mT @ dM @ Jm) - p[:, None].mT @ (dA @ MJ[:, None])
+    return np.concatenate([xdot[..., 0], pdot[..., 0, 0]], axis=-1)
+
+
+def geodesic_rk4(scen, par, tag, l, x0, p0, n_steps, dt, h, analytic,
                  lo, hi, periodic, sigma_tol, *, base=None):
-    """Integrate the geodesic equation with classical RK4 from a stack of
-    starts x0, v0 of shape (..., d); one start is the zero-batch case.
+    """Integrate the geodesic flow in cometric form with classical RK4
+    from a stack of starts x0 and initial covectors p0 of shape (..., d);
+    one start is the zero-batch case.
 
-    tag is the metric-variant tag of the stack.  The Christoffel symbols
-    are exact for every tag but CHEEGER, which takes the Richardson
-    stencil at step H_FD.  base, one boolean per start (shape (...)),
-    marks the rows of a mixed stack that take the base metric; it goes
-    with a rank-update tag (CHEEGER_CLOSED, RESCALED or LIMIT) and is
-    refused with ORIGINAL or CHEEGER.  Each stage makes one Christoffel
-    call for the whole stack, and every row equals the same start
-    integrated under its own variant alone.  h and analytic are ignored:
-    they stay in the signature only because the benchmark's warm-up call
-    passes them.
+    tag is the metric-variant tag of the stack; every tag takes the exact
+    flow of _geodesic_flow, so both deformed routes integrate alike.
+    base, one boolean per start (shape (...)), marks the rows of a mixed
+    stack that take the base metric.  Each stage makes one flow call for
+    the whole stack, and every row equals the same start integrated under
+    its own variant alone.  h and analytic are ignored: they stay in the
+    signature only because the benchmark's warm-up call passes them.
 
     All running starts advance as one stacked state.  Trajectory rows are
-    (position, velocity); a start that stops early keeps zero rows after
+    (position, covector); a start that stops early keeps zero rows after
     its last state.  A start stops alone, with status LEFT_DOMAIN when its
     position leaves the chart box shrunk by GEODESIC_CHART_MARGIN and
     NUMERIC_FAIL on NaN; the other starts carry on.  Returns
@@ -565,12 +634,9 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     """
     lead = x0.shape[:-1]
     d = x0.shape[-1]
-    y = np.concatenate([x0.reshape(-1, d), v0.reshape(-1, d)], axis=-1)
+    y = np.concatenate([x0.reshape(-1, d), p0.reshape(-1, d)], axis=-1)
     n = y.shape[0]
     if base is not None:
-        if tag == ORIGINAL or tag == CHEEGER:
-            raise ValueError("a mixed geodesic stack takes its base mask with "
-                             "a rank-update tag")
         base = np.asarray(base, dtype=bool).reshape(n)
     traj = np.zeros((n, n_steps + 1, 2 * d))
     traj[:, 0] = y
@@ -584,7 +650,7 @@ def geodesic_rk4(scen, par, tag, l, x0, v0, n_steps, dt, h, analytic,
     hi_in = np.where(closed, hi - GEODESIC_CHART_MARGIN, np.inf)
 
     def rhs(y):
-        return _geodesic_rhs(scen, par, tag, l, y, sigma_tol, base)
+        return _geodesic_flow(scen, par, tag, l, y, sigma_tol, base)
 
     def stop(gone, code, step):
         """Stop the running rows in gone with status code after step

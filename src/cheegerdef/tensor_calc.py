@@ -2,14 +2,14 @@
 
 Geodesics are integrated with classical fourth-order Runge-Kutta, all
 starts as one stacked state, which may mix the base metric with one
-rank-update variant; each start keeps its own variant, status and step
-count.  integrate_geodesics checks what a stack holds and hands the
-kernel one tag and the mask of its base-metric rows.  The Christoffel
-symbols are exact for every variant but the deformed metric of the
-reparametrisation route, which takes fourth-order central differences
-with one Richardson extrapolation level (step H_FD).  The exact ones are
-one product rule for every group, on the catalogued derivatives of the
-base metric and of the Killing operator.
+other variant; each start keeps its own variant, status and step count.
+The state is (position, covector p = g_v v), and the flow is Hamilton's
+for the cometric g_v^{-1} = G^{-1} + A M_v A^T, exact for every variant
+(both deformed routes share it): one product rule for every group, on
+the catalogued derivatives of the base metric and of the Killing
+operator, with no Christoffel symbols.  integrate_geodesics checks what
+a stack holds, forms each start's covector from its variant's metric and
+hands the kernel one tag and the mask of its base-metric rows.
 A sample plan carries its points and the geometry of its points (the
 kernels' OrbitData record and adapted frame), computed on first use, and
 the verification stages pass them to every C^0, C^1 and gap block they
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeodesicResult:
-    """Sampled geodesic states: row t is (position, velocity) after t
+    """Sampled geodesic states: row t is (position, covector) after t
     integration steps."""
 
     variant: MetricVariant
@@ -56,7 +56,7 @@ class GeodesicResult:
         return self.states[: self.steps + 1, :d]
 
     @property
-    def velocities(self) -> np.ndarray:
+    def covectors(self) -> np.ndarray:
         d = self.states.shape[1] // 2
         return self.states[: self.steps + 1, d:]
 
@@ -72,13 +72,13 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
     as one stacked RK4 state; one result per start.
 
     v is one variant for every start, or one variant per start.  A
-    per-start list may mix the base metric with one variant of exact
-    derivatives (limit, rescaled or the closed form), and each row then
-    equals its start integrated under its own variant alone; the kernel
-    takes that variant's tag and a mask of the base-metric rows.  Any
-    other mix raises ValueError.  Each v0 is normalised to unit variant
-    speed unless unit_speed is False.  A start outside the chart box
-    shrunk by GEODESIC_CHART_MARGIN raises DomainError.  A start stops
+    per-start list may mix the base metric with one other variant, and
+    each row then equals its start integrated under its own variant
+    alone; the kernel takes that variant's tag and a mask of the
+    base-metric rows.  Any other mix raises ValueError.  Each start's
+    covector is p0 = g_v v0, divided by the variant speed sqrt(p0 . v0)
+    unless unit_speed is False.  A start outside the chart box shrunk by
+    GEODESIC_CHART_MARGIN raises DomainError.  A start stops
     alone at that margin (status left_domain); numerical breakdown of any
     start raises NumericalFailure naming the first failing start by its
     variant, its index among that variant's starts and the step.
@@ -103,19 +103,22 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
     v0s = np.asarray(v0s, dtype=float)
     if step <= 0 or length <= 0:
         raise ValueError("geodesic step and length must be positive")
+    # each start's covector p0 = g_v v0, from its own variant's metric
+    p0s = np.empty_like(v0s)
+    for rows in starts.values():
+        var = variants[rows[0]]
+        G = _k.variant_metric(scenario, scenario.params, var.tag_code, float(var.l),
+                              x0s[rows], SIGMA_TOL)
+        p0s[rows] = (G @ v0s[rows][:, :, None])[:, :, 0]
     if unit_speed:
-        speed = np.empty(len(x0s))
-        for rows in starts.values():
-            G = variants[rows[0]].matrix(x0s[rows])
-            w = v0s[rows]
-            speed[rows] = np.sqrt((w[:, None, :] @ G @ w[:, :, None])[:, 0, 0])
+        speed = np.sqrt((p0s * v0s).sum(axis=-1))
         if np.any(speed <= 0):
             raise ValueError("initial velocity must be nonzero")
-        v0s = v0s / speed[:, None]
+        p0s = p0s / speed[:, None]
     base = np.array([var.tag == "original" for var in variants])
     n_steps = int(round(length / step))
     traj, status, _, done = _k.geodesic_rk4(
-        scenario, scenario.params, main.tag_code, float(main.l), x0s, v0s,
+        scenario, scenario.params, main.tag_code, float(main.l), x0s, p0s,
         n_steps, float(step), None, None,  # h and analytic: ignored
         scenario.chart.lo, scenario.chart.hi,
         scenario.chart.periodic.astype(np.int64), SIGMA_TOL,
@@ -134,16 +137,17 @@ def integrate_geodesics(v: MetricVariant | Sequence[MetricVariant],
 
 
 def speed_drift(res: GeodesicResult, stride: int = 50) -> float:
-    """Max deviation of the variant speed from its initial value along
-    the trajectory, sampled every stride steps and at the last completed
-    step, so no tail of the run goes unchecked."""
+    """Max deviation of the squared variant speed p^T g_v^{-1} p (twice
+    the Hamiltonian) from its initial value along the trajectory, sampled
+    every stride steps and at the last completed step, so no tail of the
+    run goes unchecked."""
     # the last multiple of the stride at or past the end becomes the end
     idx = np.arange(0, res.steps + stride, stride)
     idx[-1] = res.steps
-    pos = res.positions[idx]
-    vel = res.velocities[idx]
-    G = res.variant.matrix(pos)
-    speeds = (vel[:, None, :] @ G @ vel[:, :, None])[:, 0, 0]
+    var, p = res.variant, res.covectors[idx]
+    C = _k.variant_cometric(var.scenario, var.scenario.params, var.tag_code, float(var.l),
+                            res.positions[idx], SIGMA_TOL)
+    speeds = (p[:, None, :] @ C @ p[:, :, None])[:, 0, 0]
     return float(np.max(np.abs(speeds - speeds[0])))
 
 

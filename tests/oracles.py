@@ -519,3 +519,31 @@ def turning_torus():
         element_scale=None,
         expect_base_drift=True,
     )
+
+
+def christoffel_geodesic(scenario, tag, l, x0s, v0s, n_steps, dt):
+    """States (..., n_steps + 1, 2 d) of classical RK4 on the geodesic
+    equation x'' = -Gamma(x', x') in (position, velocity) form, from a
+    stack of starts (..., d), with the kernels' exact Christoffel
+    symbols: the route that the cometric flow of the kernels replaced.
+    CHEEGER, whose symbols are finite differences, takes those of
+    CHEEGER_CLOSED, the same metric."""
+    par = scenario.params
+    tag = _k.CHEEGER_CLOSED if tag == _k.CHEEGER else tag
+
+    def rhs(y):
+        d = y.shape[-1] // 2
+        x, v = y[..., :d], y[..., d:]
+        gam = _k.christoffel(scenario, par, tag, l, x, _k.H_FD, True, SIGMA_TOL)
+        return np.concatenate([v, -np.einsum("...kij,...i,...j->...k", gam, v, v)],
+                              axis=-1)
+
+    y = np.concatenate([x0s, v0s], axis=-1)
+    states = [y]
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + rhs(y + dt * k3))
+        states.append(y)
+    return np.stack(states, axis=-2)

@@ -92,8 +92,8 @@ def test_diagonal_divided_differences_break_the_turning_derivative(record, monke
     differences, dY misses the part of dP that turns the eigenbasis, so
     every tag's derivative on the turning torus leaves its FD oracle."""
     for tag in RANK_UPDATE_TAGS:
-        y, dy = _k._TABLE[tag]
-        monkeypatch.setitem(_k._TABLE, tag,
+        y, dy = _k._TABLE["Y", tag]
+        monkeypatch.setitem(_k._TABLE, ("Y", tag),
                             (y, lambda pi, mu, dy=dy: dy(pi, mu) * np.eye(pi.shape[-1])))
     errors = _dx_errors(record("t2_turning"))
     assert min(errors) > 0.1

@@ -1,7 +1,13 @@
 """The deformed family is linear in the cometric: on every scenario's
 default plan each variant's inverse is a closed form in G^-1 and the
-orbit fields, and the rescaled family's cometric distance to its limit
-is exactly l^2.  An l in place of l^2 breaks each identity.
+orbit fields, which the kernels' cometric G^-1 + A M_v A^T must equal,
+and the rescaled family's cometric distance to its limit is exactly l^2.
+An l in place of l^2 breaks each identity.
+
+The kernels integrate geodesics in this form, as the Hamiltonian flow of
+(x, p): RK4 on it must follow RK4 on the geodesic equation with the
+exact Christoffel symbols, for every variant and record, and a Killing
+derivative of zero must make it miss.
 
 So the Hamiltonian of g_l is the base one plus |J|^2 / (2 l^2), J = K^T p
 the momentum, and the two flows commute: the g_l-geodesic with initial
@@ -16,7 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from oracles import SHEARS, cheeger_geodesic, cometric, cometric_distance, pulled_back
+from oracles import (SHEARS, cheeger_geodesic, christoffel_geodesic, cometric,
+                     cometric_distance, pulled_back, pulled_back_ids,
+                     zero_killing_derivative)
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
@@ -53,6 +61,29 @@ def test_each_variant_inverts_its_closed_form_cometric(planned, l):
     scenario, orbit = planned
     for tag in (*DEFORMED, _k.RESCALED, _k.LIMIT):
         assert _residual(scenario, orbit, tag, l) < 1e-11, tag
+
+
+def _kernel_residual(scenario, orbit, tag, l):
+    """max |kernel cometric - closed form| / max |closed form| over the
+    plan; the base metric's closed form is G^-1."""
+    got = _k.variant_cometric(scenario, scenario.params, tag, l, orbit, SIGMA_TOL)
+    want = np.linalg.inv(orbit.G) if tag == _k.ORIGINAL else cometric(orbit, tag, l)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("l", L_VALUES)
+def test_kernel_cometric_equals_its_closed_form(planned, l, monkeypatch):
+    """M_v from the eigenvalues of P (measured at most 7.1e-16 relative,
+    on su2_s2); with l for l^2 in the kernels the deformed and rescaled
+    cometrics miss (by 3.7e-3 or more; the least is rescaled on s3_hopf
+    at l = 0.025)."""
+    scenario, orbit = planned
+    for tag in (_k.ORIGINAL, *DEFORMED, _k.RESCALED, _k.LIMIT):
+        assert _kernel_residual(scenario, orbit, tag, l) <= 1e-14, tag
+    if l != 1.0:
+        monkeypatch.setattr(_k, "_sq", lambda l: l)
+        for tag in (*DEFORMED, _k.RESCALED):
+            assert _kernel_residual(scenario, orbit, tag, l) > 1e-3, tag
 
 
 @pytest.mark.parametrize("l", L_VALUES)
@@ -143,3 +174,51 @@ def test_rk4_error_on_the_closed_form_falls_sixteenfold_per_halving():
                        for step in (0.08, 0.04, 0.02, 0.01)])
     ratios = errors[:-1] / errors[1:]
     assert np.all(np.abs(ratios - 16.0) <= 1.0), ratios
+
+
+# every variant, every record, from oblique starts: the catalogued
+# transverse values with one chart velocity off the orbits
+FLOW_RECORDS = (*list_scenarios(), *pulled_back_ids(list_scenarios()), "t2_turning")
+VARIANTS = ("original", "cheeger", "rescaled", "limit", "cheeger_closed_form")
+# 50 steps of 2e-3, the workloads' geodesic size
+FLOW_STEPS, FLOW_STEP = 50, 2e-3
+
+
+def _flow_miss(scenario, truth, name):
+    """Max deviation, relative to the largest entry, of the (position,
+    velocity) rows of RK4 on the cometric flow of scenario from those of
+    RK4 on truth's geodesic equation (oracles.christoffel_geodesic), per
+    start; the velocities are g_v^-1 p."""
+    x0s = np.stack([scenario.start_from_transverse(c) for c in scenario.geodesic_transverse])
+    v0s = np.broadcast_to(np.linspace(0.7, 0.2, scenario.dim), x0s.shape)
+    v = variant(scenario, name, 0.3)
+    results = integrate_geodesics(v, x0s, v0s, length=FLOW_STEPS * FLOW_STEP,
+                                  step=FLOW_STEP, unit_speed=False)
+    want = christoffel_geodesic(truth, v.tag_code, 0.3, x0s, v0s, FLOW_STEPS, FLOW_STEP)
+    misses = []
+    for res, rows in zip(results, want):
+        assert res.status == "ok" and res.steps == FLOW_STEPS
+        C = _k.variant_cometric(scenario, scenario.params, v.tag_code, 0.3, res.positions,
+                                SIGMA_TOL)
+        vel = (C @ res.covectors[:, :, None])[:, :, 0]
+        got = np.concatenate([res.positions, vel], axis=-1)
+        misses.append(float(np.max(np.abs(got - rows)) / np.max(np.abs(rows))))
+    return misses
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+@pytest.mark.parametrize("sid", FLOW_RECORDS)
+def test_cometric_flow_follows_the_christoffel_route(sid, name, record):
+    """Measured at most 4.5e-14 relative; the two forms differ by RK4's
+    truncation error, which at step 1e-2 reaches 5.3e-11."""
+    scenario = record(sid)
+    assert max(_flow_miss(scenario, scenario, name)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ("rescaled", "limit", "cheeger_closed_form"))
+def test_zero_killing_derivative_misses_the_christoffel_route(name, record):
+    """Negative control: with d_m A = 0 on the pulled-back s2_band, whose
+    orbit fields vary, each oblique start leaves the true Christoffel
+    route by 1.2e-5 to 5.4e-3 relative."""
+    pulled = record("s2_band.pulled_back")
+    assert min(_flow_miss(zero_killing_derivative(pulled), pulled, name)) > 1e-6

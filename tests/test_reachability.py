@@ -34,6 +34,7 @@ ALLOWED = {
     "lie_core.list_groups": "the group tests run over the catalogue it lists",
     "cheeger.MetricVariant.reference_matrix": "the benchmark traces it "
                                               "(perfbench/layertrace.py)",
+    "cheeger.MetricVariant.matrix": "the benchmark traces it (perfbench/layertrace.py)",
     "scenarios.Scenario.code": "the benchmark's warm-up passes it to the kernels "
                                "(perfbench/workloads.py)",
     "cheeger.MetricVariant.label": "only failure paths read it, to name the variant",

@@ -1,11 +1,12 @@
 """Stacked geodesic integration: a stack of starts advances as one RK4
-state, each start keeps its own status and step count, and every row
-equals the same start integrated alone.  A stack may mix the base metric
-with the limit metric; each of its rows equals the same start in a stack
-of its own variant.  The catalogue-wide tests also run on the
-pulled-back records, whose sheared charts make every orbit field vary,
-and the mixed Christoffel call runs on the turning torus, whose rank-2
-orbit tensor turns and has crossing eigenvalues."""
+state of positions and covectors, each start keeps its own status and
+step count, and every row equals the same start integrated alone.  A
+stack may mix the base metric with one other variant; each of its rows
+equals the same start in a stack of its own variant.  The
+catalogue-wide tests also run on the pulled-back records, whose sheared
+charts make every orbit field vary, and the mixed flow call runs on the
+turning torus, whose rank-2 orbit tensor turns and has crossing
+eigenvalues."""
 
 import dataclasses
 
@@ -36,9 +37,9 @@ def _starts(scenario):
     return x0s, _k.orbit_data(scenario.code, scenario.params, x0s, TOL).A[:, :, 0]
 
 
-def _rk4(scenario, tag, x0, v0, n_steps, dt, chart=None, base=None):
+def _rk4(scenario, tag, x0, p0, n_steps, dt, chart=None, base=None, l=0.0):
     chart = chart or scenario.chart
-    return _k.geodesic_rk4(scenario.code, scenario.params, tag, 0.0, x0, v0,
+    return _k.geodesic_rk4(scenario.code, scenario.params, tag, l, x0, p0,
                            n_steps, dt, H, True, chart.lo, chart.hi,
                            chart.periodic.astype(np.int64), TOL, base=base)
 
@@ -60,6 +61,12 @@ def _wide(s2_band):
     return Chart(labels=s2_band.chart.labels, lo=np.array([0.0, -1.0]),
                  hi=np.array([2 * np.pi, np.pi + 1.0]),
                  periodic=s2_band.chart.periodic)
+
+
+def _cometric(res, x):
+    """The inverse metric of res's variant at x."""
+    v = res.variant
+    return _k.variant_cometric(v.scenario, v.scenario.params, v.tag_code, v.l, x, TOL)
 
 
 def _assert_same(stacked, single):
@@ -110,7 +117,7 @@ def test_meridian_rows_leave_chart_alone(s2_band):
 
 def test_degenerate_row_fails_alone(s2_band):
     # with the chart box opened past the pole, the pole start reaches the
-    # kernel and its Christoffel symbols are NaN at the first step
+    # kernel and its flow is NaN at the first step
     wide = _wide(s2_band)
     x0s, v0s = _starts(s2_band)
     x0s = np.vstack([x0s[:2], [[0.3, 0.0]], x0s[2:]])
@@ -194,29 +201,50 @@ def test_mixed_stack_base_meridian_row_leaves_chart_alone(s2_band):
         _assert_same(res, one)
 
 
+def _christoffel_flow(scenario, tag, x, v):
+    """States (x, p) with p = g v and their derivatives (v, p') from the
+    variant's exact Christoffel symbols at l = 0.1:
+    p' = d/dt (g v) = (d_k g v^k) v - g Gamma(v, v)."""
+    code, par = scenario.code, scenario.params
+    G = _k.variant_metric(code, par, tag, 0.1, x, TOL)
+    dG = _k.variant_metric_dx(code, par, tag, 0.1, x, H, True, TOL)
+    acc = -np.einsum("nkij,ni,nj->nk", _k.christoffel(code, par, tag, 0.1, x, H, True, TOL),
+                     v, v)
+    p = (G @ v[:, :, None])[:, :, 0]
+    pdot = np.einsum("nkij,nk,nj->ni", dG, v, v) + (G @ acc[:, :, None])[:, :, 0]
+    return np.hstack([x, p]), np.hstack([v, pdot])
+
+
 @pytest.mark.parametrize("sid", IN_EVERY_CHART + ("t2_turning",))
 def test_mixed_christoffel_rows_equal_their_one_variant_calls(sid, record, monkeypatch):
-    # a mixed call gives its base rows Y = dY = 0 in the rank update,
-    # which must leave the base metric's symbols exactly; the rank-update
-    # rows equal a call of their own tag.  The turning torus runs the
-    # rank-2 update, with its eigenvalues crossing at the middle start.
-    # With every orbit tensor failing the Cholesky gate, the rank-update
-    # rows turn NaN and the base rows keep their symbols.
+    # a mixed flow call gives its base rows M = dM = 0 in the cometric,
+    # which must leave them the base metric's flow exactly; the other rows
+    # equal a call of their own tag, and every row the geodesic equation
+    # of its own variant's Christoffel symbols, from an oblique velocity.
+    # The turning torus runs the rank-2 cometric, with its eigenvalues
+    # crossing at the middle start.  With every orbit tensor failing the
+    # Cholesky gate, the other rows turn NaN and the base rows keep their
+    # flow.
     scenario = record(sid)
     code, par = scenario.code, scenario.params
     x = _geodesic_starts(scenario)
+    v = np.broadcast_to(np.linspace(0.7, 0.2, scenario.dim), x.shape)
     base = np.array([False] * len(x) + [True] * len(x))
-    original = _k.christoffel(code, par, _k.ORIGINAL, 0.1, x, H, True, TOL)
+    y_base, want_base = _christoffel_flow(scenario, _k.ORIGINAL, x, v)
+    original = _k._geodesic_flow(code, par, _k.ORIGINAL, 0.1, y_base, TOL, None)
     for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
-        mixed = _k.christoffel(code, par, tag, 0.1, np.vstack([x, x]), H, True, TOL,
-                               base=base)
+        y_var, want_var = _christoffel_flow(scenario, tag, x, v)
+        mixed = _k._geodesic_flow(code, par, tag, 0.1, np.vstack([y_var, y_base]), TOL,
+                                  base)
         np.testing.assert_array_equal(mixed[base], original)
         np.testing.assert_array_equal(
-            mixed[~base], _k.christoffel(code, par, tag, 0.1, x, H, True, TOL))
+            mixed[~base], _k._geodesic_flow(code, par, tag, 0.1, y_var, TOL, None))
+        want = np.vstack([want_var, want_base])
+        np.testing.assert_allclose(mixed, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     _failing_gate(monkeypatch)
     for tag in (_k.LIMIT, _k.RESCALED, _k.CHEEGER_CLOSED):
-        mixed = _k.christoffel(code, par, tag, 0.1, np.vstack([x, x]), H, True, TOL,
-                               base=base)
+        mixed = _k._geodesic_flow(code, par, tag, 0.1, np.vstack([y_base, y_base]), TOL,
+                                  base)
         np.testing.assert_array_equal(mixed[base], original)
         assert np.isnan(mixed[~base]).all()
 
@@ -253,17 +281,30 @@ def test_mixed_failure_names_the_first_failing_row(s2_band, x_lim, x_base, named
 
 
 def test_stacks_that_cannot_mix_are_refused(s2_band):
-    # the kernel takes a base mask only with a rank-update tag; two
-    # variants that are not the base metric do not share one stack
+    # two variants that are not the base metric do not share one stack
     x0s, v0s = _starts(s2_band)
     x0s, v0s = x0s[:2], v0s[:2]
-    for tag in (_k.ORIGINAL, _k.CHEEGER):
-        with pytest.raises(ValueError, match="mixed geodesic stack"):
-            _rk4(s2_band, tag, x0s, v0s, 5, 1e-2, base=np.array([False, True]))
     for pair in ([variant(s2_band, "limit"), variant(s2_band, "rescaled", 0.1)],
                  [variant(s2_band, "rescaled", 0.1), variant(s2_band, "rescaled", 0.2)]):
         with pytest.raises(ValueError, match="mixed geodesic stack"):
             integrate_geodesics(pair, x0s, v0s, length=0.05, step=1e-2)
+
+
+@pytest.mark.parametrize("name", ("original", "cheeger", "rescaled", "limit",
+                                  "cheeger_closed"))
+def test_mixed_stack_of_every_tag_equals_its_one_variant_stacks(s2_band, name):
+    # base rows take M = 0 under any tag, so a stack of any tag with a base
+    # mask equals, row for row and bit for bit, the stack of that tag and
+    # the base-metric stack of the same starts
+    tag = getattr(_k, name.upper())
+    x0s, p0s = _starts(s2_band)
+    base = np.array([False] * 3 + [True] * 3)
+    mixed = _rk4(s2_band, tag, np.vstack([x0s, x0s]), np.vstack([p0s, p0s]), 30, 1e-2,
+                 base=base, l=0.3)
+    for rows, one in ((~base, _rk4(s2_band, tag, x0s, p0s, 30, 1e-2, l=0.3)),
+                      (base, _rk4(s2_band, _k.ORIGINAL, x0s, p0s, 30, 1e-2))):
+        for got, want in zip(mixed, one):
+            np.testing.assert_array_equal(got if np.ndim(got) == 0 else got[rows], want)
 
 
 @pytest.mark.parametrize("name", ("original", "cheeger", "rescaled", "limit",
@@ -357,8 +398,8 @@ def test_drifts_match_pointwise_loops(warped_s2, tag):
     x0s, v0s = _starts(warped_s2)
     (res,) = integrate_geodesics(variant(warped_s2, tag), x0s[:1], v0s[:1],
                                  length=1.0, step=1e-2)
-    speeds = [w @ res.variant.matrix(x) @ w
-              for x, w in zip(res.positions[::5], res.velocities[::5])]
+    speeds = [p @ _cometric(res, x) @ p
+              for x, p in zip(res.positions[::5], res.covectors[::5])]
     assert speed_drift(res, stride=5) == np.max(np.abs(np.array(speeds) - speeds[0]))
     inv = [warped_s2.orbit_invariants(x) for x in res.positions]
     assert orbit_invariant_drift(res) == np.max(np.abs(np.array(inv) - inv[0]))
@@ -379,33 +420,38 @@ def test_start_inside_the_integration_margin_is_refused(s2_band):
 
 
 @pytest.mark.parametrize("sid", ("s2_band", "s3_hopf", "t2_flat"))
-def test_cheeger_stack_takes_the_finite_difference_route(sid, request):
-    """A deformed-metric stack on the reparametrisation route gives the
-    trajectories, statuses and step counts of the kernel's FD route: the
-    kernel sends the cheeger tag to finite differences at step H_FD,
-    whatever step and flag it is passed."""
+def test_cheeger_stack_equals_the_closed_form_stack(sid, request):
+    """Both deformed routes have the cometric G^-1 + l^-2 A A^T, so a
+    deformed-metric stack on the reparametrisation route gives the
+    trajectories, statuses and step counts of the closed-form route bit
+    for bit, integrate_geodesics returns the kernel's rows, and the route
+    mixes with the base metric like any other variant."""
     scenario = request.getfixturevalue(sid)
     cheeger = variant(scenario, "cheeger", 0.5)
     x0s, v0s = _starts(scenario)
     results = integrate_geodesics(cheeger, x0s, v0s, length=0.2, step=1e-2,
                                   unit_speed=False)
-    chart = scenario.chart
-    traj, status, _, done = _k.geodesic_rk4(
-        scenario.code, scenario.params, _k.CHEEGER, 0.5, x0s, v0s, 20, 1e-2, H, False,
-        chart.lo, chart.hi, chart.periodic.astype(np.int64), TOL)
+    p0s = np.stack([res.covectors[0] for res in results])
+    traj, status, _, done = _rk4(scenario, _k.CHEEGER, x0s, p0s, 20, 1e-2, l=0.5)
+    closed = _rk4(scenario, _k.CHEEGER_CLOSED, x0s, p0s, 20, 1e-2, l=0.5)
+    for got, want in zip((traj, status, done), (closed[0], closed[1], closed[3])):
+        np.testing.assert_array_equal(got, want)
     for s, res in enumerate(results):
         assert res.status == "ok" and int(status[s]) == _k.OK
         assert res.steps == done[s] == 20
         np.testing.assert_array_equal(res.states, traj[s])
-    # the reparametrisation route does not mix with the base metric
-    with pytest.raises(ValueError, match="mixed geodesic stack"):
-        integrate_geodesics([cheeger, variant(scenario, "original")], x0s[:2], v0s[:2],
-                            length=0.05, step=1e-2)
+    mixed = integrate_geodesics([cheeger, variant(scenario, "original")], x0s[:2], v0s[:2],
+                                length=0.05, step=1e-2)
+    alone = (integrate_geodesics(cheeger, x0s[:1], v0s[:1], length=0.05, step=1e-2)
+             + integrate_geodesics(variant(scenario, "original"), x0s[1:2], v0s[1:2],
+                                   length=0.05, step=1e-2))
+    for res, one in zip(mixed, alone):
+        _assert_same(res, one)
 
 
 def _speed(res, k):
-    w = res.velocities[k]
-    return w @ res.variant.matrix(res.positions[k]) @ w
+    p = res.covectors[k]
+    return p @ _cometric(res, res.positions[k]) @ p
 
 
 @pytest.mark.parametrize("tag", ("limit", "original"))

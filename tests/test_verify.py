@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import non_invariant_metric, zero_killing_derivative
+from oracles import non_invariant_metric
 
 from cheegerdef import _kernels as _k
 from cheegerdef import verify
@@ -418,9 +418,10 @@ CONTROLS = {
     "c1_rate_window": ("s2_band", _with_l_for_l_squared),
     "gap_ratio_bounded": ("s2_band", _with_l_for_l_squared),
     "t_rate_window": ("s2_band", _with_l_for_l_squared),
-    # 0.018
+    # 3.4e-4; a zero Killing derivative leaves the limit drift at roundoff
+    # (2.2e-13), since its terms cancel on a vertical covector
     "geodesic_limit_drift": ("s2_band.pulled_back",
-                             lambda mp, sc, cfg: (zero_killing_derivative(sc), cfg)),
+                             lambda mp, sc, cfg: (non_invariant_metric(sc, 1e-2), cfg)),
     # 1.7e-6
     "geodesic_speed_conservation": (
         "s2_band", lambda mp, sc, cfg: (sc, dataclasses.replace(cfg, geodesic_step=0.05))),
