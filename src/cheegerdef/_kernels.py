@@ -283,14 +283,17 @@ def adapted_frame(orbit):
     of c G is the frame of G divided by sqrt(c).  A row whose G or P
     fails the Cholesky gate, or whose orbit data is not finite, is all
     NaN.  The QR is one stacked call; the entries of L^T A that are not
-    finite are zeroed first, and their rows turn NaN through L or A.
+    finite are zeroed first, and their rows turn NaN through L or A.  A
+    transitive action (r = d) has no horizontal column, so its frame is
+    the vertical one, gated, and no QR runs.
     """
     r = orbit.A.shape[-1]
-    L = chol_lower(orbit.G)
-    B = L.mT @ orbit.A
-    Q = np.linalg.qr(np.where(np.isfinite(B), B, 0.0), mode="complete").Q
-    F = np.concatenate([_vertical_frame(orbit.A, orbit.P),
-                        solve_lin(L.mT, Q[..., r:])], axis=-1)
+    F = _vertical_frame(orbit.A, orbit.P)
+    if r < orbit.G.shape[-1]:
+        L = chol_lower(orbit.G)
+        B = L.mT @ orbit.A
+        Q = np.linalg.qr(np.where(np.isfinite(B), B, 0.0), mode="complete").Q
+        F = np.concatenate([F, solve_lin(L.mT, Q[..., r:])], axis=-1)
     return _nan_rows(np.isfinite(F).all(axis=(-2, -1)), F)
 
 

@@ -85,10 +85,12 @@ class LieAlgebraBasis:
         return len(self.matrices)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
+        """The algebra element of a coefficient vector (n,), or of each of
+        a stack (..., n) of them, summed in basis order."""
         coeffs = np.asarray(coeffs, dtype=float)
-        out = np.zeros_like(self.matrices[0])
-        for a, m in zip(coeffs, self.matrices):
-            out = out + a * m
+        out = np.zeros(coeffs.shape[:-1] + self.matrices[0].shape)
+        for i, m in enumerate(self.matrices):
+            out = out + coeffs[..., i, None, None] * m
         return out
 
 

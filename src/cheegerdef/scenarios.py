@@ -487,16 +487,14 @@ def direction_pairs(scenario: Scenario, n_points: int, n_pairs: int,
     return box_muller(u[..., 0], u[..., 1])
 
 
-def invariance_elements(scenario: Scenario, count: int,
-                        seed: int) -> list[GroupElement]:
-    """Seeded group elements: the exponentials of random algebra vectors,
-    one row of uniforms each, all mapped and exponentiated in one stacked
-    call."""
+def invariance_elements(scenario: Scenario, count: int, seed: int) -> GroupElement:
+    """Seeded group elements as one stacked element, its matrix (count,
+    n, n): the exponentials of random algebra vectors, one row of
+    uniforms each, all mapped and exponentiated in one stacked call."""
     group = scenario.group
     u = uniform_draws(seed, _STREAM_ELEMENTS, (count, group.draws_per_vector))
     vecs = group.algebra_vectors(u, scenario.element_scale)
-    mats = closed_form_exp(np.stack([group.algebra.element(v) for v in vecs]))
-    return [GroupElement(group.group_id, M) for M in mats]
+    return GroupElement(group.group_id, closed_form_exp(group.algebra.element(vecs)))
 
 
 def oracle_samples(scenario: Scenario, count: int, seed: int,

@@ -40,7 +40,6 @@ from .cheeger import definition_metric, kappa, variant
 from .config import (THRESHOLDS, at_least, bound, knob, parse_float_list,
                      parse_int, positive, validate)
 from .gmanifold import SIGMA_TOL, NumericalFailure
-from .lie_core import GroupElement
 from .scenarios import (DEFAULT_SAMPLE_MARGIN, Scenario, direction_pairs,
                         invariance_elements, oracle_samples, sample_grid)
 from .tensor_calc import (H_FD, SamplePlan, integrate_geodesics,
@@ -194,11 +193,17 @@ def build_plan(scenario: Scenario, cfg: SweepConfig) -> SamplePlan:
     return SamplePlan(scenario, sample_grid(scenario, cfg.n_points, cfg.margin))
 
 
-def _first_nan(scenario: Scenario, series, place) -> None:
+def _first_nan(scenario: Scenario, maxima, series, place) -> None:
     """Raise NumericalFailure at the first NaN of series, in series order
     and then in index order.  series holds (what, at, values): what names
     the series or variant, at its l, and values has the point axis last,
-    after an optional group-element axis; place(n) names point n."""
+    after an optional group-element axis; place(n) names point n.
+
+    maxima are the stage's maxima over those values.  np.max propagates
+    NaN, so the series are scanned only when one of maxima is NaN; series
+    may be a generator, which is then never built."""
+    if not np.isnan(maxima).any():
+        return
     for what, at, values in series:
         bad = np.argwhere(np.isnan(values))
         if bad.size:
@@ -212,10 +217,11 @@ def _sup_over_plan(scenario: Scenario, l_grid, points: np.ndarray,
                    series) -> list[np.ndarray]:
     """Per-l maxima over the plan of per-point series (what, values), values
     of shape (L, N); a NaN is located in grid order, then series order."""
-    _first_nan(scenario, [(what, f" at l={l}", values[j])
-                          for j, l in enumerate(l_grid) for what, values in series],
+    maxima = [np.max(values, axis=-1) for _, values in series]
+    _first_nan(scenario, maxima, ((what, f" at l={l}", values[j])
+                                  for j, l in enumerate(l_grid) for what, values in series),
                lambda n: f"plan point {n} {points[n].tolist()}")
-    return [np.max(values, axis=-1) for _, values in series]
+    return maxima
 
 
 def convergence_series(scenario: Scenario, cfg: SweepConfig,
@@ -333,53 +339,58 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
     pulled-back and local metric components (analytic action Jacobians).
     The invariance points are a stride slice of the plan, so their orbit
     data and frame are rows of the plan's geometry.  All sampled
-    elements act in one stacked call, and the images get one orbit_data
-    record that every variant shares.  A NaN residual or frame row is a
-    numerical breakdown: NumericalFailure names the variant, l, group
-    element and plan point, read from the residuals themselves.
+    elements act in one stacked call, and the points and their images
+    get one orbit_data record, on which each variant is evaluated once.
+    The limit metric is the rescaled family at l = 0 (the entries of
+    _TABLE agree there bit for bit), so it is the first row of the
+    rescaled call.  A NaN residual or frame row is a numerical
+    breakdown: NumericalFailure names the variant, l, group element and
+    plan point, read from the residuals themselves.
     """
     stride = max(1, len(plan.points) // cfg.invariance_points)
     plan_orbit, plan_frame = plan.geometry
     orbit = plan_orbit.rows(slice(None, None, stride))
     F = plan_frame[::stride]
     pts = orbit.x
-    elements = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
-    stack = GroupElement(scenario.group.group_id, np.stack([g.matrix for g in elements]))
+    stack = invariance_elements(scenario, cfg.invariance_elements, cfg.seed)
     par = scenario.params
-    moved = scenario.act(stack, pts)
     jac = scenario.action_jacobian(stack, pts)
-    orbit_moved = _k.orbit_data(scenario, par, moved, SIGMA_TOL)
+    # (E + 1, N): the points, then their images under each element
+    both = _k.orbit_data(scenario, par, np.concatenate([pts[None], scenario.act(stack, pts)]),
+                         SIGMA_TOL)
 
     local = []
 
     def residuals(tag_code: int, l) -> np.ndarray:
         """Residual of one variant per element and point, (E, N): l is
-        one value, or the (L, 1) column of the grid, which gives (L, E, N)
-        from one call on the points and one on their images."""
-        here = _k.variant_metric(scenario, par, tag_code, l, orbit, SIGMA_TOL)
+        one value, or an l column (L, 1, 1), which gives (L, E, N)."""
+        Gv = _k.variant_metric(scenario, par, tag_code, l, both, SIGMA_TOL)
         if tag_code != _k.ORIGINAL:
-            local.append(here)
-        # the images carry an element axis in front of the point axis
-        l_moved = l[..., None] if isinstance(l, np.ndarray) else l
-        there = _k.variant_metric(scenario, par, tag_code, l_moved, orbit_moved, SIGMA_TOL)
-        pulled = jac.mT @ there @ jac
-        return np.max(np.abs(pulled - here[..., None, :, :, :]), axis=(-2, -1))
+            local.append(Gv[..., 0, :, :, :])
+        pulled = jac.mT @ Gv[..., 1:, :, :, :] @ jac
+        return np.max(np.abs(pulled - Gv[..., :1, :, :, :]), axis=(-2, -1))
 
-    res_static = {"original": residuals(_k.ORIGINAL, 0.0),
-                  "limit": residuals(_k.LIMIT, 0.0)}
-    column = np.asarray(cfg.l_grid)[:, None]
-    res_l = {"cheeger": residuals(_k.CHEEGER, column),
-             "rescaled": residuals(_k.RESCALED, column)}
-    # static tags, then per l, then the frame, whose failed points are NaN rows
-    _first_nan(scenario,
-               [(f"invariance residual of {tag}", " at every l", r)
-                for tag, r in res_static.items()]
-               + [(f"invariance residual of {tag}", f" at l={l}", r[j])
-                  for j, l in enumerate(cfg.l_grid) for tag, r in res_l.items()]
-               + [("invariance adapted frame", "", np.max(F, axis=(-2, -1)))],
-               lambda n: f"plan point {n * stride} {pts[n].tolist()}")
+    original = residuals(_k.ORIGINAL, 0.0)
+    cheeger = residuals(_k.CHEEGER, np.asarray(cfg.l_grid)[:, None, None])
+    # row 0 is the limit metric
+    rescaled = residuals(_k.RESCALED, np.asarray((0.0, *cfg.l_grid))[:, None, None])
+    res_static = {"original": original, "limit": rescaled[0]}
+    res_l = {"cheeger": cheeger, "rescaled": rescaled[1:]}
     static = {tag: float(np.max(r)) for tag, r in res_static.items()}
-    by_l = [{"l": float(l), **{tag: float(np.max(r[j])) for tag, r in res_l.items()}}
+    per_l = {tag: np.max(r, axis=(-2, -1)) for tag, r in res_l.items()}
+
+    def series():
+        # static tags, then per l, then the frame, whose failed points are NaN rows
+        for tag, r in res_static.items():
+            yield f"invariance residual of {tag}", " at every l", r
+        for j, l in enumerate(cfg.l_grid):
+            for tag, r in res_l.items():
+                yield f"invariance residual of {tag}", f" at l={l}", r[j]
+        yield "invariance adapted frame", "", np.max(F, axis=(-2, -1))
+
+    _first_nan(scenario, [*static.values(), *per_l["cheeger"], *per_l["rescaled"], np.max(F)],
+               series(), lambda n: f"plan point {n * stride} {pts[n].tolist()}")
+    by_l = [{"l": float(l), **{tag: float(m[j]) for tag, m in per_l.items()}}
             for j, l in enumerate(cfg.l_grid)]
 
     # horizontal block of the deformed family versus the base metric
@@ -406,7 +417,7 @@ def invariance_results(scenario: Scenario, cfg: SweepConfig,
         "kappa_residual": kappa_worst,
         "kappa_iso_residual": kappa_iso_worst,
         "n_points": int(len(pts)),
-        "n_elements": int(len(elements)),
+        "n_elements": int(len(stack.matrix)),
     }
 
 
@@ -444,14 +455,16 @@ def oracle_results(scenario: Scenario, cfg: SweepConfig) -> dict:
                        for tag in (_k.CHEEGER, _k.CHEEGER_CLOSED))
     ref = definition_metric(scenario, "cheeger", ls, pts)
     routes = {"reparametrisation": reparam, "rank update": closed, "definition": ref}
-    _first_nan(scenario, [(f"oracle {what} route", "", np.max(g, axis=(-2, -1)))
-                          for what, g in routes.items()],
+    # every route enters two of the differences
+    diffs = [np.max(np.abs(a - b)) for a, b in ((reparam, closed), (reparam, ref),
+                                                (closed, ref))]
+    _first_nan(scenario, diffs, ((f"oracle {what} route", "", np.max(g, axis=(-2, -1)))
+                                 for what, g in routes.items()),
                lambda n: f"oracle sample {n} {pts[n].tolist()} at l={float(ls[n])}")
     return {
         "n_samples": int(len(pts)),
-        "kernel_max_diff": float(np.max(np.abs(reparam - closed))),
-        "definition_max_diff": float(max(np.max(np.abs(reparam - ref)),
-                                         np.max(np.abs(closed - ref)))),
+        "kernel_max_diff": float(diffs[0]),
+        "definition_max_diff": float(max(diffs[1], diffs[2])),
     }
 
 

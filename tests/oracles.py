@@ -1,7 +1,7 @@
 """Test oracles: plain pointwise restatements of what the package
 computes in stacks or in closed form, each with one code path: the
 Lie-algebra identities of a basis, group membership, the exponential of
-one algebra vector, finite-difference
+one algebra vector, the elements of a stack one at a time, finite-difference
 derivatives of the action and of matrix fields with the relative
 error of exact derivatives against them, the pullback of a metric
 field, the C^0 sup of a metric difference at one point with a
@@ -87,6 +87,11 @@ def group_exp(group, coeffs, t=1.0):
     """The group element exp(t X) of the algebra vector coeffs, one
     element at a time."""
     return GroupElement(group.group_id, closed_form_exp(t * group.algebra.element(coeffs)))
+
+
+def each_element(stack):
+    """The elements of a stacked GroupElement, one at a time."""
+    return [GroupElement(stack.group_id, M) for M in stack.matrix]
 
 
 def fd_relative_error(exact, fd):

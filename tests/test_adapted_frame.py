@@ -92,18 +92,54 @@ def test_frame_in_a_non_adapted_chart(charted):
                                rtol=0.0, atol=1e-14 * np.abs(orbit.A).max())
 
 
-def test_failed_rows_are_nan_and_others_unchanged(s2_band):
-    """A row whose orbit field is not finite, or vanishes (P = 0 fails
-    the Cholesky gate) while G stays positive, is all NaN, horizontal
-    columns included; the other rows are bit-identical."""
-    orbit = _k.orbit_data(s2_band, s2_band.params, sample_grid(s2_band, 36), SIGMA_TOL)
+def _broken(orbit):
+    """The record with the orbit field of row 2 not finite and that of
+    row 5 zero (P = 0 fails the Cholesky gate) while G stays positive."""
     A = orbit.A.copy()
     A[2] = np.nan
     A[5] = 0.0
     W = orbit.G @ A
-    broken = replace(orbit, A=A, W=W, P=A.mT @ W)
-    clean, F = _k.adapted_frame(orbit), _k.adapted_frame(broken)
+    return replace(orbit, A=A, W=W, P=A.mT @ W)
+
+
+def test_failed_rows_are_nan_and_others_unchanged(s2_band):
+    """A row whose orbit field is not finite, or vanishes, is all NaN,
+    horizontal columns included; the other rows are bit-identical."""
+    orbit = _k.orbit_data(s2_band, s2_band.params, sample_grid(s2_band, 36), SIGMA_TOL)
+    clean, F = _k.adapted_frame(orbit), _k.adapted_frame(_broken(orbit))
     others = np.ones(len(F), dtype=bool)
     others[[2, 5]] = False
     assert np.isnan(F[~others]).all()
     np.testing.assert_array_equal(F[others], clean[others])
+
+
+def _complete_qr_frame(orbit):
+    """The frame by the complete-QR route at any orbit rank: the gated
+    vertical frame next to L^{-T} times the columns past r of the QR of
+    L^T A, none at r = d."""
+    r = orbit.A.shape[-1]
+    L = _k.chol_lower(orbit.G)
+    B = L.mT @ orbit.A
+    Q = np.linalg.qr(np.where(np.isfinite(B), B, 0.0), mode="complete").Q
+    F = np.concatenate([_k._vertical_frame(orbit.A, orbit.P),
+                        _k.solve_lin(L.mT, Q[..., r:])], axis=-1)
+    return _k._nan_rows(np.isfinite(F).all(axis=(-2, -1)), F)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
+def test_transitive_frame_skips_the_qr(su2_s2, monkeypatch, broken):
+    """su2_s2 acts transitively (r = d), so its frame has no horizontal
+    column: adapted_frame returns the gated vertical frame without the
+    QR or the solve for horizontal columns, bit for bit the complete-QR
+    route's frame, NaN rows of the broken record included."""
+    orbit = _k.orbit_data(su2_s2, su2_s2.params, sample_grid(su2_s2, 36), SIGMA_TOL)
+    assert orbit.A.shape[-1] == su2_s2.dim
+    orbit = _broken(orbit) if broken else orbit
+    expected = _complete_qr_frame(orbit)
+    assert np.isnan(expected).any() == broken
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the transitive frame ran a QR")
+
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    np.testing.assert_array_equal(_k.adapted_frame(orbit), expected)

@@ -14,7 +14,7 @@ chart, and a degenerate orbit must still poison every route.
 
 import numpy as np
 import pytest
-from oracles import (fd_action_jacobian, fd_relative_error, killing_operator,
+from oracles import (each_element, fd_action_jacobian, fd_relative_error, killing_operator,
                      pulled_back_ids, richardson_dx)
 
 from cheegerdef import _kernels as _k
@@ -81,7 +81,7 @@ def test_turning_torus_record_matches_finite_differences(record):
                                    rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(scenario.killing(par, x), killing_operator(scenario, x),
                                    rtol=0.0, atol=1e-8)
-        for g in invariance_elements(scenario, 2, seed=5):
+        for g in each_element(invariance_elements(scenario, 2, seed=5)):
             np.testing.assert_allclose(scenario.action_jacobian(g, x),
                                        fd_action_jacobian(scenario, g, x),
                                        rtol=0.0, atol=1e-8)

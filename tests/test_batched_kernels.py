@@ -6,12 +6,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from oracles import group_exp, spectral_sup
+from oracles import each_element, group_exp, spectral_sup
 
 from cheegerdef import _kernels as _k
 from cheegerdef.cheeger import variant
 from cheegerdef.gmanifold import NumericalFailure
-from cheegerdef.lie_core import GroupElement
 from cheegerdef.scenarios import (get_scenario, invariance_elements, list_scenarios,
                                   oracle_samples, sample_grid)
 from cheegerdef.tensor_calc import SamplePlan
@@ -160,7 +159,7 @@ def test_small_inverse_and_cholesky_closed_forms(n):
 
 def test_action_stack_matches_single_points(scenario, plan):
     pts = plan.points[::7]
-    for g in invariance_elements(scenario, 4, 11):
+    for g in each_element(invariance_elements(scenario, 4, 11)):
         moved = scenario.act(g, pts)
         jac = scenario.action_jacobian(g, pts)
         assert moved.shape == pts.shape
@@ -175,8 +174,8 @@ def test_stacked_elements_act_as_each_element(scenario, plan):
     and (E, N, d, d) Jacobians, equal to the calls element by element:
     exactly for the circle shifts, to roundoff for the rotations."""
     pts = plan.points[::7]
-    elements = invariance_elements(scenario, 6, 11)
-    stack = GroupElement(scenario.group.group_id, np.stack([g.matrix for g in elements]))
+    stack = invariance_elements(scenario, 6, 11)
+    elements = each_element(stack)
     moved = scenario.act(stack, pts)
     jac = scenario.action_jacobian(stack, pts)
     E, N, d = len(elements), len(pts), scenario.dim
@@ -334,8 +333,8 @@ def test_invariance_elements_equal_per_element_exp(scenario, seed):
     rows = uniform_draws(seed, _STREAM_ELEMENTS, (12, group.draws_per_vector))
     expected = [group_exp(group, group.algebra_vectors(row, scenario.element_scale))
                 for row in rows]
-    elements = invariance_elements(scenario, 12, seed)
-    assert len(elements) == 12
-    for g, e in zip(elements, expected):
-        assert g.group_id == e.group_id
-        np.testing.assert_array_equal(g.matrix, e.matrix)
+    stack = invariance_elements(scenario, 12, seed)
+    assert stack.matrix.shape[0] == 12
+    for M, e in zip(stack.matrix, expected):
+        assert stack.group_id == e.group_id
+        np.testing.assert_array_equal(M, e.matrix)

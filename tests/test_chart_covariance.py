@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import (SHEARS, fd_action_jacobian, fd_relative_error, killing_operator,
+from oracles import (SHEARS, each_element, fd_action_jacobian, fd_relative_error, killing_operator,
                      non_invariant_metric, richardson_dx, zero_killing_derivative)
 
 from cheegerdef import _kernels as _k
@@ -57,7 +57,7 @@ def test_pulled_back_record_matches_finite_differences(sid, pulled_back_records)
                                    rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(scenario.killing(par, x), killing_operator(scenario, x),
                                    rtol=0.0, atol=1e-8)
-        for g in invariance_elements(scenario, 2, seed=5):
+        for g in each_element(invariance_elements(scenario, 2, seed=5)):
             np.testing.assert_allclose(scenario.action_jacobian(g, x),
                                        fd_action_jacobian(scenario, g, x),
                                        rtol=0.0, atol=1e-8)

@@ -74,7 +74,9 @@ def test_closed_form_matches_expm(gid):
 def test_stack_equals_elements_one_at_a_time(gid):
     group = get_group(gid)
     rows = np.random.default_rng(3).random((9, group.draws_per_vector))
-    X = np.stack([group.algebra.element(v) for v in group.algebra_vectors(rows)])
+    vecs = group.algebra_vectors(rows)
+    X = np.stack([group.algebra.element(v) for v in vecs])
+    np.testing.assert_array_equal(group.algebra.element(vecs), X)
     stacked = closed_form_exp(X)
     for Xe, Me in zip(X, stacked):
         np.testing.assert_array_equal(closed_form_exp(Xe), Me)

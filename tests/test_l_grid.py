@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import each_element, pulled_back_ids
 
 from cheegerdef import _kernels as _k
 from cheegerdef import verify
@@ -115,7 +116,7 @@ def test_invariance_residuals_equal_per_l_evaluation(planned):
     par = scenario.params
     stride = max(1, len(plan.points) // CFG.invariance_points)
     pts = plan.points[::stride]
-    elements = invariance_elements(scenario, CFG.invariance_elements, CFG.seed)
+    elements = each_element(invariance_elements(scenario, CFG.invariance_elements, CFG.seed))
     moved = np.stack([scenario.act(g, pts) for g in elements])
     jac = np.stack([scenario.action_jacobian(g, pts) for g in elements])
 
@@ -131,6 +132,32 @@ def test_invariance_residuals_equal_per_l_evaluation(planned):
         assert row["rescaled"] == residual(_k.RESCALED, row["l"])
     assert inv["static"] == {"original": residual(_k.ORIGINAL, 0.0),
                              "limit": residual(_k.LIMIT, 0.0)}
+
+
+@pytest.mark.parametrize("sid", list_scenarios() + pulled_back_ids(list_scenarios())
+                         + ("t2_turning",))
+def test_rescaled_entries_at_l_zero_are_the_limit_bit_for_bit(record, sid):
+    """The invariance stage reads the limit metric as the l = 0 row of
+    its rescaled call.  At l = 0 the rescaled entries of _TABLE are the
+    limit ones in exact arithmetic and in floating point: mu = 1 / (lam +
+    0) is pi, so Y = pi - mu pi is pi - pi pi, and M = (0 - 1) pi + 1 is
+    1 - pi.  So variant_metric (the "Y" entries) and variant_cometric
+    (the "M" entries) agree bit for bit, at l = 0 alone and in the first
+    row of an l column, on every plan, on the sheared records and on the
+    turning torus, whose eigenvalues cross.  The divided differences are
+    not bitwise equal (they differ by some 1e-15 on s2_band: the two
+    dY formulas round differently), so c1_block keeps its LIMIT call."""
+    scenario = record(sid)
+    par = scenario.params
+    orbit = _k.orbit_data(scenario, par, build_plan(scenario, CFG).points, TOL)
+    column = np.asarray((0.0, *CFG.l_grid))[:, None]
+    for kernel in (_k.variant_metric, _k.variant_cometric):
+        limit = kernel(scenario, par, _k.LIMIT, 0.0, orbit, TOL)
+        assert np.isfinite(limit).all()
+        np.testing.assert_array_equal(kernel(scenario, par, _k.RESCALED, 0.0, orbit, TOL),
+                                      limit)
+        np.testing.assert_array_equal(kernel(scenario, par, _k.RESCALED, column, orbit, TOL)[0],
+                                      limit)
 
 
 def test_l_column_adds_a_leading_axis(s2_band):

@@ -158,9 +158,12 @@ def test_blocks_compute_the_geometry_they_are_not_given(planned):
 def test_sample_stages_compute_each_point_set_once(monkeypatch):
     """At the benchmark's sample_norms config, and with the C1 block
     turned on, a run evaluates the orbit data of its three point sets
-    (plan, invariance images, oracle samples) once each, builds one
-    adapted frame, and acts with all invariance elements in one call of
-    the action and one of its Jacobian."""
+    (plan, invariance points with their images, oracle samples) once
+    each, builds one adapted frame, and acts with all invariance
+    elements in one call of the action and one of its Jacobian.  The
+    invariance stage evaluates each variant once on the points and their
+    images together: the limit metric is the l = 0 row of the rescaled
+    call, so it makes no call of its own."""
     counts = Counter()
 
     def counted(name, fn):
@@ -173,6 +176,26 @@ def test_sample_stages_compute_each_point_set_once(monkeypatch):
         monkeypatch.setattr(_k, name, counted(name, getattr(_k, name)))
     for name in ("act", "action_jacobian"):
         monkeypatch.setattr(Scenario, name, counted(name, getattr(Scenario, name)))
+    # variant_metric calls made inside the invariance stage, per tag
+    tags = {_k.ORIGINAL: "original", _k.CHEEGER: "cheeger", _k.RESCALED: "rescaled",
+            _k.LIMIT: "limit", _k.CHEEGER_CLOSED: "cheeger_closed"}
+    in_stage = []
+    stage, metric = verify.invariance_results, _k.variant_metric
+
+    def invariance_results(*args):
+        in_stage.append(True)
+        try:
+            return stage(*args)
+        finally:
+            in_stage.pop()
+
+    def variant_metric(scen, par, tag, *args):
+        if in_stage:
+            counts[f"invariance variant_metric {tags[tag]}"] += 1
+        return metric(scen, par, tag, *args)
+
+    monkeypatch.setattr(verify, "invariance_results", invariance_results)
+    monkeypatch.setattr(_k, "variant_metric", variant_metric)
     workload = workloads.WORKLOADS["sample_norms"]
     for sid in workload.scenarios:
         text = workloads.config_text(workload, sid, seed=42)
@@ -183,7 +206,10 @@ def test_sample_stages_compute_each_point_set_once(monkeypatch):
             res = verify.run_suite(get_scenario(sid), cfg)
             assert res["passed"], (sid, cp_order)
             assert counts == {"orbit_data": 3, "adapted_frame": 1, "act": 1,
-                              "action_jacobian": 1}, (sid, cp_order)
+                              "action_jacobian": 1,
+                              "invariance variant_metric original": 1,
+                              "invariance variant_metric cheeger": 1,
+                              "invariance variant_metric rescaled": 1}, (sid, cp_order)
 
 
 def test_geodesic_only_run_computes_no_plan_geometry(monkeypatch):

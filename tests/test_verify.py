@@ -298,19 +298,28 @@ def test_rate_windows_fail_on_l_for_l_squared(s2_band, monkeypatch):
     assert len(verdicts) == 5
 
 
+def _rescaled_call_with_nan(exact, *where):
+    """variant_metric with NaN at the entries where of the invariance
+    stage's rescaled call, (L + 1, E + 1, N, d, d): row 0 of the l axis
+    is the limit metric (l = 0) and row 0 of the next axis the points,
+    the others their images."""
+
+    def call(scen, par, tag, l, x, sigma_tol):
+        out = exact(scen, par, tag, l, x, sigma_tol)
+        if tag == _k.RESCALED and out.ndim == 5:
+            out = out.copy()
+            for index in where:
+                out[index] = np.nan
+        return out
+    return call
+
+
 def test_nan_residual_is_a_numerical_failure(s2_band, monkeypatch):
     """A NaN residual that is not the first one reduced still breaks the
     run (exit 3 on the command line), named by variant, l, group element
-    and plan point; it never becomes a verdict."""
-    from cheegerdef import _kernels as _k
-
-    exact = _k.variant_metric
-
-    def limit_is_nan(scen, par, tag, l, x, sigma_tol):
-        out = exact(scen, par, tag, l, x, sigma_tol)
-        return np.full_like(out, np.nan) if tag == _k.LIMIT else out
-
-    monkeypatch.setattr(_k, "variant_metric", limit_is_nan)
+    and plan point; it never becomes a verdict.  The limit metric's NaN
+    is the l = 0 row of the rescaled call."""
+    monkeypatch.setattr(_k, "variant_metric", _rescaled_call_with_nan(_k.variant_metric, 0))
     cfg = SweepConfig(**{**SMALL, "enabled": ("invariance",)})
     first = build_plan(s2_band, cfg).points[0].tolist()
     with pytest.raises(NumericalFailure) as failure:
@@ -324,20 +333,11 @@ def test_nan_residual_failure_names_variant_l_element_and_point(s2_band, monkeyp
     """The failure locates the first NaN residual, read from the
     residuals: a rescaled image NaN at one l, element and invariance
     point only."""
-    from cheegerdef import _kernels as _k
-
-    exact = _k.variant_metric
     cfg = SweepConfig(**{**SMALL, "enabled": ("invariance",)})
-
-    def one_image_is_nan(scen, par, tag, l, x, sigma_tol):
-        out = exact(scen, par, tag, l, x, sigma_tol)
-        if tag == _k.RESCALED and out.ndim == 5:
-            # (L, E, N, d, d) images: l = 0.05, element 3, point 2
-            out = out.copy()
-            out[2, 3, 2] = np.nan
-        return out
-
-    monkeypatch.setattr(_k, "variant_metric", one_image_is_nan)
+    # l = 0.05 (row 3 after the l = 0 row), the image under element 3
+    # (row 4 after the points), point 2
+    monkeypatch.setattr(_k, "variant_metric",
+                        _rescaled_call_with_nan(_k.variant_metric, (3, 4, 2)))
     plan = build_plan(s2_band, cfg)
     stride = len(plan.points) // cfg.invariance_points
     with pytest.raises(NumericalFailure) as failure:
@@ -348,13 +348,13 @@ def test_nan_residual_failure_names_variant_l_element_and_point(s2_band, monkeyp
 
 
 def test_nan_failure_takes_the_first_variant_in_reduction_order(s2_band, monkeypatch):
-    from cheegerdef import _kernels as _k
-
-    exact = _k.variant_metric
+    """The limit metric (the l = 0 row of the rescaled call) and the
+    whole Cheeger call are NaN: the limit is reduced first."""
+    limit_is_nan = _rescaled_call_with_nan(_k.variant_metric, 0)
 
     def limit_and_cheeger_are_nan(scen, par, tag, l, x, sigma_tol):
-        out = exact(scen, par, tag, l, x, sigma_tol)
-        return np.full_like(out, np.nan) if tag in (_k.LIMIT, _k.CHEEGER) else out
+        out = limit_is_nan(scen, par, tag, l, x, sigma_tol)
+        return np.full_like(out, np.nan) if tag == _k.CHEEGER else out
 
     monkeypatch.setattr(_k, "variant_metric", limit_and_cheeger_are_nan)
     first = build_plan(s2_band, SweepConfig(**SMALL)).points[0].tolist()
